@@ -2,7 +2,7 @@
 //!
 //! Shared harness for the experiment regenerators (E1–E9, one binary per
 //! paper result; see `DESIGN.md` §4 and `EXPERIMENTS.md`) and the
-//! Criterion benches.
+//! `bench_trajectory` perf harness.
 //!
 //! Each experiment binary prints an aligned "paper vs measured" table and
 //! writes a machine-readable JSON record under `results/`.

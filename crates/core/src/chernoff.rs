@@ -1,56 +1,6 @@
-//! Tail bounds and parameter arithmetic from Appendix B and Lemma 5.6.
-//!
-//! All quantities that overflow `f64` (the paper's bounds routinely look
-//! like `m^{16(h+7)/α}`) are exposed in natural-log space.
-
-/// Chernoff bound for negatively associated 0/1 sums, large-deviation form
-/// (Lemma B.5): `P[X >= δμ] <= exp(-δμ ln(δ) / 4)` for `δ >= 2`.
-///
-/// Returns the log-probability bound (`<= 0`).
-///
-/// # Panics
-///
-/// Panics if `delta < 2` or `mu < 0`.
-pub fn log_chernoff_large_deviation(mu: f64, delta: f64) -> f64 {
-    assert!(delta >= 2.0, "Lemma B.5 needs delta >= 2");
-    assert!(mu >= 0.0);
-    -(delta * mu * delta.ln()) / 4.0
-}
-
-/// Chernoff bound, moderate form (Lemma B.6):
-/// `P[X >= (1+δ)μ] <= exp(-δ²μ / (2+δ))` for `δ > 0`.
-///
-/// Returns the log-probability bound.
-///
-/// # Panics
-///
-/// Panics if `delta <= 0` or `mu < 0`.
-pub fn log_chernoff_moderate(mu: f64, delta: f64) -> f64 {
-    assert!(delta > 0.0);
-    assert!(mu >= 0.0);
-    -(delta * delta * mu) / (2.0 + delta)
-}
-
-/// Log of the Lemma 5.6 failure probability `m^{-(h+3) |supp(d)|}`.
-pub fn log_main_lemma_failure(m: usize, h: f64, support: usize) -> f64 {
-    -(h + 3.0) * (support as f64) * (m as f64).ln()
-}
-
-/// Log of the bad-pattern count bound `m^{6 D / α}` (Lemma 5.13).
-pub fn log_bad_pattern_count(m: usize, demand_size: f64, alpha: usize) -> f64 {
-    6.0 * demand_size / alpha as f64 * (m as f64).ln()
-}
-
-/// The Lemma 5.6 congestion allowance *factor*
-/// `α + m^{16(h+7)/α}` in log space: returns
-/// `ln(α + exp(16(h+7)/α * ln m))` computed stably.
-pub fn log_allowance_factor(m: usize, h: f64, alpha: usize) -> f64 {
-    let a = (alpha as f64).ln();
-    let b = 16.0 * (h + 7.0) / alpha as f64 * (m as f64).ln();
-    // log(exp(a) + exp(b)) = max + log1p(exp(min - max)).
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (lo - hi).exp().ln_1p()
-}
+//! Parameter arithmetic from Theorem 2.3 and Section 8, plus (in the
+//! tests) the Appendix B tail bounds in natural-log space, checked
+//! empirically and against the Corollary 5.7 union bound.
 
 /// `α = Θ(log n / log log n)` — the logarithmic-sparsity choice of
 /// Theorem 2.3 (clamped to at least 1).
@@ -76,6 +26,39 @@ pub fn lower_bound_shape(n: usize, alpha: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Chernoff bound for negatively associated 0/1 sums, large-deviation form
+    /// (Lemma B.5): `P[X >= δμ] <= exp(-δμ ln(δ) / 4)` for `δ >= 2`.
+    ///
+    /// Returns the log-probability bound (`<= 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta < 2` or `mu < 0`.
+    fn log_chernoff_large_deviation(mu: f64, delta: f64) -> f64 {
+        assert!(delta >= 2.0, "Lemma B.5 needs delta >= 2");
+        assert!(mu >= 0.0);
+        -(delta * mu * delta.ln()) / 4.0
+    }
+
+    /// Chernoff bound, moderate form (Lemma B.6):
+    /// `P[X >= (1+δ)μ] <= exp(-δ²μ / (2+δ))` for `δ > 0`.
+    ///
+    /// Returns the log-probability bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta <= 0` or `mu < 0`.
+    fn log_chernoff_moderate(mu: f64, delta: f64) -> f64 {
+        assert!(delta > 0.0);
+        assert!(mu >= 0.0);
+        -(delta * delta * mu) / (2.0 + delta)
+    }
+
+    /// Log of the Lemma 5.6 failure probability `m^{-(h+3) |supp(d)|}`.
+    fn log_main_lemma_failure(m: usize, h: f64, support: usize) -> f64 {
+        -(h + 3.0) * (support as f64) * (m as f64).ln()
+    }
 
     #[test]
     fn large_deviation_decreases_in_delta() {
@@ -120,20 +103,6 @@ mod tests {
             total <= -h * (m as f64).ln() + 1e-9,
             "union bound violated: {total}"
         );
-    }
-
-    #[test]
-    fn allowance_factor_is_monotone_in_h() {
-        let a = log_allowance_factor(1000, 1.0, 8);
-        let b = log_allowance_factor(1000, 4.0, 8);
-        assert!(b > a);
-    }
-
-    #[test]
-    fn allowance_factor_decreases_with_alpha() {
-        let a = log_allowance_factor(1000, 2.0, 2);
-        let b = log_allowance_factor(1000, 2.0, 16);
-        assert!(b < a, "more paths means smaller allowance");
     }
 
     #[test]

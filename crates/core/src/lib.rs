@@ -22,8 +22,8 @@
 //!   invariants, executable;
 //! * [`special`] — Definition 5.5 special demands, the Lemma 5.9
 //!   bucketing, and the Lemma 5.8 weak-to-strong loop;
-//! * [`chernoff`] — Appendix B tail bounds and the paper's parameter
-//!   arithmetic (log-space);
+//! * [`chernoff`] — the paper's parameter arithmetic (Theorem 2.3's
+//!   `α`, the Section 8 curves);
 //! * [`completion`] — the Section 7 union-over-hop-scales construction
 //!   for the congestion + dilation objective.
 //!
@@ -54,7 +54,8 @@ pub mod chernoff;
 pub mod completion;
 pub mod derandomize;
 mod path_system;
-pub mod reduction;
+#[cfg(test)]
+mod reduction;
 mod router;
 pub mod sample;
 pub mod special;

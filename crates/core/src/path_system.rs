@@ -63,11 +63,10 @@ impl PathSystem {
     }
 
     /// The one intern-then-dedup-push sequence every mutating entry point
-    /// funnels through ([`insert`], [`absorb`], [`with_hop_cap`]).
+    /// funnels through ([`insert`], [`absorb`]).
     ///
     /// [`insert`]: PathSystem::insert
     /// [`absorb`]: PathSystem::absorb
-    /// [`with_hop_cap`]: PathSystem::with_hop_cap
     fn push_interned(
         &mut self,
         key: (VertexId, VertexId),
@@ -199,20 +198,6 @@ impl PathSystem {
         removed
     }
 
-    /// Restriction to paths with at most `max_hop` hops; pairs left without
-    /// candidates are dropped.
-    pub fn with_hop_cap(&self, max_hop: usize) -> PathSystem {
-        let mut out = PathSystem::new();
-        for (&key, ids) in &self.per_pair {
-            for &id in ids {
-                if self.store.hop(id) <= max_hop {
-                    out.push_interned(key, self.store.vertices(id), self.store.edges(id));
-                }
-            }
-        }
-        out
-    }
-
     /// Validates every path against `g` (without materializing).
     pub fn is_valid(&self, g: &Graph) -> bool {
         self.per_pair.iter().all(|(&(s, t), ids)| {
@@ -316,14 +301,6 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(ps.paths(0, 3).unwrap().len(), 1);
         let _ = g;
-    }
-
-    #[test]
-    fn hop_cap_restricts() {
-        let (_, ps) = ring_system();
-        let capped = ps.with_hop_cap(1);
-        assert_eq!(capped.total_paths(), 1);
-        assert!(capped.paths(0, 3).is_none());
     }
 
     #[test]

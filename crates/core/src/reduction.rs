@@ -21,16 +21,16 @@ use ssor_oblivious::ObliviousRouting;
 /// interest (the corollary uses all `n^2` pairs; building only the needed
 /// ones keeps the surgery cheap).
 #[derive(Debug)]
-pub struct AuxGraph {
+struct AuxGraph {
     /// The extended graph: original vertices, then `2 * pairs.len()`
     /// auxiliary vertices.
-    pub graph: Graph,
+    graph: Graph,
     /// For pair index `i`: the auxiliary pair `(a_i, b_i)`.
-    pub aux_pairs: Vec<(VertexId, VertexId)>,
+    aux_pairs: Vec<(VertexId, VertexId)>,
     /// For pair index `i`: the two bridge edges `(a_i - s, t - b_i)`.
-    pub bridges: Vec<(EdgeId, EdgeId)>,
+    bridges: Vec<(EdgeId, EdgeId)>,
     /// The original pairs, aligned with `aux_pairs`.
-    pub pairs: Vec<(VertexId, VertexId)>,
+    pairs: Vec<(VertexId, VertexId)>,
 }
 
 impl AuxGraph {
@@ -39,7 +39,7 @@ impl AuxGraph {
     /// # Panics
     ///
     /// Panics if some pair has `s == t`.
-    pub fn build(g: &Graph, pairs: &[(VertexId, VertexId)]) -> AuxGraph {
+    fn build(g: &Graph, pairs: &[(VertexId, VertexId)]) -> AuxGraph {
         let n = g.n();
         let mut g2 = Graph::new(n + 2 * pairs.len());
         for (_, (u, v)) in g.edges() {
@@ -72,7 +72,7 @@ impl AuxGraph {
     ///
     /// Panics if the path does not start and end at auxiliary vertices of
     /// this reduction.
-    pub fn map_back(&self, g: &Graph, p: &Path) -> Path {
+    fn map_back(&self, g: &Graph, p: &Path) -> Path {
         assert!(
             p.hop() >= 2,
             "auxiliary paths have at least two bridge hops"
@@ -86,7 +86,7 @@ impl AuxGraph {
 /// The oblivious routing `R2` of Corollary 6.2: routes `(a_i, b_i)` by
 /// bridging into `R(s_i, t_i)`.
 #[derive(Debug)]
-pub struct AuxRouting<'a, O: ObliviousRouting + ?Sized> {
+struct AuxRouting<'a, O: ObliviousRouting + ?Sized> {
     aux: &'a AuxGraph,
     base: &'a O,
     /// pair index by auxiliary source vertex.
@@ -95,7 +95,7 @@ pub struct AuxRouting<'a, O: ObliviousRouting + ?Sized> {
 
 impl<'a, O: ObliviousRouting + ?Sized> AuxRouting<'a, O> {
     /// Wraps the base routing for the auxiliary graph.
-    pub fn new(aux: &'a AuxGraph, base: &'a O) -> Self {
+    fn new(aux: &'a AuxGraph, base: &'a O) -> Self {
         let index_of = aux
             .aux_pairs
             .iter()
@@ -158,7 +158,7 @@ impl<O: ObliviousRouting + ?Sized> ObliviousRouting for AuxRouting<'_, O> {
 /// # Panics
 ///
 /// Panics if `alpha < 2` (the corollary assumes `α >= 2`).
-pub fn alpha_sample_via_reduction<O: ObliviousRouting + ?Sized, R: Rng>(
+fn alpha_sample_via_reduction<O: ObliviousRouting + ?Sized, R: Rng>(
     base: &O,
     g: &Graph,
     pairs: &[(VertexId, VertexId)],

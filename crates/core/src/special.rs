@@ -1,6 +1,6 @@
 //! Special demands and the reduction pipeline of Section 5.4.
 //!
-//! * [`is_special`] / [`special_from_support`] — Definition 5.5:
+//! * [`is_special`] — Definition 5.5:
 //!   `d(s, t) ∈ {0, α + cut_G(s, t)}`;
 //! * [`bucket_decompose`] — the Lemma 5.9 bucketing that reduces arbitrary
 //!   demands to special ones at a `O(log m)` factor;
@@ -55,16 +55,6 @@ pub fn is_special(g: &Graph, d: &Demand, alpha: usize) -> bool {
     let mut cuts = CutCache::new(g);
     d.iter()
         .all(|((s, t), w)| (w - cuts.cnt(alpha, s, t) as f64).abs() < 1e-9)
-}
-
-/// The unique `α`-special demand with the given support.
-pub fn special_from_support(g: &Graph, pairs: &[(VertexId, VertexId)], alpha: usize) -> Demand {
-    let mut cuts = CutCache::new(g);
-    let mut d = Demand::new();
-    for &(s, t) in pairs {
-        d.set(s, t, cuts.cnt(alpha, s, t) as f64);
-    }
-    d
 }
 
 /// One bucket of the Lemma 5.9 decomposition.
@@ -230,8 +220,12 @@ mod tests {
     #[test]
     fn special_demand_roundtrip() {
         let g = generators::hypercube(3);
-        let pairs = vec![(0u32, 7u32), (1, 6)];
-        let d = special_from_support(&g, &pairs, 2);
+        // The unique 2-special demand on the support {(0, 7), (1, 6)}.
+        let mut cuts = CutCache::new(&g);
+        let mut d = Demand::new();
+        for (s, t) in [(0u32, 7u32), (1, 6)] {
+            d.set(s, t, cuts.cnt(2, s, t) as f64);
+        }
         assert!(is_special(&g, &d, 2));
         // Hypercube cut = 3, so entries are 2 + 3 = 5.
         assert_eq!(d.get(0, 7), 5.0);

@@ -482,13 +482,11 @@ impl TemplateBuildStats {
 }
 
 /// Constructs oblivious templates through a [`PathSystemCache`], timing
-/// every build and fanning template *ensembles* out over rayon workers.
+/// every build and reporting whether the cache shared it.
 ///
 /// A single template build is already internally parallel (metric
-/// Dijkstras, canonical-load blocks); the builder adds the outer level —
-/// distinct `(template, seed)` entries of an ensemble are independent, so
-/// they build concurrently, each memoized under its own cache key. The
-/// double-checked cache never serializes concurrent *different* keys.
+/// Dijkstras, canonical-load blocks). The double-checked cache never
+/// serializes concurrent builds of *different* keys.
 ///
 /// # Examples
 ///
@@ -508,11 +506,6 @@ impl TemplateBuildStats {
 pub struct TemplateBuilder<'a> {
     cache: &'a PathSystemCache,
 }
-
-/// Below this many ensemble entries the fan-out stays serial (the
-/// vendored rayon shim spawns threads per call); results are identical
-/// either way — each entry is an independent cache-keyed build.
-const ENSEMBLE_PAR_MIN_ENTRIES: usize = 2;
 
 impl<'a> TemplateBuilder<'a> {
     /// A builder constructing through (and memoizing into) `cache`.
@@ -542,47 +535,6 @@ impl<'a> TemplateBuilder<'a> {
             cache: self.cache.stats(),
         };
         (t, stats)
-    }
-
-    /// Builds a template *ensemble* — one entry per `(template, seed)`
-    /// pair — in parallel over rayon workers, returned in entry order.
-    ///
-    /// Entries are independent cache-keyed constructions, so the result
-    /// set is identical at any thread count (two racing duplicates of
-    /// the *same* key both compute; the first insert wins, and both
-    /// computations agree — see [`PathSystemCache`]).
-    ///
-    /// Note on nesting: each entry's construction is itself parallel
-    /// (metric fan-out, tree sampling), and the vendored rayon shim
-    /// spawns workers per call rather than sharing a pool, so an
-    /// ensemble of heavy templates can transiently hold
-    /// `entries × workers` OS threads. That oversubscription trades a
-    /// little scheduling overhead for keeping every stage busy; with
-    /// real rayon the nested calls would share one pool. Results are
-    /// unaffected either way.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::{PathSystemCache, TemplateBuilder, TemplateSpec, TopologySpec};
-    ///
-    /// let cache = PathSystemCache::new();
-    /// let builder = TemplateBuilder::new(&cache);
-    /// let topo = TopologySpec::Ring { n: 8 };
-    /// let entries: Vec<(TemplateSpec, u64)> =
-    ///     (0..4).map(|s| (TemplateSpec::FrtEnsemble { trees: 4 }, s)).collect();
-    /// let built = builder.build_ensemble(&topo, &entries);
-    /// assert_eq!(built.len(), 4);
-    /// assert!(built.iter().all(|(t, _)| t.graph().n() == 8));
-    /// ```
-    pub fn build_ensemble(
-        &self,
-        topo: &TopologySpec,
-        entries: &[(TemplateSpec, u64)],
-    ) -> Vec<(SharedTemplate, TemplateBuildStats)> {
-        ssor_graph::par_ordered_map(entries, ENSEMBLE_PAR_MIN_ENTRIES, |(spec, seed)| {
-            self.build(topo, spec, *seed)
-        })
     }
 }
 
@@ -676,26 +628,6 @@ mod tests {
         assert!(second.cached, "second build shares the cached template");
         assert_eq!(second.parallel_share(), 1.0);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn template_ensembles_build_in_entry_order() {
-        let cache = PathSystemCache::new();
-        let builder = TemplateBuilder::new(&cache);
-        let topo = TopologySpec::Grid { rows: 2, cols: 4 };
-        let entries: Vec<(TemplateSpec, u64)> = vec![
-            (TemplateSpec::FrtEnsemble { trees: 3 }, 0),
-            (TemplateSpec::ShortestPath, 0),
-            (TemplateSpec::FrtEnsemble { trees: 3 }, 1),
-        ];
-        let built = builder.build_ensemble(&topo, &entries);
-        assert_eq!(built.len(), 3);
-        // Each entry memoized under its own key: rebuilding is shared.
-        let again = builder.build_ensemble(&topo, &entries);
-        for ((t, _), (t2, s2)) in built.iter().zip(again.iter()) {
-            assert!(Arc::ptr_eq(t, t2));
-            assert!(s2.cached);
-        }
     }
 
     #[test]

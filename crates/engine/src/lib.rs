@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 mod cache;
+mod gravity;
 mod pipeline;
 mod report_json;
 pub mod sampling;

@@ -6,6 +6,7 @@
 //! [`DemandSpec`] names a workload — so `(topology, template, α, seed)` is
 //! a complete, comparable key for a sampled path system.
 
+use crate::gravity::GravityModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssor_flow::Demand;
@@ -17,7 +18,6 @@ use ssor_oblivious::{
     ObliviousRouting, RaeckeOptions, RaeckeRouting, RandomWalkRouting, ShortestPathRouting,
     ValiantRouting, VlbRouting,
 };
-use ssor_te::GravityModel;
 use std::sync::Arc;
 
 /// A hashable `f64` parameter (bit-exact equality), so specs containing
@@ -79,8 +79,6 @@ impl std::hash::Hash for Param {
 ///
 /// let g = TopologySpec::Hypercube { dim: 3 }.build_graph();
 /// assert_eq!(g.n(), 8);
-/// assert_eq!(TopologySpec::Hypercube { dim: 3 }.hypercube_dim(), Some(3));
-/// assert_eq!(TopologySpec::Ring { n: 5 }.hypercube_dim(), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -262,15 +260,7 @@ impl TopologySpec {
 
     /// The hypercube dimension, if this is a hypercube (needed by the
     /// hypercube-only templates and demands).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::TopologySpec;
-    /// assert_eq!(TopologySpec::Hypercube { dim: 5 }.hypercube_dim(), Some(5));
-    /// assert_eq!(TopologySpec::Ring { n: 5 }.hypercube_dim(), None);
-    /// ```
-    pub fn hypercube_dim(&self) -> Option<u32> {
+    fn hypercube_dim(&self) -> Option<u32> {
         match *self {
             TopologySpec::Hypercube { dim } => Some(dim),
             _ => None,
@@ -658,8 +648,8 @@ const STREAM_MODEL_TAG: u64 = 0x57E4_3A11_D00D_FEED;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum StreamModel {
-    /// Gravity traffic with sinusoidal diurnal drift: one
-    /// [`GravityModel`] sampled per stream, one snapshot per step (hour
+    /// Gravity traffic with sinusoidal diurnal drift: one gravity
+    /// model sampled per stream, one snapshot per step (hour
     /// `t` of `period`). The SMORE-style slowly-drifting WAN workload —
     /// the regime where warm starts shine.
     DiurnalGravity {

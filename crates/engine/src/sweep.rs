@@ -241,15 +241,6 @@ impl<R> SweepOutcome<R> {
         out.push_str("]\n");
         out
     }
-
-    /// Writes [`SweepOutcome::to_json_string`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json_string())
-    }
 }
 
 /// Reads a journal back as `id → compact JSON`. Missing file means an

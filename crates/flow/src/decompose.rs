@@ -13,7 +13,7 @@ use ssor_graph::{EdgeId, Graph, Path, VertexId};
 pub type EdgeFlow = Vec<f64>;
 
 /// Net outflow of vertex `v` under `flow` (positive at the source).
-pub fn net_outflow(g: &Graph, flow: &EdgeFlow, v: VertexId) -> f64 {
+fn net_outflow(g: &Graph, flow: &EdgeFlow, v: VertexId) -> f64 {
     let mut out = 0.0;
     for a in g.neighbors(v) {
         let (x, _) = g.endpoints(a.edge);

@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 /// assert_eq!(d.get(0, 3), 3.0);
 /// assert_eq!(d.size(), 3.0); // siz(d) = sum of entries
 /// assert!(d.is_integral());
-/// assert!(!d.is_zero_one());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Demand {
@@ -108,7 +107,7 @@ impl Demand {
     }
 
     /// Whether every entry is exactly 1 (a `{0, 1}`-demand).
-    pub fn is_zero_one(&self) -> bool {
+    fn is_zero_one(&self) -> bool {
         self.entries.values().all(|&v| (v - 1.0).abs() < 1e-9)
     }
 

@@ -13,7 +13,7 @@ use ssor_graph::Graph;
 
 /// Outcome of an LP solve.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LpResult {
+enum LpResult {
     /// An optimal solution `x` with objective `value` was found.
     Optimal {
         /// Optimal primal point.
@@ -37,7 +37,7 @@ const EPS: f64 = 1e-9;
 /// # Panics
 ///
 /// Panics if dimensions of `a`, `b`, `c` are inconsistent.
-pub fn solve_equality_form(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> LpResult {
+fn solve_equality_form(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> LpResult {
     let m = a.len();
     assert_eq!(b.len(), m);
     let n = if m == 0 { c.len() } else { a[0].len() };

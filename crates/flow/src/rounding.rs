@@ -121,7 +121,7 @@ pub fn round_routing<R: Rng + ?Sized>(
 /// maximally congested edge and move it to the alternative supported path
 /// minimizing the resulting maximum congestion along its own edges.
 /// Terminates when no single move strictly improves.
-pub fn local_search(g: &Graph, support: &Routing, ir: &mut IntegralRouting) {
+fn local_search(g: &Graph, support: &Routing, ir: &mut IntegralRouting) {
     let mut loads = ir.edge_loads(g);
     loop {
         let max_load = loads.iter().copied().max().unwrap_or(0);

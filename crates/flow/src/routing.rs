@@ -314,17 +314,6 @@ impl IntegralRouting {
             cnt as f64 == w.round()
         })
     }
-
-    /// View as a fractional [`Routing`] (uniform over the multiset).
-    pub fn as_fractional(&self) -> Routing {
-        let mut r = Routing::new();
-        for (&(s, t), paths) in &self.per_pair {
-            if !paths.is_empty() {
-                r.set_distribution(s, t, paths.iter().map(|p| (p.clone(), 1.0)).collect());
-            }
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -472,10 +461,6 @@ mod tests {
         assert!(ir.routes(&d));
         assert_eq!(ir.congestion(&g), 1);
         assert_eq!(ir.dilation(), 2);
-        let frac = ir.as_fractional();
-        assert!(frac.is_valid(&g));
-        // Fractional view halves each path's weight.
-        assert!((frac.congestion(&g, &d) - 1.0).abs() < 1e-12);
     }
 
     #[test]

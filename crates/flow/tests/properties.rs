@@ -2,11 +2,15 @@
 //! solvers — the paper's Section 4/5.4 identities.
 
 use proptest::prelude::*;
+use ssor_flow::integral_opt::{integral_opt_exhaustive, integral_opt_restricted};
+use ssor_flow::lp::exact_restricted_congestion;
 use ssor_flow::oracle::{AllPathsOracle, PathOracle};
-use ssor_flow::solver::{min_congestion_unrestricted, SolveOptions};
-use ssor_flow::{Demand, Routing};
+use ssor_flow::rounding::round_routing;
+use ssor_flow::solver::{min_congestion_restricted, min_congestion_unrestricted, SolveOptions};
+use ssor_flow::{CandidateSet, Demand, Routing};
+use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{dijkstra_tree_csr, dijkstra_tree_csr_view};
-use ssor_graph::{generators, Graph, PathId, PathStore, VertexId};
+use ssor_graph::{generators, Graph, Path, PathId, PathStore, VertexId};
 use std::collections::BTreeMap;
 
 fn connected_graph() -> impl Strategy<Value = Graph> {
@@ -354,5 +358,107 @@ fn extreme_demand_scales_stay_certified_and_linear() {
         );
         let rel = sol.congestion / (c * base.congestion);
         assert!((rel - 1.0).abs() < 0.06, "scale {c}: nonlinear by {rel}");
+    }
+}
+
+/// A tiny oracle-sized instance: a connected graph on at most six
+/// vertices, an integral demand of at most three unit packets, and up to
+/// three hop-shortest candidate paths per demanded pair — small enough
+/// for the exact solvers (branch and bound, dense simplex).
+fn tiny_instance() -> impl Strategy<Value = (Graph, Demand, CandidateSet)> {
+    (4usize..=6, 0.2f64..0.7, any::<u64>(), 1usize..=3)
+        .prop_flat_map(|(n, p, seed, k)| {
+            let pairs = proptest::collection::vec((0..n as VertexId, 0..n as VertexId), 1..4);
+            (Just((n, p, seed, k)), pairs)
+        })
+        .prop_map(|((n, p, seed, k), pairs)| {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::erdos_renyi(n, p, &mut rng);
+            let mut d = Demand::new();
+            let mut cands = CandidateSet::new();
+            for (s, t) in pairs {
+                if s == t {
+                    continue;
+                }
+                d.add(s, t, 1.0);
+                for path in k_shortest_paths(&g, s, t, k, &|_| 1.0) {
+                    cands.insert(&path);
+                }
+            }
+            (g, d, cands)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The exact integral optimum as the oracle for Lemma 6.3: on the
+    /// same candidates, the restricted fractional lower bound sits below
+    /// `integral_opt_restricted`, which sits below whatever the rounding
+    /// produces — and the rounding meets `2 cong_R + 3 ln m`. Widening
+    /// the candidates to every simple path can only lower the integral
+    /// optimum, which still dominates the unrestricted fractional bound.
+    #[test]
+    fn rounding_is_bracketed_by_the_integral_optimum(
+        (g, d, cands) in tiny_instance(),
+        seed in any::<u64>(),
+    ) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        prop_assume!(!d.is_empty());
+        let opts = SolveOptions::with_eps(0.01);
+        let frac = min_congestion_restricted(&g, &d, cands.as_candidates(), &opts);
+        let lists: BTreeMap<(VertexId, VertexId), Vec<Path>> = d
+            .support()
+            .into_iter()
+            .map(|(s, t)| ((s, t), cands.as_candidates().materialize(s, t).unwrap()))
+            .collect();
+        let (int_opt, witness) =
+            integral_opt_restricted(&g, &d, &lists).expect("every pair has candidates");
+        prop_assert!(witness.routes(&d));
+        prop_assert!(
+            frac.lower_bound <= int_opt as f64 + 1e-9,
+            "fractional bound {} above integral optimum {}", frac.lower_bound, int_opt
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rounded = round_routing(&g, &frac.routing, &d, 8, &mut rng);
+        prop_assert!(rounded.routing.routes(&d));
+        prop_assert!(
+            int_opt <= rounded.congestion,
+            "rounding {} beat the integral optimum {}", rounded.congestion, int_opt
+        );
+        prop_assert!(rounded.within_lemma_bound(g.m()));
+
+        let (exhaustive, _) = integral_opt_exhaustive(&g, &d, g.n() - 1).unwrap();
+        prop_assert!(exhaustive <= int_opt);
+        let unrestricted = min_congestion_unrestricted(&g, &d, &opts);
+        prop_assert!(unrestricted.lower_bound <= exhaustive as f64 + 1e-9);
+    }
+
+    /// The Frank–Wolfe restricted solve's certified `[lower_bound,
+    /// congestion]` must bracket the exact simplex optimum on the same
+    /// candidates: a wrong certificate would silently skew every
+    /// reported competitive ratio.
+    #[test]
+    fn restricted_certificate_brackets_the_exact_lp(
+        (g, d, cands) in tiny_instance(),
+        eps in 0.01f64..0.5,
+    ) {
+        prop_assume!(!d.is_empty());
+        let sol =
+            min_congestion_restricted(&g, &d, cands.as_candidates(), &SolveOptions::with_eps(eps));
+        let exact = exact_restricted_congestion(&g, &d, cands.as_candidates())
+            .expect("feasible restricted LP");
+        let tol = 1e-9 * exact;
+        prop_assert!(
+            sol.lower_bound <= exact + tol,
+            "certified lower bound {} above the exact optimum {}", sol.lower_bound, exact
+        );
+        prop_assert!(
+            exact <= sol.congestion + tol,
+            "primal congestion {} below the exact optimum {}", sol.congestion, exact
+        );
     }
 }

@@ -115,7 +115,7 @@ pub struct Csr {
 
 impl Csr {
     /// Flattens `g`'s adjacency in `O(n + m)`.
-    pub fn from_graph(g: &Graph) -> Csr {
+    fn from_graph(g: &Graph) -> Csr {
         let n = g.n();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut arcs = Vec::with_capacity(2 * g.m());

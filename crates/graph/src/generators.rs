@@ -179,9 +179,8 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
 
 /// Waxman random WAN: `n` points uniform in the unit square; edge `(u, v)`
 /// with probability `a * exp(-dist(u, v) / (b * L))` where `L = sqrt(2)`.
-/// Returns the graph and the point positions (used by `ssor-te` for
-/// plotting/latency). Stitched to be connected.
-pub fn waxman<R: Rng + ?Sized>(n: usize, a: f64, b: f64, rng: &mut R) -> (Graph, Vec<(f64, f64)>) {
+/// Returns the graph and the point positions. Stitched to be connected.
+fn waxman<R: Rng + ?Sized>(n: usize, a: f64, b: f64, rng: &mut R) -> (Graph, Vec<(f64, f64)>) {
     let (mut g, pts) = waxman_raw(n, a, b, rng);
     connect_components(&mut g, rng);
     (g, pts)
@@ -190,12 +189,7 @@ pub fn waxman<R: Rng + ?Sized>(n: usize, a: f64, b: f64, rng: &mut R) -> (Graph,
 /// The *raw* Waxman draw: like [`waxman`] but without the connectivity
 /// stitch, so the result is a faithful sample from the Waxman model and
 /// **may be disconnected** (isolated routers are likely for small `a`).
-pub fn waxman_raw<R: Rng + ?Sized>(
-    n: usize,
-    a: f64,
-    b: f64,
-    rng: &mut R,
-) -> (Graph, Vec<(f64, f64)>) {
+fn waxman_raw<R: Rng + ?Sized>(n: usize, a: f64, b: f64, rng: &mut R) -> (Graph, Vec<(f64, f64)>) {
     let pts: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
         .collect();
@@ -229,7 +223,7 @@ pub fn mix_seed(mut z: u64) -> u64 {
 /// draws are taken from seeds derived from `seed` (attempt `k` uses a
 /// SplitMix64-mixed `seed ⊕ k` stream) until one is connected. If all
 /// `max_attempts` draws are disconnected, the final fallback re-draws
-/// from `seed` with the [`waxman`] connectivity stitch, so the function
+/// from `seed` with the connectivity stitch, so the function
 /// always returns a connected graph.
 ///
 /// Returns `(graph, positions, attempts)` where `attempts` is the number

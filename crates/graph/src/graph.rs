@@ -40,7 +40,6 @@ pub struct Arc {
 /// assert_eq!(g.n(), 3);
 /// assert_eq!(g.m(), 2);
 /// assert_eq!(g.endpoints(e0), (0, 1));
-/// assert_eq!(g.other_endpoint(e1, 2), 1);
 /// assert!(g.is_connected());
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -111,22 +110,6 @@ impl Graph {
         self.endpoints[e as usize]
     }
 
-    /// The endpoint of `e` that is not `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not an endpoint of `e`.
-    pub fn other_endpoint(&self, e: EdgeId, v: VertexId) -> VertexId {
-        let (a, b) = self.endpoints(e);
-        if a == v {
-            b
-        } else if b == v {
-            a
-        } else {
-            panic!("vertex {v} is not an endpoint of edge {e} = ({a}, {b})")
-        }
-    }
-
     /// Incident arcs of vertex `v` (one per incident edge).
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[Arc] {
@@ -185,28 +168,6 @@ impl Graph {
             }
         }
         count == self.n()
-    }
-
-    /// Returns a copy of the graph with each edge replicated `cap(e)` times.
-    ///
-    /// This is the paper's convention for modelling integer capacities with
-    /// parallel edges. The mapping from original edge id to replica ids is
-    /// returned alongside the graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps.len() != self.m()` or if any capacity is zero.
-    pub fn with_capacities(&self, caps: &[u32]) -> (Graph, Vec<Vec<EdgeId>>) {
-        assert_eq!(caps.len(), self.m(), "one capacity per edge required");
-        let mut g = Graph::new(self.n());
-        let mut map = Vec::with_capacity(self.m());
-        for (e, (u, v)) in self.edges() {
-            let c = caps[e as usize];
-            assert!(c > 0, "capacity of edge {e} must be positive");
-            let replicas = (0..c).map(|_| g.add_edge(u, v)).collect();
-            map.push(replicas);
-        }
-        (g, map)
     }
 }
 
@@ -274,35 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn other_endpoint_works() {
-        let mut g = Graph::new(3);
-        let e = g.add_edge(0, 2);
-        assert_eq!(g.other_endpoint(e, 0), 2);
-        assert_eq!(g.other_endpoint(e, 2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn other_endpoint_panics_for_non_endpoint() {
-        let mut g = Graph::new(3);
-        let e = g.add_edge(0, 2);
-        g.other_endpoint(e, 1);
-    }
-
-    #[test]
     fn disconnected_graph_detected() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!g.is_connected());
-    }
-
-    #[test]
-    fn with_capacities_replicates_edges() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let (cg, map) = g.with_capacities(&[3, 1]);
-        assert_eq!(cg.m(), 4);
-        assert_eq!(map[0].len(), 3);
-        assert_eq!(map[1].len(), 1);
-        assert_eq!(cg.edges_between(0, 1).len(), 3);
     }
 
     #[test]

@@ -282,14 +282,6 @@ impl CsrLaplacian {
 /// over enough work); the cutoff moves wall-clock, never bits.
 const BATCH_PAR_MIN_RHS: usize = 4;
 
-impl Graph {
-    /// Builds the CSR Laplacian of this graph under `conductance` (see
-    /// [`CsrLaplacian`]).
-    pub fn csr_laplacian(&self, conductance: &[f64]) -> CsrLaplacian {
-        CsrLaplacian::new(self, conductance)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

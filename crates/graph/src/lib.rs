@@ -31,8 +31,7 @@
 //! * [`maxflow`] — Dinic max-flow for `cut_G(s, t)` (Definition 2.1);
 //! * [`matching`] — Hopcroft–Karp, used by the Lemma 8.1 adversary;
 //! * [`ksp`] — Yen's k-shortest simple paths (SMORE baseline) and
-//!   exhaustive path enumeration for exact small-instance optima;
-//! * [`dsu`] — union–find.
+//!   exhaustive path enumeration for exact small-instance optima.
 //!
 //! # Examples
 //!
@@ -48,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 mod csr;
-pub mod dsu;
 pub mod generators;
 mod graph;
 pub mod ksp;

@@ -50,11 +50,6 @@ impl EdgeLoads {
         EdgeLoads::zeros(g.m())
     }
 
-    /// Wraps an existing dense load vector.
-    pub fn from_vec(load: Vec<f64>) -> Self {
-        EdgeLoads { load }
-    }
-
     /// Number of edges tracked.
     pub fn len(&self) -> usize {
         self.load.len()
@@ -83,11 +78,6 @@ impl EdgeLoads {
     /// the solver's line-search interpolation).
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.load
-    }
-
-    /// Consumes into the dense load vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.load
     }
 
     /// Iterator over loads in edge-id order.
@@ -227,6 +217,10 @@ mod tests {
     use crate::generators;
     use crate::path::Path;
 
+    fn loads(load: Vec<f64>) -> EdgeLoads {
+        EdgeLoads { load }
+    }
+
     #[test]
     fn accumulate_and_max() {
         let g = generators::ring(4);
@@ -257,8 +251,8 @@ mod tests {
 
     #[test]
     fn merge_is_elementwise() {
-        let mut a = EdgeLoads::from_vec(vec![1.0, 2.0]);
-        let b = EdgeLoads::from_vec(vec![0.5, 0.5]);
+        let mut a = loads(vec![1.0, 2.0]);
+        let b = loads(vec![0.5, 0.5]);
         a.merge(&b);
         assert_eq!(a.as_slice(), &[1.5, 2.5]);
     }
@@ -276,7 +270,7 @@ mod tests {
         let m = 20_000;
         let parts: Vec<EdgeLoads> = (0..5)
             .map(|k| {
-                EdgeLoads::from_vec(
+                loads(
                     (0..m)
                         .map(|i| ((i * 7 + k * 13) % 97) as f64 * 0.125)
                         .collect(),
@@ -307,20 +301,20 @@ mod tests {
     #[should_panic(expected = "non-finite load entering EdgeLoads::merge")]
     fn poisoned_partial_fails_at_merge() {
         let mut a = EdgeLoads::zeros(2);
-        a.merge(&EdgeLoads::from_vec(vec![1.0, f64::INFINITY]));
+        a.merge(&loads(vec![1.0, f64::INFINITY]));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-finite congestion")]
     fn overflowed_accumulator_fails_at_max() {
-        EdgeLoads::from_vec(vec![0.0, f64::INFINITY]).max();
+        loads(vec![0.0, f64::INFINITY]).max();
     }
 
     #[test]
     fn par_merge_edge_cases() {
         assert_eq!(EdgeLoads::par_merge(&[]).len(), 0);
-        let one = EdgeLoads::from_vec(vec![1.0, 2.0, 3.0]);
+        let one = loads(vec![1.0, 2.0, 3.0]);
         assert_eq!(EdgeLoads::par_merge(std::slice::from_ref(&one)), one);
     }
 }

@@ -27,7 +27,6 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct BipartiteMatching {
     match_left: Vec<u32>,
-    match_right: Vec<u32>,
 }
 
 impl BipartiteMatching {
@@ -102,10 +101,7 @@ impl BipartiteMatching {
                 }
             }
         }
-        BipartiteMatching {
-            match_left,
-            match_right,
-        }
+        BipartiteMatching { match_left }
     }
 
     /// Number of matched pairs.
@@ -117,12 +113,6 @@ impl BipartiteMatching {
     pub fn pair_of_left(&self, l: u32) -> Option<u32> {
         let r = self.match_left[l as usize];
         (r != NIL).then_some(r)
-    }
-
-    /// The left partner of right vertex `r`, if matched.
-    pub fn pair_of_right(&self, r: u32) -> Option<u32> {
-        let l = self.match_right[r as usize];
-        (l != NIL).then_some(l)
     }
 
     /// All matched `(left, right)` pairs, in left order.
@@ -154,7 +144,6 @@ mod tests {
         assert_eq!(m.size(), 5);
         for i in 0..5 {
             assert_eq!(m.pair_of_left(i), Some(i));
-            assert_eq!(m.pair_of_right(i), Some(i));
         }
     }
 
@@ -187,7 +176,7 @@ mod tests {
             let m = BipartiteMatching::solve(left, right, &adj);
             for (l, r) in m.pairs() {
                 assert!(adj[l as usize].contains(&r), "matched pair must be an edge");
-                assert_eq!(m.pair_of_right(r), Some(l));
+                assert_eq!(m.pair_of_left(l), Some(r));
             }
             // No right vertex matched twice.
             let rights: Vec<u32> = m.pairs().iter().map(|&(_, r)| r).collect();

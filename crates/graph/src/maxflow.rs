@@ -6,7 +6,7 @@
 //! unit capacities runs in `O(m * sqrt(m))`, more than fast enough for the
 //! experiment scales.
 
-use crate::graph::{EdgeId, Graph, VertexId};
+use crate::graph::{Graph, VertexId};
 use std::collections::VecDeque;
 
 /// Internal residual arc.
@@ -18,12 +18,10 @@ struct ResArc {
     rev: u32,
 }
 
-/// Dinic max-flow solver over a directed residual network.
-///
-/// Build one with [`DinicBuilder`], or use the convenience functions
-/// [`min_cut_value`] / [`min_cut_edges`] for undirected unit-capacity cuts.
+/// Dinic max-flow solver over a directed residual network (driven by
+/// [`min_cut_value`]).
 #[derive(Debug)]
-pub struct Dinic {
+struct Dinic {
     adj: Vec<Vec<ResArc>>,
     level: Vec<i32>,
     iter: Vec<usize>,
@@ -36,6 +34,16 @@ impl Dinic {
             level: vec![-1; n],
             iter: vec![0; n],
         }
+    }
+
+    /// The residual network of `g` with unit capacity on every edge (the
+    /// paper's model): each undirected edge is a symmetric pair of arcs.
+    fn unit(g: &Graph) -> Self {
+        let mut d = Dinic::new(g.n());
+        for (_, (u, v)) in g.edges() {
+            d.add_arc(u, v, 1, 1);
+        }
+        d
     }
 
     fn add_arc(&mut self, u: u32, v: u32, cap: i64, cap_rev: i64) {
@@ -107,80 +115,6 @@ impl Dinic {
         }
         flow
     }
-
-    /// Vertices reachable from `s` in the residual graph (the source side of
-    /// a minimum cut, once `max_flow` has run).
-    fn residual_reachable(&self, s: u32) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut stack = vec![s];
-        seen[s as usize] = true;
-        while let Some(v) = stack.pop() {
-            for a in &self.adj[v as usize] {
-                if a.cap > 0 && !seen[a.to as usize] {
-                    seen[a.to as usize] = true;
-                    stack.push(a.to);
-                }
-            }
-        }
-        seen
-    }
-}
-
-/// Builder assembling a Dinic instance from an undirected [`Graph`] with
-/// per-edge integer capacities.
-#[derive(Debug)]
-pub struct DinicBuilder<'a> {
-    graph: &'a Graph,
-    caps: Vec<i64>,
-}
-
-impl<'a> DinicBuilder<'a> {
-    /// Unit capacity on every edge (the paper's model).
-    pub fn unit(graph: &'a Graph) -> Self {
-        DinicBuilder {
-            graph,
-            caps: vec![1; graph.m()],
-        }
-    }
-
-    /// Custom integer capacities, one per edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps.len() != graph.m()`.
-    pub fn with_capacities(graph: &'a Graph, caps: Vec<i64>) -> Self {
-        assert_eq!(caps.len(), graph.m());
-        DinicBuilder { graph, caps }
-    }
-
-    fn build(&self) -> Dinic {
-        let mut d = Dinic::new(self.graph.n());
-        for (e, (u, v)) in self.graph.edges() {
-            let c = self.caps[e as usize];
-            // Undirected edge of capacity c: symmetric residual arcs.
-            d.add_arc(u, v, c, c);
-        }
-        d
-    }
-
-    /// Value of the minimum `(s, t)`-cut (equivalently, max flow).
-    pub fn min_cut(&self, s: VertexId, t: VertexId) -> i64 {
-        self.build().max_flow(s, t)
-    }
-
-    /// Value and the edge ids crossing a minimum `(s, t)`-cut.
-    pub fn min_cut_with_edges(&self, s: VertexId, t: VertexId) -> (i64, Vec<EdgeId>) {
-        let mut d = self.build();
-        let val = d.max_flow(s, t);
-        let side = d.residual_reachable(s);
-        let cut = self
-            .graph
-            .edges()
-            .filter(|&(_, (u, v))| side[u as usize] != side[v as usize])
-            .map(|(e, _)| e)
-            .collect();
-        (val, cut)
-    }
 }
 
 /// `cut_G(s, t)`: size of the minimum cut with unit edge capacities, as used
@@ -190,13 +124,7 @@ pub fn min_cut_value(g: &Graph, s: VertexId, t: VertexId) -> u64 {
     if s == t {
         return 0;
     }
-    DinicBuilder::unit(g).min_cut(s, t) as u64
-}
-
-/// Minimum cut value and one witnessing edge set.
-pub fn min_cut_edges(g: &Graph, s: VertexId, t: VertexId) -> (u64, Vec<EdgeId>) {
-    let (v, e) = DinicBuilder::unit(g).min_cut_with_edges(s, t);
-    (v as u64, e)
+    Dinic::unit(g).max_flow(s, t) as u64
 }
 
 #[cfg(test)]
@@ -275,28 +203,5 @@ mod tests {
             }
             assert_eq!(min_cut_value(&g, s, t), brute_cut(&g, s, t));
         }
-    }
-
-    #[test]
-    fn cut_edges_form_a_cut() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = generators::erdos_renyi(12, 0.3, &mut rng);
-        let (val, edges) = min_cut_edges(&g, 0, 11);
-        assert_eq!(val as usize, edges.len());
-        // Removing the cut edges must disconnect 0 from 11.
-        let keep: Vec<_> = g
-            .edges()
-            .filter(|(e, _)| !edges.contains(e))
-            .map(|(_, uv)| uv)
-            .collect();
-        let h = Graph::from_edges(g.n(), &keep);
-        assert!(crate::shortest_path::bfs_path(&h, 0, 11).is_none());
-    }
-
-    #[test]
-    fn custom_capacities() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let b = DinicBuilder::with_capacities(&g, vec![5, 2]);
-        assert_eq!(b.min_cut(0, 2), 2);
     }
 }

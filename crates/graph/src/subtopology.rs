@@ -44,23 +44,17 @@ pub struct SubTopology {
     csr: Csr,
     alive_edges: Vec<bool>,
     alive_vertices: Vec<bool>,
-    dead_edge_count: usize,
 }
 
 impl SubTopology {
     /// A fully-alive view of `g` (flattens the adjacency once, `O(n + m)`).
     pub fn new(g: &Graph) -> SubTopology {
-        SubTopology::from_csr(g.csr())
-    }
-
-    /// A fully-alive view over a pre-built CSR adjacency.
-    pub fn from_csr(csr: Csr) -> SubTopology {
+        let csr = g.csr();
         let (n, m) = (csr.n(), csr.m());
         SubTopology {
             csr,
             alive_edges: vec![true; m],
             alive_vertices: vec![true; n],
-            dead_edge_count: 0,
         }
     }
 
@@ -74,22 +68,13 @@ impl SubTopology {
         self.csr.m()
     }
 
-    /// The underlying flattened adjacency (unmasked).
-    pub fn csr(&self) -> &Csr {
-        &self.csr
-    }
-
     /// Fails edge `e`; returns whether it was alive before.
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     pub fn fail_edge(&mut self, e: EdgeId) -> bool {
-        let was = std::mem::replace(&mut self.alive_edges[e as usize], false);
-        if was {
-            self.dead_edge_count += 1;
-        }
-        was
+        std::mem::replace(&mut self.alive_edges[e as usize], false)
     }
 
     /// Fails vertex `v`. Its incident edges keep their own mask bit but
@@ -102,47 +87,10 @@ impl SubTopology {
         self.alive_vertices[v as usize] = false;
     }
 
-    /// Restores edge `e` (its endpoints keep their own state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn restore_edge(&mut self, e: EdgeId) {
-        let was = std::mem::replace(&mut self.alive_edges[e as usize], true);
-        if !was {
-            self.dead_edge_count -= 1;
-        }
-    }
-
-    /// Restores vertex `v` (its incident edges keep their own state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn restore_vertex(&mut self, v: VertexId) {
-        self.alive_vertices[v as usize] = true;
-    }
-
     /// Restores every edge and vertex.
     pub fn restore_all(&mut self) {
         self.alive_edges.fill(true);
         self.alive_vertices.fill(true);
-        self.dead_edge_count = 0;
-    }
-
-    /// Whether edge `e`'s own mask bit is alive (endpoint state aside).
-    pub fn edge_alive(&self, e: EdgeId) -> bool {
-        self.alive_edges[e as usize]
-    }
-
-    /// Whether vertex `v` is alive.
-    pub fn vertex_alive(&self, v: VertexId) -> bool {
-        self.alive_vertices[v as usize]
-    }
-
-    /// Number of edges whose own mask bit is dead.
-    pub fn failed_edge_count(&self) -> usize {
-        self.dead_edge_count
     }
 
     /// The combined usability mask, indexed by edge id: `true` iff the
@@ -161,16 +109,11 @@ impl SubTopology {
     }
 
     /// The usable incident arcs of `v` (empty if `v` itself is dead).
-    pub fn alive_arcs(&self, v: VertexId) -> impl Iterator<Item = Arc> + '_ {
+    fn alive_arcs(&self, v: VertexId) -> impl Iterator<Item = Arc> + '_ {
         let live = self.alive_vertices[v as usize];
         self.csr.arcs(v).iter().copied().filter(move |a| {
             live && self.alive_edges[a.edge as usize] && self.alive_vertices[a.to as usize]
         })
-    }
-
-    /// Usable degree of `v` (0 if `v` is dead).
-    pub fn live_degree(&self, v: VertexId) -> usize {
-        self.alive_arcs(v).count()
     }
 
     /// Whether every *alive* vertex can reach every other alive vertex
@@ -241,11 +184,10 @@ mod tests {
         let sub = g.sub_topology();
         assert_eq!(sub.n(), 9);
         assert_eq!(sub.m(), g.m());
-        assert_eq!(sub.failed_edge_count(), 0);
         assert!(sub.is_connected());
         assert!(sub.usable_edges().iter().all(|&u| u));
         for v in g.vertices() {
-            assert_eq!(sub.live_degree(v), g.degree(v));
+            assert_eq!(sub.alive_arcs(v).count(), g.degree(v));
         }
     }
 
@@ -255,17 +197,14 @@ mod tests {
         let mut sub = g.sub_topology();
         assert!(sub.fail_edge(0));
         assert!(!sub.fail_edge(0), "already dead");
-        assert_eq!(sub.failed_edge_count(), 1);
-        assert!(!sub.edge_alive(0));
+        assert!(!sub.usable_edges()[0]);
         assert!(sub.is_connected(), "ring minus one edge is a path");
         sub.fail_edge(3);
         assert!(!sub.is_connected());
         assert!(!sub.reaches(1, 4) || sub.reaches(1, 4) == sub.reaches(4, 1));
-        sub.restore_edge(3);
-        assert!(sub.is_connected());
-        assert_eq!(sub.failed_edge_count(), 1);
         sub.restore_all();
-        assert_eq!(sub.failed_edge_count(), 0);
+        assert!(sub.is_connected());
+        assert!(sub.usable_edges().iter().all(|&u| u));
     }
 
     #[test]
@@ -276,10 +215,10 @@ mod tests {
         assert!(!sub.is_connected(), "leaves disconnect without the hub");
         let usable = sub.usable_edges();
         assert!(usable.iter().all(|&u| !u), "every edge touches the center");
-        assert_eq!(sub.live_degree(1), 0);
+        assert_eq!(sub.alive_arcs(1).count(), 0);
         // Edge mask bits themselves were never flipped.
-        assert!(sub.edge_alive(0));
-        sub.restore_vertex(0);
+        assert!(sub.alive_edges[0]);
+        sub.restore_all();
         assert!(sub.is_connected());
     }
 
@@ -315,7 +254,7 @@ mod tests {
         let mut sub = g.sub_topology();
         sub.fail_edge(e0);
         assert!(sub.is_connected(), "the parallel replica survives");
-        assert_eq!(sub.live_degree(0), 1);
+        assert_eq!(sub.alive_arcs(0).count(), 1);
         sub.fail_edge(e1);
         assert!(!sub.is_connected());
     }

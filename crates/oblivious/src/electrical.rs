@@ -24,10 +24,8 @@
 //! `CsrLaplacian::solve_batch` — input-order collected, so builds are
 //! bit-identical at any thread count (the PR 5 discipline).
 //!
-//! The original per-pair entry points ([`solve_laplacian`],
-//! [`electrical_flow`], [`effective_resistance`]) remain as the
-//! slow-but-simple reference implementation the per-source path is
-//! tested against.
+//! The original per-pair solver survives in the tests as the
+//! slow-but-simple reference the per-source path is checked against.
 
 use crate::traits::{ObliviousRouting, TemplateStageStats};
 use rand::{Rng, RngCore};
@@ -37,119 +35,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Sparse symmetric Laplacian application: `y = L x` for the weighted
-/// graph Laplacian with conductance `w_e` per edge. The textbook
-/// edge-walk reference; the hot path uses [`CsrLaplacian::apply`],
-/// which is bitwise identical (pinned by proptest in `ssor-graph`).
-fn apply_laplacian(g: &Graph, w: &[f64], x: &[f64], y: &mut [f64]) {
-    y.iter_mut().for_each(|v| *v = 0.0);
-    for (e, (u, v)) in g.edges() {
-        let c = w[e as usize];
-        let d = x[u as usize] - x[v as usize];
-        y[u as usize] += c * d;
-        y[v as usize] -= c * d;
-    }
-}
-
-/// Solves `L φ = b` (with `b ⊥ 1`) by conjugate gradients on the
-/// pseudo-inverse, keeping iterates orthogonal to the all-ones kernel.
-/// Returns the potentials (mean-centered).
-///
-/// This is the unpreconditioned per-pair *reference* solver; template
-/// construction goes through [`CsrLaplacian::solve`] instead.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, or if `b` is not orthogonal to the
-/// kernel *relative to its own scale* (`|Σb| > 1e-6 · ‖b‖₁`). The check
-/// must be relative: an absolute threshold rejects legitimately scaled
-/// demand vectors while passing tiny vectors with 100% drift.
-pub fn solve_laplacian(g: &Graph, w: &[f64], b: &[f64], tol: f64, max_iters: usize) -> Vec<f64> {
-    let n = g.n();
-    assert_eq!(b.len(), n);
-    assert_eq!(w.len(), g.m());
-    let bsum: f64 = b.iter().sum();
-    let bl1: f64 = b.iter().map(|v| v.abs()).sum();
-    assert!(
-        bsum.abs() <= 1e-6 * bl1.max(f64::MIN_POSITIVE),
-        "b must be orthogonal to the kernel relative to its scale (sum {bsum}, l1 {bl1})"
-    );
-
-    let center = |x: &mut Vec<f64>| {
-        let mean = x.iter().sum::<f64>() / n as f64;
-        x.iter_mut().for_each(|v| *v -= mean);
-    };
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    center(&mut r);
-    let mut p = r.clone();
-    let mut ap = vec![0.0; n];
-    let mut rs: f64 = r.iter().map(|v| v * v).sum();
-    let b_norm = rs.sqrt().max(f64::MIN_POSITIVE);
-
-    for _ in 0..max_iters {
-        if rs.sqrt() <= tol * b_norm {
-            break;
-        }
-        apply_laplacian(g, w, &p, &mut ap);
-        let pap: f64 = p.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
-        if pap.abs() < 1e-300 {
-            break;
-        }
-        let alpha = rs / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new: f64 = r.iter().map(|v| v * v).sum();
-        let beta = rs_new / rs;
-        rs = rs_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-    }
-    center(&mut x);
-    x
-}
-
-/// The unit `s -> t` electrical flow (currents per edge, oriented along
-/// the stored edge direction), for unit conductances scaled by `w`.
-///
-/// Per-pair reference path: one fresh solve per call. Template
-/// construction derives pair flows from cached per-source potentials
-/// instead (see [`ElectricalRouting`]).
-pub fn electrical_flow(g: &Graph, w: &[f64], s: VertexId, t: VertexId) -> EdgeFlow {
-    let n = g.n();
-    let mut b = vec![0.0; n];
-    b[s as usize] = 1.0;
-    b[t as usize] = -1.0;
-    let phi = solve_laplacian(g, w, &b, 1e-10, 4 * n + 200);
-    g.edges()
-        .map(|(e, (u, v))| w[e as usize] * (phi[u as usize] - phi[v as usize]))
-        .collect()
-}
-
-/// Effective resistance between `s` and `t` under conductances `w`
-/// (per-pair reference path; see
-/// [`ElectricalRouting::effective_resistance_between`] for the
-/// per-source-potentials version).
-pub fn effective_resistance(g: &Graph, w: &[f64], s: VertexId, t: VertexId) -> f64 {
-    let n = g.n();
-    let mut b = vec![0.0; n];
-    b[s as usize] = 1.0;
-    b[t as usize] = -1.0;
-    let phi = solve_laplacian(g, w, &b, 1e-10, 4 * n + 200);
-    phi[s as usize] - phi[t as usize]
-}
-
 /// Why an [`ElectricalRouting`] could not be constructed.
 ///
 /// The Laplacian of a disconnected graph has a larger kernel than the
 /// all-ones vector, so "the" electrical flow between components does not
 /// exist — the solver would silently return an arbitrary vector instead
-/// of a routing. The fallible constructors surface that as a proper
-/// error rather than asserting.
+/// of a routing. [`ElectricalRouting::try_with_options`] surfaces that
+/// as a proper error rather than asserting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElectricalError {
     /// The graph is disconnected; no electrical flow exists between
@@ -191,8 +83,8 @@ impl Default for ElectricalOptions {
     }
 }
 
-/// Oblivious routing along unit electrical flows (unit conductances by
-/// default).
+/// Oblivious routing along unit electrical flows (unit conductance on
+/// every edge).
 ///
 /// Pair flows come from cached per-source potentials `ψ_s` (see the
 /// module docs): the first query touching source `s` solves
@@ -216,7 +108,6 @@ impl Default for ElectricalOptions {
 #[derive(Debug)]
 pub struct ElectricalRouting {
     graph: Graph,
-    conductance: Vec<f64>,
     lap: CsrLaplacian,
     opts: ElectricalOptions,
     /// Per-source potentials, filled lazily or by
@@ -230,8 +121,13 @@ pub struct ElectricalRouting {
 }
 
 impl ElectricalRouting {
-    /// Unit conductances on every edge, or
+    /// Unit conductances with custom solver options, or
     /// [`ElectricalError::Disconnected`] when no electrical flow exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tolerance` is not finite and positive (a caller bug,
+    /// unlike disconnection, which can be a property of the data).
     ///
     /// # Examples
     ///
@@ -241,43 +137,11 @@ impl ElectricalRouting {
     ///
     /// let split = Graph::from_edges(4, &[(0, 1), (2, 3)]);
     /// assert_eq!(
-    ///     ElectricalRouting::try_new(&split).unwrap_err(),
+    ///     ElectricalRouting::try_with_options(&split, Default::default()).unwrap_err(),
     ///     ElectricalError::Disconnected,
     /// );
     /// ```
-    pub fn try_new(g: &Graph) -> Result<Self, ElectricalError> {
-        Self::try_with_conductances(g, vec![1.0; g.m()])
-    }
-
-    /// Custom conductances, or [`ElectricalError::Disconnected`] when no
-    /// electrical flow exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch or any conductance is nonpositive
-    /// (both are caller bugs, unlike disconnection, which can be a
-    /// property of the data).
-    pub fn try_with_conductances(
-        g: &Graph,
-        conductance: Vec<f64>,
-    ) -> Result<Self, ElectricalError> {
-        Self::try_with_options(g, conductance, ElectricalOptions::default())
-    }
-
-    /// Custom conductances and solver options, or
-    /// [`ElectricalError::Disconnected`] when no electrical flow exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch, any conductance is nonpositive, or
-    /// `tolerance` is not finite and positive.
-    pub fn try_with_options(
-        g: &Graph,
-        conductance: Vec<f64>,
-        opts: ElectricalOptions,
-    ) -> Result<Self, ElectricalError> {
-        assert_eq!(conductance.len(), g.m());
-        assert!(conductance.iter().all(|&c| c > 0.0));
+    pub fn try_with_options(g: &Graph, opts: ElectricalOptions) -> Result<Self, ElectricalError> {
         assert!(
             opts.tolerance > 0.0 && opts.tolerance.is_finite(),
             "tolerance must be finite and positive"
@@ -285,10 +149,9 @@ impl ElectricalRouting {
         if !g.is_connected() {
             return Err(ElectricalError::Disconnected);
         }
-        let lap = CsrLaplacian::new(g, &conductance);
+        let lap = CsrLaplacian::new(g, &vec![1.0; g.m()]);
         Ok(ElectricalRouting {
             graph: g.clone(),
-            conductance,
             lap,
             opts,
             potentials: Mutex::new(vec![None; g.n()]),
@@ -297,27 +160,15 @@ impl ElectricalRouting {
         })
     }
 
-    /// Unit conductances on every edge.
+    /// Unit conductances on every edge, default solver options.
     ///
     /// # Panics
     ///
     /// Panics if the graph is disconnected (use
-    /// [`ElectricalRouting::try_new`] to handle that as an error).
+    /// [`ElectricalRouting::try_with_options`] to handle that as an
+    /// error).
     pub fn new(g: &Graph) -> Self {
-        Self::try_new(g).expect("electrical routing needs a connected graph")
-    }
-
-    /// Custom conductances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths mismatch, any conductance is nonpositive, or
-    /// the graph is disconnected (use
-    /// [`ElectricalRouting::try_with_conductances`] to handle the latter
-    /// as an error).
-    pub fn with_conductances(g: &Graph, conductance: Vec<f64>) -> Self {
-        Self::try_with_conductances(g, conductance)
-            .expect("electrical routing needs a connected graph")
+        Self::with_options(g, ElectricalOptions::default())
     }
 
     /// Unit conductances with custom solver options.
@@ -326,18 +177,13 @@ impl ElectricalRouting {
     ///
     /// Panics if the graph is disconnected or the options are invalid.
     pub fn with_options(g: &Graph, opts: ElectricalOptions) -> Self {
-        Self::try_with_options(g, vec![1.0; g.m()], opts)
-            .expect("electrical routing needs a connected graph")
-    }
-
-    /// The solver options this routing was built with.
-    pub fn options(&self) -> ElectricalOptions {
-        self.opts
+        Self::try_with_options(g, opts).expect("electrical routing needs a connected graph")
     }
 
     /// Laplacian solves performed so far (lazy and precomputed alike) —
     /// `n` solves cover an all-pairs template.
-    pub fn laplacian_solves(&self) -> usize {
+    #[cfg(test)]
+    fn laplacian_solves(&self) -> usize {
         self.solves.load(Ordering::Relaxed)
     }
 
@@ -416,20 +262,12 @@ impl ElectricalRouting {
         let pt = self.potential(t);
         self.graph
             .edges()
-            .map(|(e, (u, v))| {
+            .map(|(_, (u, v))| {
                 let du = ps[u as usize] - pt[u as usize];
                 let dv = ps[v as usize] - pt[v as usize];
-                self.conductance[e as usize] * (du - dv)
+                du - dv
             })
             .collect()
-    }
-
-    /// Effective resistance between `s` and `t` via per-source
-    /// potentials: `(ψ_s − ψ_t)[s] − (ψ_s − ψ_t)[t]`.
-    pub fn effective_resistance_between(&self, s: VertexId, t: VertexId) -> f64 {
-        let ps = self.potential(s);
-        let pt = self.potential(t);
-        (ps[s as usize] - pt[s as usize]) - (ps[t as usize] - pt[t as usize])
     }
 }
 
@@ -494,6 +332,77 @@ mod tests {
     use crate::traits::validate_oblivious_routing;
     use ssor_graph::generators;
 
+    /// `y = L x` for the weighted graph Laplacian: the textbook edge walk.
+    fn apply_laplacian(g: &Graph, w: &[f64], x: &[f64], y: &mut [f64]) {
+        y.iter_mut().for_each(|v| *v = 0.0);
+        for (e, (u, v)) in g.edges() {
+            let c = w[e as usize];
+            let d = x[u as usize] - x[v as usize];
+            y[u as usize] += c * d;
+            y[v as usize] -= c * d;
+        }
+    }
+
+    /// The per-pair reference solver: unpreconditioned CG for `L φ = b`
+    /// (`b ⊥ 1`), iterates kept orthogonal to the all-ones kernel.
+    /// Returns the mean-centered potentials.
+    fn solve_laplacian(g: &Graph, w: &[f64], b: &[f64], tol: f64, max_iters: usize) -> Vec<f64> {
+        let n = g.n();
+        let center = |x: &mut Vec<f64>| {
+            let mean = x.iter().sum::<f64>() / n as f64;
+            x.iter_mut().for_each(|v| *v -= mean);
+        };
+        let mut x = vec![0.0; n];
+        let mut r = b.to_vec();
+        center(&mut r);
+        let mut p = r.clone();
+        let mut ap = vec![0.0; n];
+        let mut rs: f64 = r.iter().map(|v| v * v).sum();
+        let b_norm = rs.sqrt().max(f64::MIN_POSITIVE);
+        for _ in 0..max_iters {
+            if rs.sqrt() <= tol * b_norm {
+                break;
+            }
+            apply_laplacian(g, w, &p, &mut ap);
+            let pap: f64 = p.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
+            if pap.abs() < 1e-300 {
+                break;
+            }
+            let alpha = rs / pap;
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
+            }
+            let rs_new: f64 = r.iter().map(|v| v * v).sum();
+            let beta = rs_new / rs;
+            rs = rs_new;
+            for i in 0..n {
+                p[i] = r[i] + beta * p[i];
+            }
+        }
+        center(&mut x);
+        x
+    }
+
+    /// Effective resistance between `s` and `t` under conductances `w`,
+    /// one fresh per-pair solve.
+    fn effective_resistance(g: &Graph, w: &[f64], s: VertexId, t: VertexId) -> f64 {
+        let n = g.n();
+        let mut b = vec![0.0; n];
+        b[s as usize] = 1.0;
+        b[t as usize] = -1.0;
+        let phi = solve_laplacian(g, w, &b, 1e-10, 4 * n + 200);
+        phi[s as usize] - phi[t as usize]
+    }
+
+    /// Effective resistance from per-source potentials:
+    /// `(ψ_s − ψ_t)[s] − (ψ_s − ψ_t)[t]`.
+    fn resistance_between(r: &ElectricalRouting, s: VertexId, t: VertexId) -> f64 {
+        let ps = r.potential(s);
+        let pt = r.potential(t);
+        (ps[s as usize] - pt[s as usize]) - (ps[t as usize] - pt[t as usize])
+    }
+
     #[test]
     fn laplacian_solver_on_path_graph() {
         // Path 0-1-2: unit current 0 -> 2 gives potential drops of 1 per
@@ -530,16 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_conserves_on_grids() {
-        let g = generators::grid(4, 4);
-        let w = vec![1.0; g.m()];
-        let flow = electrical_flow(&g, &w, 0, 15);
-        assert!(ssor_flow::decompose::is_conserving(
-            &g, &flow, 0, 15, 1.0, 1e-6
-        ));
-    }
-
-    #[test]
     fn per_source_pair_flow_conserves_too() {
         let g = generators::grid(4, 4);
         let r = ElectricalRouting::new(&g);
@@ -560,28 +459,12 @@ mod tests {
     fn disconnected_graphs_are_a_proper_error() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         assert_eq!(
-            ElectricalRouting::try_new(&g).unwrap_err(),
+            ElectricalRouting::try_with_options(&g, ElectricalOptions::default()).unwrap_err(),
             ElectricalError::Disconnected
         );
-        assert_eq!(
-            ElectricalRouting::try_with_conductances(&g, vec![1.0; g.m()]).unwrap_err(),
-            ElectricalError::Disconnected
-        );
-        // The panicking constructors still panic, with a telling message.
+        // The panicking constructor still panics, with a telling message.
         let caught = std::panic::catch_unwind(|| ElectricalRouting::new(&g));
         assert!(caught.is_err());
-    }
-
-    #[test]
-    fn conductance_bias_shifts_mass() {
-        // Ring of 4, 0 -> 2, one side has 10x conductance.
-        let g = generators::ring(4); // edges (0,1),(1,2),(2,3),(3,0)
-        let r = ElectricalRouting::with_conductances(&g, vec![10.0, 10.0, 1.0, 1.0]);
-        let dist = r.path_distribution(0, 2);
-        // Side through vertex 1 has resistance 0.2, other side 2.0:
-        // mass ratio 10:1.
-        assert!(dist[0].1 > 0.85);
-        assert_eq!(dist[0].0.vertices()[1], 1);
     }
 
     #[test]
@@ -646,7 +529,7 @@ mod tests {
         let r = ElectricalRouting::new(&g);
         for k in 1..n {
             let expect = (k * (n - k)) as f64 / n as f64;
-            let per_source = r.effective_resistance_between(0, k as VertexId);
+            let per_source = resistance_between(&r, 0, k as VertexId);
             let per_pair = effective_resistance(&g, &w, 0, k as VertexId);
             assert!(
                 (per_source - expect).abs() < 1e-8,
@@ -662,38 +545,10 @@ mod tests {
         let w = vec![1.0; g.m()];
         let r = ElectricalRouting::new(&g);
         for (s, t) in [(0, 15), (1, 14), (5, 10)] {
-            let a = r.effective_resistance_between(s, t);
+            let a = resistance_between(&r, s, t);
             let b = effective_resistance(&g, &w, s, t);
             assert!((a - b).abs() < 1e-8, "grid R({s},{t}): {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn kernel_check_is_relative_not_absolute() {
-        // Legitimately scaled demand vectors must not panic...
-        let g = generators::ring(6);
-        let w = vec![1.0; g.m()];
-        let mut big = vec![0.0; 6];
-        big[0] = 1e300;
-        big[3] = -1e300;
-        let phi = solve_laplacian(&g, &w, &big, 1e-10, 200);
-        assert!(phi.iter().all(|p| p.is_finite()));
-        // ...and neither must denormal-scale ones.
-        let mut tiny = vec![0.0; 6];
-        tiny[0] = 1e-310;
-        tiny[3] = -1e-310;
-        let phi = solve_laplacian(&g, &w, &tiny, 1e-10, 200);
-        assert_eq!(phi.len(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "orthogonal to the kernel")]
-    fn kernel_check_rejects_full_relative_drift() {
-        // 100% relative drift at tiny absolute scale: the old absolute
-        // `|Σb| < 1e-6` check accepted this silently.
-        let g = generators::ring(4);
-        let w = vec![1.0; g.m()];
-        solve_laplacian(&g, &w, &[1e-9, 1e-9, 0.0, 0.0], 1e-10, 10);
     }
 
     #[test]
@@ -706,7 +561,7 @@ mod tests {
                 preconditioner: Preconditioner::None,
             },
         );
-        assert_eq!(loose.options().preconditioner, Preconditioner::None);
+        assert_eq!(loose.opts.preconditioner, Preconditioner::None);
         // Both settings still produce a valid routing.
         validate_oblivious_routing(&loose, &[(0, 8), (2, 6)])
             .expect("loose-tolerance electrical routing must validate");

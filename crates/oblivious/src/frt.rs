@@ -181,11 +181,6 @@ impl FrtTree {
         FrtTree::sample(metric, n, &mut rng)
     }
 
-    /// Number of levels above the leaves.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// The center chain of `v` (level 0 through the top).
     pub fn chain(&self, v: VertexId) -> &[VertexId] {
         &self.chains[v as usize]
@@ -193,7 +188,7 @@ impl FrtTree {
 
     /// The meeting level of `s` and `t`: the smallest `i` such that the
     /// chains agree at every level `>= i` (0 iff `s == t`).
-    pub fn meeting_level(&self, s: VertexId, t: VertexId) -> usize {
+    fn meeting_level(&self, s: VertexId, t: VertexId) -> usize {
         let (cs, ct) = (&self.chains[s as usize], &self.chains[t as usize]);
         let mut level = self.levels + 1;
         for i in (0..=self.levels).rev() {
@@ -208,7 +203,7 @@ impl FrtTree {
     /// The tree-path waypoints from `s` to `t`: centers going up `s`'s
     /// chain to the meeting cluster, then down `t`'s chain. Consecutive
     /// duplicates are removed.
-    pub fn waypoints(&self, s: VertexId, t: VertexId) -> Vec<VertexId> {
+    fn waypoints(&self, s: VertexId, t: VertexId) -> Vec<VertexId> {
         let j = self.meeting_level(s, t);
         let mut w: Vec<VertexId> = Vec::with_capacity(2 * j + 1);
         for i in 0..=j {
@@ -219,15 +214,6 @@ impl FrtTree {
         }
         w.dedup();
         w
-    }
-
-    /// Distance between `s` and `t` in the (virtual) tree, using level
-    /// radii as edge lengths — an upper bound proxy for the embedding
-    /// distortion.
-    pub fn tree_distance(&self, s: VertexId, t: VertexId) -> f64 {
-        let j = self.meeting_level(s, t);
-        // Edge from level i-1 to i costs 2^i; both sides climb to level j.
-        2.0 * (0..=j).map(|i| 2f64.powi(i as i32)).sum::<f64>()
     }
 }
 
@@ -324,6 +310,15 @@ mod tests {
     use rand::SeedableRng;
     use ssor_graph::generators;
 
+    /// Distance between `s` and `t` in the (virtual) tree, using level
+    /// radii as edge lengths — an upper bound proxy for the embedding
+    /// distortion.
+    fn tree_distance(tree: &FrtTree, s: VertexId, t: VertexId) -> f64 {
+        let j = tree.meeting_level(s, t);
+        // Edge from level i-1 to i costs 2^i; both sides climb to level j.
+        2.0 * (0..=j).map(|i| 2f64.powi(i as i32)).sum::<f64>()
+    }
+
     #[test]
     fn metric_matches_bfs_on_unit_lengths() {
         let g = generators::grid(3, 4);
@@ -343,7 +338,7 @@ mod tests {
         let metric = Metric::hops(&g);
         let mut rng = StdRng::seed_from_u64(3);
         let tree = FrtTree::sample(&metric, g.n(), &mut rng);
-        let top = tree.levels();
+        let top = tree.levels;
         let root = tree.chain(0)[top];
         for v in g.vertices() {
             assert_eq!(tree.chain(v)[0], v);
@@ -459,8 +454,8 @@ mod tests {
         ] {
             let metric = Metric::build(&g, &move |e| if e == 0 { big } else { 1.0 });
             let tree = FrtTree::sample_seeded(&metric, g.n(), 9);
-            assert!(tree.levels() >= 2);
-            let top = tree.levels();
+            assert!(tree.levels >= 2);
+            let top = tree.levels;
             let root = tree.chain(0)[top];
             for v in g.vertices() {
                 assert_eq!(tree.chain(v)[top], root, "single top cluster (len {big})");
@@ -496,7 +491,7 @@ mod tests {
                 for t in g.vertices() {
                     if s != t {
                         assert!(
-                            tree.tree_distance(s, t) + 1e-9 >= metric.dist(s, t),
+                            tree_distance(&tree, s, t) + 1e-9 >= metric.dist(s, t),
                             "tree distance must dominate"
                         );
                     }

@@ -86,11 +86,6 @@ impl HopConstrainedRouting {
         }
     }
 
-    /// The hop budget `h`.
-    pub fn hop_budget(&self) -> usize {
-        self.h
-    }
-
     /// The hop-stretch `β` (paths stay within `β * h` when possible).
     pub fn hop_stretch(&self) -> f64 {
         self.hop_stretch

@@ -198,7 +198,7 @@ impl RaeckeRouting {
     /// # Panics
     ///
     /// Panics if `trees` is empty.
-    pub fn uniform_mixture(g: &Graph, trees: Vec<TreeRouting>) -> Self {
+    fn uniform_mixture(g: &Graph, trees: Vec<TreeRouting>) -> Self {
         assert!(!trees.is_empty(), "a mixture needs at least one tree");
         let w = 1.0 / trees.len() as f64;
         RaeckeRouting {

@@ -130,7 +130,7 @@ impl SimOutcome {
 /// # Panics
 ///
 /// Panics if some path is invalid for `g`.
-pub fn simulate_ids(
+fn simulate_ids(
     g: &Graph,
     store: &PathStore,
     packets: &[PathId],
@@ -229,7 +229,7 @@ pub fn simulate_ids(
 ///
 /// Boundary wrapper: interns `paths` into a fresh [`PathStore`]
 /// (duplicate paths share storage but remain distinct packets) and runs
-/// [`simulate_ids`].
+/// the id-based hot loop.
 ///
 /// # Panics
 ///

@@ -16,7 +16,6 @@
 //! * [`lowerbound`] — the Section 8 constructions and the Lemma 8.1
 //!   adversary (`ssor-lowerbound`);
 //! * [`sim`] — the store-and-forward packet scheduler (`ssor-sim`);
-//! * [`te`] — the SMORE traffic-engineering scenario (`ssor-te`);
 //! * [`engine`] — the batched, rayon-parallel five-stage pipeline with
 //!   memoized path systems (`ssor-engine`);
 //! * [`serve`] — routing-as-a-service: the sharded query plane answering
@@ -71,4 +70,3 @@ pub use ssor_lowerbound as lowerbound;
 pub use ssor_oblivious as oblivious;
 pub use ssor_serve as serve;
 pub use ssor_sim as sim;
-pub use ssor_te as te;

@@ -17,7 +17,9 @@
 //! then commit the regenerated files under `tests/fixtures/` and note
 //! the schema change in the PR description.
 
-use ssor::engine::{DemandSpec, PathSystemCache, Pipeline, TemplateSpec, TopologySpec};
+use ssor::engine::{
+    DemandSpec, PathSystemCache, Pipeline, ScenarioSpec, TemplateSpec, TopologySpec,
+};
 use ssor::flow::SolveOptions;
 use std::path::PathBuf;
 
@@ -66,6 +68,26 @@ fn run_report_serialization_is_byte_stable() {
     let report = pinned_pipeline().run(&cache);
     let got = format!("{}\n", serde_json::to_string_pretty(&report).unwrap());
     assert_golden("run_report_hypercube3.json", &got);
+}
+
+/// A gravity-model WAN run: pins the `GravityModel` RNG draw order
+/// (weights, phases, then per-pair Box–Muller noise) together with the
+/// Waxman topology and Räcke template behind `ScenarioSpec::GravityWan`.
+#[test]
+fn gravity_wan_report_serialization_is_byte_stable() {
+    let cache = PathSystemCache::new();
+    let report = ScenarioSpec::GravityWan {
+        n: 10,
+        total: 20.0.into(),
+        seed: 5,
+    }
+    .pipeline()
+    .alpha(2)
+    .seed(7)
+    .solve_options(SolveOptions::with_eps(0.1))
+    .run(&cache);
+    let got = format!("{}\n", serde_json::to_string_pretty(&report).unwrap());
+    assert_golden("run_report_gravity_wan10.json", &got);
 }
 
 #[test]
