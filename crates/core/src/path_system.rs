@@ -105,15 +105,6 @@ impl PathSystem {
         self.per_pair.contains_key(&(s, t))
     }
 
-    /// The first candidate path for `(s, t)`, materialized — the
-    /// "arbitrary candidate" callers (Lemma 5.16 remainder routing, stale
-    /// TE rates) without cloning the whole list.
-    pub fn first_path(&self, s: VertexId, t: VertexId) -> Option<Path> {
-        self.per_pair
-            .get(&(s, t))
-            .map(|ids| self.store.materialize(ids[0]))
-    }
-
     /// The arena the candidate ids resolve against.
     pub fn store(&self) -> &PathStore {
         &self.store

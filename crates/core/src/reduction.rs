@@ -14,7 +14,7 @@
 use crate::path_system::PathSystem;
 use crate::sample::alpha_cut_sample;
 use rand::{Rng, RngCore};
-use ssor_graph::{EdgeId, Graph, Path, VertexId};
+use ssor_graph::{Distributions, EdgeId, Graph, Path, VertexId};
 use ssor_oblivious::ObliviousRouting;
 
 /// The auxiliary graph `G2` of Corollary 6.2, restricted to the pairs of
@@ -140,14 +140,12 @@ impl<O: ObliviousRouting + ?Sized> ObliviousRouting for AuxRouting<'_, O> {
         self.extend(i, self.base.sample_path(os, ot, rng))
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         let i = self.pair_index(s, t);
         let (os, ot) = self.aux.pairs[i];
-        self.base
-            .path_distribution(os, ot)
-            .into_iter()
-            .map(|(p, w)| (self.extend(i, p), w))
-            .collect()
+        for (p, w) in self.base.path_distribution(os, ot) {
+            out.push(&self.extend(i, p), w);
+        }
     }
 }
 

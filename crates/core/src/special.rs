@@ -12,7 +12,7 @@ use crate::path_system::PathSystem;
 use crate::weak::{weak_route, SampleMultiset, WeakRouteResult};
 use ssor_flow::{Demand, Routing};
 use ssor_graph::maxflow::min_cut_value;
-use ssor_graph::{Graph, VertexId};
+use ssor_graph::{Distributions, Graph, VertexId};
 use std::collections::HashMap;
 
 /// Memoizing wrapper around Dinic for `cnt_G(s, t) = α + cut_G(s, t)`.
@@ -173,13 +173,17 @@ pub fn weak_to_strong(
     // Route the remainder on arbitrary candidate paths (Lemma 5.16 keeps
     // this term below siz(d)/m <= cong(R, d) when the loop ran to target).
     if !remaining.is_empty() {
-        let mut arb = Routing::new();
+        let mut arb = Distributions::new();
+        let store = paths.store();
         for ((s, t), _) in remaining.iter() {
-            let cand = paths
-                .first_path(s, t)
+            let &cand = paths
+                .path_ids(s, t)
+                .and_then(|ids| ids.first())
                 .unwrap_or_else(|| panic!("no candidate paths for ({s}, {t})"));
-            arb.set_distribution(s, t, vec![(cand, 1.0)]);
+            arb.push_parts(store.vertices(cand), store.edges(cand), 1.0);
+            arb.commit(s, t);
         }
+        let arb = Routing::from(arb);
         let new_covered = covered.plus(&remaining);
         combined = Some(match combined {
             None => arb,

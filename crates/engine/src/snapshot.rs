@@ -6,35 +6,36 @@
 //! contiguous buffers (one shared [`PathStore`](ssor_graph::PathStore)
 //! arena, per-pair `PathId` ranges, precomputed sampling CDFs). This
 //! module is the bridge from the engine's stage-2 output to that
-//! snapshot: [`route_table_from_template`] evaluates
-//! [`ObliviousRouting::path_distribution`] for every requested pair —
-//! rayon-parallel across pairs, bit-identical at any thread count — and
-//! interns the results through a [`RouteTableBuilder`].
+//! snapshot: [`route_table_from_template`] has the template write every
+//! requested pair into [`Distributions`] sinks via
+//! [`ObliviousRouting::write_distribution`] — rayon-parallel across
+//! fixed pair blocks, bit-identical at any thread count — and freezes
+//! the merged sink with [`RouteTable::freeze`].
 
 use ssor_core::sample::all_pairs;
-use ssor_graph::{par_ordered_map, RouteTable, RouteTableBuilder, VertexId};
+use ssor_graph::{par_ordered_map, Distributions, RouteTable, VertexId};
 use ssor_oblivious::ObliviousRouting;
 
-/// Below this many pairs the distribution fan-out stays serial (the
-/// vendored rayon shim spawns threads per call); wall-clock only — the
-/// flattening is order-preserving either way.
-const SNAPSHOT_PAR_MIN_PAIRS: usize = 32;
+/// Pairs per sink: fixed, so no sink depends on the worker count (a
+/// single block stays serial — wall-clock only).
+const SNAPSHOT_BLOCK: usize = 32;
+
+/// Blocks filled in parallel before their sinks merge.
+const SNAPSHOT_WAVE: usize = 16;
 
 /// Flattens `template`'s per-pair path distributions into a
 /// [`RouteTable`] snapshot stamped with `generation`.
 ///
-/// `pairs` must be sorted lexicographically with distinct endpoints (the
-/// order [`all_pairs`] produces); the builder rejects anything else. The
-/// per-pair distributions are evaluated in parallel across rayon workers
-/// and pushed in pair order, so the table — arena layout, CDFs, all of
-/// it — is a deterministic function of `(template, pairs, generation)`,
-/// independent of thread count.
+/// Each block of `pairs` commits its pairs into its own sink; the sinks
+/// merge in block order into one arena, so the table — arena layout,
+/// CDFs, all of it — is a deterministic function of `(template, pairs,
+/// generation)` at any thread count (arena ids follow pair order for
+/// sorted pairs, as [`all_pairs`] produces).
 ///
 /// # Panics
 ///
-/// Panics if `pairs` is not strictly increasing, has an `s == t` entry,
-/// or if some distribution is empty/non-finite (the builder validates
-/// every weight).
+/// Panics if a pair has `s == t`, or if some distribution is
+/// empty/non-finite (the normalizer validates every weight).
 ///
 /// # Examples
 ///
@@ -53,15 +54,24 @@ pub fn route_table_from_template<O: ObliviousRouting + Sync + ?Sized>(
     pairs: &[(VertexId, VertexId)],
     generation: u64,
 ) -> RouteTable {
-    let n = template.graph().n();
-    let dists = par_ordered_map(pairs, SNAPSHOT_PAR_MIN_PAIRS, |&(s, t)| {
-        template.path_distribution(s, t)
-    });
-    let mut builder = RouteTableBuilder::new(n, generation);
-    for (&(s, t), dist) in pairs.iter().zip(dists.iter()) {
-        builder.push_pair(s, t, dist);
+    let blocks: Vec<&[(VertexId, VertexId)]> = pairs.chunks(SNAPSHOT_BLOCK).collect();
+    let mut all = Distributions::new();
+    // Merging wave by wave keeps at most one wave of sinks alive next to
+    // the merged arena, which bounds the flatten's peak memory.
+    for wave in blocks.chunks(SNAPSHOT_WAVE) {
+        let sinks = par_ordered_map(wave, 2, |block| {
+            let mut sink = Distributions::new();
+            for &(s, t) in *block {
+                template.write_distribution(s, t, &mut sink);
+                sink.commit(s, t);
+            }
+            sink
+        });
+        for sink in sinks {
+            all.extend_from(&sink);
+        }
     }
-    builder.finish()
+    RouteTable::freeze(template.graph().n(), generation, all)
 }
 
 /// [`route_table_from_template`] over every ordered pair `s != t` — the

@@ -8,9 +8,10 @@
 //!
 //! * [`Demand`] — demand matrices (Definition 2.2): arbitrary, integral,
 //!   `{0,1}`, permutation; hypercube adversaries;
-//! * [`Routing`] / [`IntegralRouting`] — per-pair path distributions with
-//!   congestion (`cong`) and dilation (`dil`) exactly as defined in the
-//!   paper;
+//! * [`Routing`] / [`IntegralRouting`] — per-pair path distributions
+//!   (a [`Routing`] wraps one `ssor_graph::Distributions`, the workspace's
+//!   single interned representation of `R(s, t)`) with congestion
+//!   (`cong`) and dilation (`dil`) exactly as defined in the paper;
 //! * [`solver`] — the one staged-smoothing Frank–Wolfe min-congestion
 //!   core with dual certificates: cold one-shot entry points
 //!   ([`min_congestion_restricted`], [`min_congestion_unrestricted`],
@@ -57,7 +58,7 @@ pub mod solver;
 pub use candidates::{CandidateSet, Candidates};
 pub use demand::Demand;
 pub use oracle::{AllPathsOracle, CandidateOracle, PathOracle};
-pub use routing::{IntegralRouting, Routing, WeightedPath};
+pub use routing::{IntegralRouting, Routing};
 pub use solver::{
     min_congestion, min_congestion_masked, min_congestion_restricted, min_congestion_unrestricted,
     DemandDelta, MinCongSolution, SolveOptions, Solver, SolverStats,

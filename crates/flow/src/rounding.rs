@@ -11,7 +11,7 @@
 use crate::demand::Demand;
 use crate::routing::{IntegralRouting, Routing};
 use rand::Rng;
-use ssor_graph::{Graph, Path};
+use ssor_graph::{Graph, PathId};
 
 /// Statistics from a rounding run.
 #[derive(Debug, Clone)]
@@ -52,26 +52,27 @@ pub fn sample_integral<R: Rng + ?Sized>(
         let count = w.round() as usize;
         let mut paths = Vec::with_capacity(count);
         for _ in 0..count {
-            paths.push(sample_from_distribution(dist, rng));
+            paths.push(
+                routing
+                    .store()
+                    .materialize(sample_from_distribution(dist, rng)),
+            );
         }
         out.set_paths(s, t, paths);
     }
     out
 }
 
-fn sample_from_distribution<R: Rng + ?Sized>(
-    dist: &[crate::routing::WeightedPath],
-    rng: &mut R,
-) -> Path {
-    let total: f64 = dist.iter().map(|wp| wp.weight).sum();
+fn sample_from_distribution<R: Rng + ?Sized>(dist: &[(PathId, f64)], rng: &mut R) -> PathId {
+    let total: f64 = dist.iter().map(|&(_, w)| w).sum();
     let mut x = rng.gen::<f64>() * total;
-    for wp in dist {
-        x -= wp.weight;
+    for &(id, w) in dist {
+        x -= w;
         if x <= 0.0 {
-            return wp.path.clone();
+            return id;
         }
     }
-    dist.last().expect("nonempty distribution").path.clone()
+    dist.last().expect("nonempty distribution").0
 }
 
 /// Lemma 6.3 rounding: best-of-`attempts` randomized rounding followed by
@@ -122,6 +123,7 @@ pub fn round_routing<R: Rng + ?Sized>(
 /// minimizing the resulting maximum congestion along its own edges.
 /// Terminates when no single move strictly improves.
 fn local_search(g: &Graph, support: &Routing, ir: &mut IntegralRouting) {
+    let store = support.store();
     let mut loads = ir.edge_loads(g);
     loop {
         let max_load = loads.iter().copied().max().unwrap_or(0);
@@ -148,10 +150,9 @@ fn local_search(g: &Graph, support: &Routing, ir: &mut IntegralRouting) {
                 }
                 // Best alternative path: minimize its own max resulting load.
                 let mut best_alt: Option<(usize, u64)> = None;
-                for (ai, alt) in dist.iter().enumerate() {
-                    let worst = alt
-                        .path
-                        .edges()
+                for (ai, &(alt, _)) in dist.iter().enumerate() {
+                    let worst = store
+                        .edges(alt)
                         .iter()
                         .map(|&e| loads[e as usize] + 1)
                         .max()
@@ -163,7 +164,7 @@ fn local_search(g: &Graph, support: &Routing, ir: &mut IntegralRouting) {
                 let (ai, worst) = best_alt.expect("distribution nonempty");
                 if worst < max_load {
                     // Commit the move.
-                    let newp = dist[ai].path.clone();
+                    let newp = store.materialize(dist[ai].0);
                     for &e in newp.edges() {
                         loads[e as usize] += 1;
                     }
@@ -192,6 +193,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssor_graph::generators;
+    use ssor_graph::Path;
 
     fn even_split_routing(g: &Graph, pairs: &[(u32, u32, Vec<Vec<u32>>)]) -> Routing {
         let mut r = Routing::new();
@@ -264,15 +266,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let out = round_routing(&g, &r, &d, 10, &mut rng);
         for (s, t) in d.support() {
-            let support: Vec<&Path> = r
-                .distribution(s, t)
-                .unwrap()
-                .iter()
-                .map(|wp| &wp.path)
-                .collect();
+            let support = r.distribution(s, t).unwrap();
             for p in out.routing.paths(s, t).unwrap() {
                 assert!(
-                    support.iter().any(|sp| sp.edges() == p.edges()),
+                    support
+                        .iter()
+                        .any(|&(id, _)| r.store().edges(id) == p.edges()),
                     "rounded path must come from the support"
                 );
             }

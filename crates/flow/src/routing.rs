@@ -2,21 +2,16 @@
 //! dilation (Section 4 of the paper).
 
 use crate::demand::Demand;
-use ssor_graph::{par_ordered_map, EdgeLoads, Graph, Path, VertexId};
+use ssor_graph::{
+    par_ordered_map, Distributions, EdgeLoads, Graph, Path, PathId, PathStore, VertexId,
+};
 use std::collections::BTreeMap;
-
-/// A path together with its probability mass within `R(s, t)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedPath {
-    /// The path (endpoints must match the pair this entry belongs to).
-    pub path: Path,
-    /// Probability mass; entries of one pair sum to 1.
-    pub weight: f64,
-}
 
 /// A routing `R = {R(s, t)}`: for each pair in its domain, a distribution
 /// over `(s, t)`-paths (Section 4). Routing a demand `d` assigns flow
 /// `d(s, t) * weight(p)` to each path `p` in `R(s, t)`.
+///
+/// The state is one [`Distributions`].
 ///
 /// # Examples
 ///
@@ -38,9 +33,16 @@ pub struct WeightedPath {
 /// assert_eq!(r.congestion(&g, &d), 0.5);
 /// assert_eq!(r.dilation(&d), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Routing {
-    per_pair: BTreeMap<(VertexId, VertexId), Vec<WeightedPath>>,
+    dists: Distributions,
+}
+
+impl From<Distributions> for Routing {
+    /// Wraps already-committed distributions (no re-normalization).
+    fn from(dists: Distributions) -> Self {
+        Routing { dists }
+    }
 }
 
 impl Routing {
@@ -49,46 +51,19 @@ impl Routing {
         Routing::default()
     }
 
-    /// Sets the distribution for pair `(s, t)`, normalizing the weights.
-    ///
-    /// Every weight is validated *before* it enters the normalizing
-    /// total: a negative, NaN, or infinite weight would otherwise poison
-    /// the normalization silently (a negative weight shrinks the total,
-    /// inflating every kept path's probability above 1; a NaN total turns
-    /// every downstream congestion number into NaN).
+    /// Sets the distribution for pair `(s, t)` from owned boundary paths,
+    /// normalizing the weights with [`ssor_graph::normalize_run`].
     ///
     /// # Panics
     ///
-    /// Panics if any path does not run from `s` to `t`, if any weight is
-    /// negative or non-finite (NaN/∞), or if the weights sum to zero or
-    /// to a non-finite total.
+    /// Panics if any kept path does not run from `s` to `t`, if any
+    /// weight is negative or non-finite (NaN/∞), or if the weights sum
+    /// to zero or to a non-finite total.
     pub fn set_distribution(&mut self, s: VertexId, t: VertexId, paths: Vec<(Path, f64)>) {
-        assert!(!paths.is_empty(), "distribution needs at least one path");
-        for (_, w) in &paths {
-            assert!(
-                w.is_finite() && *w >= 0.0,
-                "path weight must be finite and nonnegative, got {w}"
-            );
+        for (path, w) in &paths {
+            self.dists.push(path, *w);
         }
-        let total: f64 = paths.iter().map(|(_, w)| *w).sum();
-        assert!(total > 0.0, "weights must not all be zero");
-        assert!(
-            total.is_finite(),
-            "path weights must sum to a finite total, got {total}"
-        );
-        let entry: Vec<WeightedPath> = paths
-            .into_iter()
-            .filter(|(_, w)| *w > 0.0)
-            .map(|(path, w)| {
-                assert_eq!(path.source(), s, "path source mismatch");
-                assert_eq!(path.target(), t, "path target mismatch");
-                WeightedPath {
-                    path,
-                    weight: w / total,
-                }
-            })
-            .collect();
-        self.per_pair.insert((s, t), entry);
+        self.dists.commit(s, t);
     }
 
     /// Routes the whole pair on a single path.
@@ -97,29 +72,31 @@ impl Routing {
         self.set_distribution(s, t, vec![(path, 1.0)]);
     }
 
-    /// The distribution for `(s, t)`, if defined.
-    pub fn distribution(&self, s: VertexId, t: VertexId) -> Option<&[WeightedPath]> {
-        self.per_pair.get(&(s, t)).map(|v| v.as_slice())
+    /// The per-pair distributions.
+    pub fn distributions(&self) -> &Distributions {
+        &self.dists
     }
 
-    /// Pairs with a defined distribution.
-    pub fn pairs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.per_pair.keys().copied()
+    /// The arena the distributions' path ids refer into.
+    pub fn store(&self) -> &PathStore {
+        self.dists.store()
     }
 
-    /// Number of pairs with a defined distribution.
-    pub fn len(&self) -> usize {
-        self.per_pair.len()
+    /// The normalized distribution for `(s, t)`, if defined.
+    pub fn distribution(&self, s: VertexId, t: VertexId) -> Option<&[(PathId, f64)]> {
+        self.dists.get(s, t)
     }
 
     /// Whether no pair is defined.
     pub fn is_empty(&self) -> bool {
-        self.per_pair.is_empty()
+        self.dists.is_empty()
     }
 
     /// Whether the routing covers the support of `d`.
     pub fn covers(&self, d: &Demand) -> bool {
-        d.support().iter().all(|k| self.per_pair.contains_key(k))
+        d.support()
+            .iter()
+            .all(|&(s, t)| self.dists.get(s, t).is_some())
     }
 
     /// Per-edge load when routing `d` (`cong(R, d, e)` for every `e`),
@@ -160,10 +137,8 @@ impl Routing {
     fn accumulate_pairs(&self, d: &Demand, pairs: &[(VertexId, VertexId)], load: &mut EdgeLoads) {
         for &(s, t) in pairs {
             let w = d.get(s, t);
-            if let Some(dist) = self.per_pair.get(&(s, t)) {
-                for wp in dist {
-                    load.add_edges(wp.path.edges(), w * wp.weight);
-                }
+            for &(id, p) in self.dists.get(s, t).unwrap_or_default() {
+                load.add_path(self.store(), id, w * p);
             }
         }
     }
@@ -178,11 +153,9 @@ impl Routing {
     pub fn dilation(&self, d: &Demand) -> usize {
         let mut best = 0;
         for ((s, t), _) in d.iter() {
-            if let Some(dist) = self.per_pair.get(&(s, t)) {
-                for wp in dist {
-                    if wp.weight > 0.0 {
-                        best = best.max(wp.path.hop());
-                    }
+            for &(id, w) in self.dists.get(s, t).unwrap_or_default() {
+                if w > 0.0 {
+                    best = best.max(self.store().hop(id));
                 }
             }
         }
@@ -192,14 +165,15 @@ impl Routing {
     /// Checks structural validity against a graph: every path valid and
     /// simple, per-pair weights summing to 1.
     pub fn is_valid(&self, g: &Graph) -> bool {
-        self.per_pair.iter().all(|(&(s, t), dist)| {
-            let total: f64 = dist.iter().map(|wp| wp.weight).sum();
+        let store = self.store();
+        self.dists.iter().all(|((s, t), dist)| {
+            let total: f64 = dist.iter().map(|&(_, w)| w).sum();
             (total - 1.0).abs() < 1e-6
-                && dist.iter().all(|wp| {
-                    wp.path.source() == s
-                        && wp.path.target() == t
-                        && wp.path.is_valid(g)
-                        && wp.path.is_simple()
+                && dist.iter().all(|&(id, _)| {
+                    store.source(id) == s
+                        && store.target(id) == t
+                        && store.is_valid(id, g)
+                        && store.is_simple(id)
                 })
         })
     }
@@ -208,33 +182,22 @@ impl Routing {
     /// for `d1 + d2` (Lemma 5.15, the demand-sum lemma): on a pair carried
     /// by both, the distributions are mixed proportionally to the demands.
     pub fn demand_weighted_merge(r1: &Routing, d1: &Demand, r2: &Routing, d2: &Demand) -> Routing {
-        let mut out = Routing::new();
+        let mut out = Distributions::new();
         let d = d1.plus(d2);
         for ((s, t), total) in d.iter() {
-            let w1 = d1.get(s, t);
-            let w2 = d2.get(s, t);
-            let mut mix: Vec<(Path, f64)> = Vec::new();
-            if w1 > 0.0 {
-                if let Some(dist) = r1.distribution(s, t) {
-                    mix.extend(
-                        dist.iter()
-                            .map(|wp| (wp.path.clone(), wp.weight * w1 / total)),
-                    );
+            for (r, w) in [(r1, d1.get(s, t)), (r2, d2.get(s, t))] {
+                let store = r.store();
+                if w > 0.0 {
+                    for &(id, p) in r.dists.get(s, t).unwrap_or_default() {
+                        out.push_parts(store.vertices(id), store.edges(id), p * w / total);
+                    }
                 }
             }
-            if w2 > 0.0 {
-                if let Some(dist) = r2.distribution(s, t) {
-                    mix.extend(
-                        dist.iter()
-                            .map(|wp| (wp.path.clone(), wp.weight * w2 / total)),
-                    );
-                }
-            }
-            if !mix.is_empty() {
-                out.set_distribution(s, t, mix);
+            if !out.open().is_empty() {
+                out.commit(s, t);
             }
         }
-        out
+        Routing::from(out)
     }
 }
 

@@ -56,8 +56,9 @@
 //! layer: edge loads accumulate in a dense [`EdgeLoads`], and every
 //! discovered path is interned into the solver's [`PathStore`] so path
 //! identity is a `Copy`-able [`PathId`] comparison instead of an
-//! edge-vector scan. Owned [`Path`]s only appear at the boundary, in the
-//! returned [`Routing`].
+//! edge-vector scan. The returned [`Routing`] receives its paths by
+//! re-interning them into its own `Distributions` arena; no owned `Path`
+//! is built on the way out.
 //!
 //! # Examples
 //!
@@ -86,7 +87,9 @@ use crate::candidates::Candidates;
 use crate::demand::Demand;
 use crate::oracle::{AllPathsOracle, CandidateOracle, PathOracle};
 use crate::routing::Routing;
-use ssor_graph::{EdgeId, EdgeLoads, Graph, Path, PathId, PathStore, VertexId};
+use ssor_graph::{
+    normalize_run, Distributions, EdgeId, EdgeLoads, Graph, PathId, PathStore, VertexId,
+};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -324,21 +327,20 @@ fn softmax(loads: &[f64], beta: f64) -> f64 {
     mx + s.ln() / beta
 }
 
-/// Materializes the per-pair convex combinations into a [`Routing`],
-/// dropping weights at or below [`WEIGHT_PRUNE`].
+/// Copies the per-pair convex combinations into a [`Routing`] (paths
+/// re-interned from the solver's arena), dropping weights at or below
+/// [`WEIGHT_PRUNE`].
 fn assemble_routing(states: &[PairState], store: &PathStore) -> Routing {
-    let mut routing = Routing::new();
+    let mut dists = Distributions::new();
     for st in states {
-        let dist: Vec<(Path, f64)> = st
-            .ids
-            .iter()
-            .zip(st.weights.iter())
-            .filter(|(_, w)| **w > WEIGHT_PRUNE)
-            .map(|(&id, &w)| (store.materialize(id), w))
-            .collect();
-        routing.set_distribution(st.pair.0, st.pair.1, dist);
+        for (&id, &w) in st.ids.iter().zip(st.weights.iter()) {
+            if w > WEIGHT_PRUNE {
+                dists.push_parts(store.vertices(id), store.edges(id), w);
+            }
+        }
+        dists.commit(st.pair.0, st.pair.1);
     }
-    routing
+    Routing::from(dists)
 }
 
 /// The workspace's one staged-smoothing Frank–Wolfe loop.
@@ -517,8 +519,8 @@ fn frank_wolfe(
 #[derive(Debug, Clone)]
 pub struct Solver {
     store: PathStore,
-    /// Per-pair `(path ids, weights)`; weights sum to 1 per pair.
-    choices: BTreeMap<(VertexId, VertexId), (Vec<PathId>, Vec<f64>)>,
+    /// Per-pair `(path id, weight)` runs; weights sum to 1 per pair.
+    choices: BTreeMap<(VertexId, VertexId), Vec<(PathId, f64)>>,
     demand: Demand,
     m: usize,
     congestion: f64,
@@ -659,11 +661,11 @@ impl Solver {
         for &(s, t) in &pairs {
             let demand = self.demand.get(s, t) / scale;
             match self.choices.get(&(s, t)) {
-                Some((ids, weights)) if !ids.is_empty() => states.push(PairState {
+                Some(run) if !run.is_empty() => states.push(PairState {
                     pair: (s, t),
                     demand,
-                    ids: ids.clone(),
-                    weights: weights.clone(),
+                    ids: run.iter().map(|&(id, _)| id).collect(),
+                    weights: run.iter().map(|&(_, w)| w).collect(),
                 }),
                 _ => {
                     fresh.push(states.len());
@@ -751,15 +753,9 @@ impl Solver {
         // Persist the updated distributions (pruning negligible weights
         // so state does not grow without bound across a long stream).
         for st in &states {
-            let mut ids = Vec::with_capacity(st.ids.len());
-            let mut weights = Vec::with_capacity(st.ids.len());
-            for (&id, &w) in st.ids.iter().zip(st.weights.iter()) {
-                if w > WEIGHT_PRUNE {
-                    ids.push(id);
-                    weights.push(w);
-                }
-            }
-            self.choices.insert(st.pair, (ids, weights));
+            let run = st.ids.iter().zip(&st.weights).map(|(&id, &w)| (id, w));
+            let kept = run.filter(|&(_, w)| w > WEIGHT_PRUNE).collect();
+            self.choices.insert(st.pair, kept);
         }
 
         let routing = assemble_routing(&states, &self.store);
@@ -815,48 +811,35 @@ impl Solver {
     pub fn invalidate_edges(&mut self, dead: &[EdgeId]) -> usize {
         let store = &self.store;
         let mut removed = 0usize;
-        self.choices.retain(|_, (ids, weights)| {
-            let before = ids.len();
-            let mut keep_ids = Vec::with_capacity(before);
-            let mut keep_w = Vec::with_capacity(before);
-            for (&id, &w) in ids.iter().zip(weights.iter()) {
-                if !dead.iter().any(|&e| store.contains_edge(id, e)) {
-                    keep_ids.push(id);
-                    keep_w.push(w);
-                }
-            }
-            removed += before - keep_ids.len();
-            let total: f64 = keep_w.iter().sum();
-            if keep_ids.is_empty() || total <= 0.0 {
+        self.choices.retain(|&(s, t), run| {
+            let before = run.len();
+            run.retain(|&(id, _)| !dead.iter().any(|&e| store.contains_edge(id, e)));
+            removed += before - run.len();
+            if run.is_empty() {
                 return false;
             }
-            for w in keep_w.iter_mut() {
-                *w /= total;
-            }
-            *ids = keep_ids;
-            *weights = keep_w;
+            // Carried weights all exceed `WEIGHT_PRUNE`: the total is positive.
+            normalize_run(store, run, s, t);
             true
         });
         removed
     }
 
-    /// Materializes the current per-pair distributions (demanded pairs
-    /// only) as a [`Routing`].
+    /// Copies the current per-pair distributions (demanded pairs only)
+    /// into a [`Routing`].
     pub fn routing(&self) -> Routing {
-        let mut r = Routing::new();
+        let mut dists = Distributions::new();
         for (s, t) in self.demand.support() {
-            if let Some((ids, weights)) = self.choices.get(&(s, t)) {
-                let dist: Vec<(Path, f64)> = ids
-                    .iter()
-                    .zip(weights.iter())
-                    .map(|(&id, &w)| (self.store.materialize(id), w))
-                    .collect();
-                if !dist.is_empty() {
-                    r.set_distribution(s, t, dist);
+            if let Some(run) = self.choices.get(&(s, t)) {
+                for &(id, w) in run {
+                    dists.push_parts(self.store.vertices(id), self.store.edges(id), w);
+                }
+                if !dists.open().is_empty() {
+                    dists.commit(s, t);
                 }
             }
         }
-        r
+        Routing::from(dists)
     }
 }
 
@@ -932,7 +915,7 @@ pub fn min_congestion_masked(
 mod tests {
     use super::*;
     use crate::candidates::CandidateSet;
-    use ssor_graph::generators;
+    use ssor_graph::{generators, Path};
 
     fn opts() -> SolveOptions {
         SolveOptions {
@@ -1292,7 +1275,7 @@ mod tests {
         let r = warm.routing();
         let dist = r.distribution(0, 3).expect("pair still routed");
         assert_eq!(dist.len(), 1);
-        assert!((dist[0].weight - 1.0).abs() < 1e-12);
+        assert!((dist[0].1 - 1.0).abs() < 1e-12);
         // Re-solving against the surviving candidate set stays correct.
         let mut survivors = CandidateSet::new();
         survivors.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());

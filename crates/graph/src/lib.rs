@@ -13,9 +13,11 @@
 //!   [`Path::shortcut`] to reduce walks to simple paths;
 //! * [`PathStore`] / [`PathId`] — the interning arena the whole stack
 //!   shares paths through (`Path` stays the owned boundary type);
-//! * [`RouteTable`] / [`RouteTableBuilder`] — the immutable serving
-//!   snapshot: per-pair distributions flattened into contiguous buffers
-//!   with precomputed sampling CDFs, the read side of the query plane;
+//! * [`Distributions`] — the one representation of per-pair path
+//!   distributions `R(s, t)`, with the single weight normalizer
+//!   [`normalize_run`];
+//! * [`RouteTable`] — the immutable serving snapshot frozen from a
+//!   [`Distributions`], with precomputed sampling CDFs;
 //! * [`EdgeLoads`] — dense per-edge load accumulation (the congestion
 //!   representation), with deterministic [`EdgeLoads::par_merge`];
 //! * [`Csr`] — flattened adjacency for repeated traversals, accepted by
@@ -47,6 +49,7 @@
 #![forbid(unsafe_code)]
 
 mod csr;
+mod dist;
 pub mod generators;
 mod graph;
 pub mod ksp;
@@ -62,11 +65,12 @@ mod store;
 mod subtopology;
 
 pub use csr::{Adjacency, Csr, EdgeView, FullTopology};
+pub use dist::{normalize_run, Distributions};
 pub use graph::{Arc, EdgeId, Graph, VertexId};
 pub use laplacian::{CsrLaplacian, LaplacianSolve, Preconditioner};
 pub use load::EdgeLoads;
 pub use par::{derive_seed, par_ordered_map};
 pub use path::Path;
-pub use route_table::{RouteTable, RouteTableBuilder};
+pub use route_table::RouteTable;
 pub use store::{PathId, PathStore};
 pub use subtopology::SubTopology;

@@ -9,24 +9,25 @@
 //! CSR index from `(s, t)` to its [`PathId`] range, and the cumulative
 //! distribution of each pair precomputed so a draw is one uniform deviate,
 //! one binary search over targets, and one `partition_point` over the CDF.
-//! The table is immutable after [`RouteTableBuilder::finish`]; serving
-//! layers share it behind an `Arc` and swap whole generations atomically.
+//! The table is frozen from a [`Distributions`] by [`RouteTable::freeze`]
+//! and immutable afterwards; serving layers share it behind an `Arc` and
+//! swap whole generations atomically.
 //!
 //! # Sampling contract
 //!
 //! [`RouteTable::sample_with`] pins the exact arithmetic so independent
-//! implementations can be compared bit-for-bit: pair weights are
-//! normalized by their left-to-right `f64` sum exactly as
-//! `ssor_flow::Routing::set_distribution` normalizes (validate, total,
-//! drop zeros, divide), the CDF is the left-to-right prefix sum of the
-//! normalized weights, and a deviate `u ∈ [0, 1)` selects the first index
+//! implementations can be compared bit-for-bit: pair weights are the
+//! [`Distributions`] run's, already normalized by the workspace's one
+//! normalizer ([`normalize_run`](crate::normalize_run): validate, left-to-right
+//! total, drop zeros, divide); the CDF is the left-to-right prefix sum
+//! of those weights; and a deviate `u ∈ [0, 1)` selects the first index
 //! whose CDF entry reaches `u * total`. Replaying the same deviates
-//! against the pair's `Routing` distribution therefore selects the same
+//! against the pair's run with a prefix scan therefore selects the same
 //! paths, bit-identically — the property the serving determinism suite
 //! pins.
 
+use crate::dist::Distributions;
 use crate::graph::VertexId;
-use crate::path::Path;
 use crate::store::{PathId, PathStore};
 use rand::Rng;
 
@@ -36,14 +37,16 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use ssor_graph::{Graph, Path, RouteTableBuilder};
+/// use ssor_graph::{Distributions, Graph, Path, RouteTable};
 ///
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
 /// let direct = Path::from_vertices(&g, &[0, 2]).unwrap();
 /// let detour = Path::from_vertices(&g, &[0, 1, 2]).unwrap();
-/// let mut b = RouteTableBuilder::new(3, 1);
-/// b.push_pair(0, 2, &[(direct.clone(), 0.75), (detour, 0.25)]);
-/// let table = b.finish();
+/// let mut d = Distributions::new();
+/// d.push(&direct, 0.75);
+/// d.push(&detour, 0.25);
+/// d.commit(0, 2);
+/// let table = RouteTable::freeze(3, 1, d);
 /// assert_eq!(table.generation(), 1);
 /// assert_eq!(table.pair_count(), 1);
 /// // u = 0.5 lands in the first (mass-0.75) path's CDF interval.
@@ -71,6 +74,49 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
+    /// Freezes the committed pairs of `dists` into a table for an
+    /// `n`-vertex graph stamped with `generation`, keeping its arena.
+    /// Each pair's CDF is the left-to-right prefix sum of its
+    /// (normalized) weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair has `s == t` or a vertex outside `0..n`.
+    pub fn freeze(n: usize, generation: u64, dists: Distributions) -> RouteTable {
+        let mut src_offsets = vec![0u32; n + 1];
+        let mut targets = Vec::with_capacity(dists.len());
+        let mut ranges = Vec::with_capacity(dists.len());
+        let mut path_ids = Vec::new();
+        let mut cdf = Vec::new();
+        for ((s, t), run) in dists.iter() {
+            assert_ne!(s, t, "pairs have distinct endpoints");
+            assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
+            let start = path_ids.len() as u32;
+            let mut acc = 0.0f64;
+            for &(id, w) in run {
+                acc += w;
+                path_ids.push(id);
+                cdf.push(acc);
+            }
+            targets.push(t);
+            ranges.push((start, run.len() as u32));
+            src_offsets[s as usize + 1] += 1;
+        }
+        for i in 0..n {
+            src_offsets[i + 1] += src_offsets[i];
+        }
+        RouteTable {
+            n,
+            generation,
+            store: dists.store,
+            src_offsets,
+            targets,
+            ranges,
+            path_ids,
+            cdf,
+        }
+    }
+
     /// The vertex count the table was built for.
     pub fn n(&self) -> usize {
         self.n
@@ -123,7 +169,7 @@ impl RouteTable {
 
     /// The `(path_ids, cdf)` slices of `R(s, t)`; `None` when the pair
     /// is not in the table. The two slices are aligned and non-empty
-    /// (the builder rejects empty distributions).
+    /// (the normalizer rejects empty distributions).
     fn pair_slices(&self, s: VertexId, t: VertexId) -> Option<(&[PathId], &[f64])> {
         let i = self.pair_index(s, t)?;
         let &(start, len) = self.ranges.get(i)?;
@@ -206,7 +252,7 @@ impl RouteTable {
 /// whose cumulative weight reaches `u * total`, clamped to the last
 /// path for deviates at/above the total (float rounding), mirroring
 /// the subtractive scan's fallback arm. `None` only on empty slices,
-/// which the builder never produces.
+/// which the normalizer never produces.
 fn sample_cdf(ids: &[PathId], cdf: &[f64], u: f64) -> Option<PathId> {
     let total = *cdf.last()?;
     let x = u * total;
@@ -214,143 +260,36 @@ fn sample_cdf(ids: &[PathId], cdf: &[f64], u: f64) -> Option<PathId> {
     ids.get(k).copied()
 }
 
-/// Builds a [`RouteTable`] from per-pair distributions pushed in strictly
-/// increasing `(s, t)` order.
-///
-/// # Examples
-///
-/// ```
-/// use ssor_graph::{Graph, Path, RouteTableBuilder};
-///
-/// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-/// let mut b = RouteTableBuilder::new(3, 7);
-/// b.push_pair(0, 1, &[(Path::from_vertices(&g, &[0, 1]).unwrap(), 1.0)]);
-/// b.push_pair(1, 2, &[(Path::from_vertices(&g, &[1, 2]).unwrap(), 1.0)]);
-/// let table = b.finish();
-/// assert_eq!(table.pair_count(), 2);
-/// assert_eq!(table.generation(), 7);
-/// ```
-#[derive(Debug)]
-pub struct RouteTableBuilder {
-    n: usize,
-    generation: u64,
-    store: PathStore,
-    targets: Vec<VertexId>,
-    /// Source of each pushed pair (expanded into CSR offsets at finish).
-    sources: Vec<VertexId>,
-    ranges: Vec<(u32, u32)>,
-    path_ids: Vec<PathId>,
-    cdf: Vec<f64>,
-}
-
-impl RouteTableBuilder {
-    /// An empty builder for an `n`-vertex graph, stamping `generation`
-    /// into the finished table.
-    pub fn new(n: usize, generation: u64) -> Self {
-        RouteTableBuilder {
-            n,
-            generation,
-            store: PathStore::new(),
-            targets: Vec::new(),
-            sources: Vec::new(),
-            ranges: Vec::new(),
-            path_ids: Vec::new(),
-            cdf: Vec::new(),
-        }
-    }
-
-    /// Pushes the distribution of pair `(s, t)`: paths interned into the
-    /// arena, weights normalized by their left-to-right sum (zero-weight
-    /// entries dropped *after* the total, exactly as
-    /// `Routing::set_distribution` does), CDF precomputed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pairs arrive out of strictly increasing `(s, t)` order,
-    /// if `s == t` or a vertex is out of range, if any path does not run
-    /// `s → t`, if a weight is negative or non-finite, or if the weights
-    /// sum to zero or a non-finite total.
-    pub fn push_pair(&mut self, s: VertexId, t: VertexId, dist: &[(Path, f64)]) {
-        assert_ne!(s, t, "pairs have distinct endpoints");
-        assert!(
-            (s as usize) < self.n && (t as usize) < self.n,
-            "vertex out of range"
-        );
-        if let (Some(&ps), Some(&pt)) = (self.sources.last(), self.targets.last()) {
-            assert!(
-                (ps, pt) < (s, t),
-                "pairs must be pushed in strictly increasing (s, t) order: ({ps}, {pt}) then ({s}, {t})"
-            );
-        }
-        assert!(!dist.is_empty(), "distribution needs at least one path");
-        for (_, w) in dist {
-            assert!(
-                w.is_finite() && *w >= 0.0,
-                "path weight must be finite and nonnegative, got {w}"
-            );
-        }
-        let total: f64 = dist.iter().map(|(_, w)| *w).sum();
-        assert!(total > 0.0, "weights must not all be zero");
-        assert!(
-            total.is_finite(),
-            "weights must sum to a finite total, got {total}"
-        );
-
-        let start = self.path_ids.len() as u32;
-        let mut acc = 0.0f64;
-        for (path, w) in dist {
-            if *w <= 0.0 {
-                continue;
-            }
-            assert_eq!(path.source(), s, "path source mismatch");
-            assert_eq!(path.target(), t, "path target mismatch");
-            acc += w / total;
-            self.path_ids.push(self.store.intern(path));
-            self.cdf.push(acc);
-        }
-        let len = self.path_ids.len() as u32 - start;
-        self.sources.push(s);
-        self.targets.push(t);
-        self.ranges.push((start, len));
-    }
-
-    /// Flattens into the immutable [`RouteTable`].
-    pub fn finish(self) -> RouteTable {
-        // Expand the sorted pair sources into CSR offsets.
-        let mut src_offsets = vec![0u32; self.n + 1];
-        for &s in &self.sources {
-            src_offsets[s as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            src_offsets[i + 1] += src_offsets[i];
-        }
-        RouteTable {
-            n: self.n,
-            generation: self.generation,
-            store: self.store,
-            src_offsets,
-            targets: self.targets,
-            ranges: self.ranges,
-            path_ids: self.path_ids,
-            cdf: self.cdf,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::Path;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One pair's raw `(path, weight)` entries.
+    type RawPair<'a> = ((VertexId, VertexId), Vec<(&'a Path, f64)>);
+
+    /// A 4-vertex table of the given per-pair raw distributions, each
+    /// committed through the normalizer.
+    fn table_of(pairs: &[RawPair<'_>]) -> RouteTable {
+        let mut d = Distributions::new();
+        for ((s, t), dist) in pairs {
+            for &(p, w) in dist {
+                d.push(p, w);
+            }
+            d.commit(*s, *t);
+        }
+        RouteTable::freeze(4, 1, d)
+    }
 
     fn two_path_table() -> (RouteTable, Path, Path) {
         let g = generators::ring(4);
         let cw = Path::from_vertices(&g, &[0, 1, 2]).unwrap();
         let ccw = Path::from_vertices(&g, &[0, 3, 2]).unwrap();
-        let mut b = RouteTableBuilder::new(4, 1);
-        b.push_pair(0, 2, &[(cw.clone(), 0.25), (ccw.clone(), 0.75)]);
-        (b.finish(), cw, ccw)
+        let table = table_of(&[((0, 2), vec![(&cw, 0.25), (&ccw, 0.75)])]);
+        (table, cw, ccw)
     }
 
     #[test]
@@ -387,9 +326,7 @@ mod tests {
         let g = generators::ring(4);
         let cw = Path::from_vertices(&g, &[0, 1, 2]).unwrap();
         let ccw = Path::from_vertices(&g, &[0, 3, 2]).unwrap();
-        let mut b = RouteTableBuilder::new(4, 1);
-        b.push_pair(0, 2, &[(cw, 0.5), (ccw.clone(), 0.0)]);
-        let table = b.finish();
+        let table = table_of(&[((0, 2), vec![(&cw, 0.5), (&ccw, 0.0)])]);
         assert_eq!(table.path_ids(0, 2).unwrap().len(), 1);
         assert_eq!(table.cdf(0, 2).unwrap(), &[1.0]);
     }
@@ -399,14 +336,17 @@ mod tests {
         let g = generators::ring(4);
         let shared = Path::from_vertices(&g, &[1, 2]).unwrap();
         let longer = Path::from_vertices(&g, &[0, 1, 2]).unwrap();
-        let mut b = RouteTableBuilder::new(4, 1);
-        b.push_pair(0, 2, &[(longer, 1.0)]);
-        b.push_pair(1, 2, &[(shared.clone(), 1.0)]);
-        let table = b.finish();
+        // Committed out of pair order: the freeze indexes by (s, t).
+        let table = table_of(&[
+            ((1, 2), vec![(&shared, 1.0)]),
+            ((0, 2), vec![(&longer, 1.0)]),
+        ]);
         // Arena holds 2 distinct paths even though both pairs reference it.
         assert_eq!(table.store().len(), 2);
         assert_eq!(table.total_path_refs(), 2);
         assert!(table.flat_bytes() > 0);
+        let first = table.path_ids(0, 2).and_then(|ids| ids.first());
+        assert_eq!(first.map(|&id| table.store().materialize(id)), Some(longer));
     }
 
     #[test]
@@ -450,22 +390,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn out_of_order_pairs_are_rejected() {
-        let g = generators::ring(4);
-        let p01 = Path::from_vertices(&g, &[0, 1]).unwrap();
-        let p12 = Path::from_vertices(&g, &[1, 2]).unwrap();
-        let mut b = RouteTableBuilder::new(4, 1);
-        b.push_pair(1, 2, &[(p12, 1.0)]);
-        b.push_pair(0, 1, &[(p01, 1.0)]);
-    }
-
-    #[test]
     #[should_panic(expected = "finite and nonnegative")]
     fn negative_weights_are_rejected() {
         let g = generators::ring(4);
         let p = Path::from_vertices(&g, &[0, 1]).unwrap();
-        let mut b = RouteTableBuilder::new(4, 1);
-        b.push_pair(0, 1, &[(p, -0.5)]);
+        table_of(&[((0, 1), vec![(&p, -0.5)])]);
     }
 }

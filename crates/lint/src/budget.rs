@@ -7,7 +7,7 @@
 //! non-negative integer values. The emitter is byte-stable — sorted
 //! keys (via `BTreeMap`), two-space indent, trailing newline — so
 //! `--bless` produces minimal diffs and the file can be asserted
-//! byte-for-byte in tests. The same restricted [`Parser`] also reads
+//! byte-for-byte in tests. The same restricted `Parser` also reads
 //! `lint_contracts.json` (see [`crate::contracts`]).
 
 use crate::rules::ratchet::Counts;

@@ -3,11 +3,11 @@
 //! used by the traffic-engineering literature (SMORE `[KYY+18]`) and by
 //! experiments E4/E7.
 
-use crate::traits::{DistributionBuilder, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
-use ssor_graph::{EdgeId, Graph, Path, VertexId};
+use ssor_graph::{Distributions, EdgeId, Graph, Path, VertexId};
 
 /// One BFS tree per vertex, fanned out over rayon workers in
 /// source-index order (see [`bfs_trees_csr_batch`]); the shared
@@ -40,6 +40,14 @@ impl ShortestPathRouting {
             trees: all_source_bfs_trees(g),
         }
     }
+
+    /// The BFS-tree path `s -> t`.
+    fn path(&self, s: VertexId, t: VertexId) -> Path {
+        assert_ne!(s, t);
+        self.trees[s as usize]
+            .path_to(&self.graph, t)
+            .expect("connected")
+    }
 }
 
 impl ObliviousRouting for ShortestPathRouting {
@@ -48,20 +56,11 @@ impl ObliviousRouting for ShortestPathRouting {
     }
 
     fn sample_path(&self, s: VertexId, t: VertexId, _rng: &mut dyn RngCore) -> Path {
-        assert_ne!(s, t);
-        self.trees[s as usize]
-            .path_to(&self.graph, t)
-            .expect("connected")
+        self.path(s, t)
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
-        assert_ne!(s, t);
-        vec![(
-            self.trees[s as usize]
-                .path_to(&self.graph, t)
-                .expect("connected"),
-            1.0,
-        )]
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
+        out.push(&self.path(s, t), 1.0);
     }
 }
 
@@ -107,12 +106,13 @@ impl ObliviousRouting for KspRouting {
         ps.into_iter().nth(i).expect("index drawn from 0..len")
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
-        let ps = k_shortest_paths(&self.graph, s, t, self.k, &|_| 1.0);
-        assert!(!ps.is_empty(), "graph must be connected");
-        let w = 1.0 / ps.len() as f64;
-        ps.into_iter().map(|p| (p, w)).collect()
+        for p in &k_shortest_paths(&self.graph, s, t, self.k, &|_| 1.0) {
+            out.push(p, 1.0);
+        }
+        // Unit weights over `k` paths normalize to exactly `1 / k`.
+        out.normalize_open(s, t);
     }
 }
 
@@ -217,55 +217,40 @@ impl ObliviousRouting for EcmpRouting {
         Path::from_edges(&self.graph, s, &rev_edges).expect("DAG walk is a valid path")
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         // Enumerate shortest paths by DFS over the shortest-path DAG,
-        // capped at MAX_SUPPORT (then renormalized).
+        // capped at MAX_SUPPORT, then weight them uniformly.
         let dist = &self.trees[s as usize].dist;
-        let mut out: Vec<Path> = Vec::new();
-        let mut stack_edges: Vec<EdgeId> = Vec::new();
-        let mut stack_verts: Vec<VertexId> = vec![s];
         fn dfs(
             g: &Graph,
             dist: &[f64],
             t: VertexId,
             stack_verts: &mut Vec<VertexId>,
             stack_edges: &mut Vec<EdgeId>,
-            out: &mut Vec<Path>,
-            cap: usize,
+            out: &mut Distributions,
         ) {
-            if out.len() >= cap {
+            if out.open().len() >= EcmpRouting::MAX_SUPPORT {
                 return;
             }
             let cur = *stack_verts.last().expect("DFS stack seeded with s");
             if cur == t {
-                out.push(
-                    Path::from_edges(g, stack_verts[0], stack_edges)
-                        .expect("DFS follows graph adjacency"),
-                );
+                out.push_parts(stack_verts, stack_edges, 1.0);
                 return;
             }
             for a in g.neighbors(cur) {
                 if dist[a.to as usize] == dist[cur as usize] + 1.0 {
                     stack_verts.push(a.to);
                     stack_edges.push(a.edge);
-                    dfs(g, dist, t, stack_verts, stack_edges, out, cap);
+                    dfs(g, dist, t, stack_verts, stack_edges, out);
                     stack_verts.pop();
                     stack_edges.pop();
                 }
             }
         }
-        dfs(
-            &self.graph,
-            dist,
-            t,
-            &mut stack_verts,
-            &mut stack_edges,
-            &mut out,
-            Self::MAX_SUPPORT,
-        );
-        let w = 1.0 / out.len() as f64;
-        out.into_iter().map(|p| (p, w)).collect()
+        dfs(&self.graph, dist, t, &mut vec![s], &mut Vec::new(), out);
+        // Unit weights over `k` paths normalize to exactly `1 / k`.
+        out.normalize_open(s, t);
     }
 
     fn edge_marginals(&self, s: VertexId, t: VertexId) -> Vec<(EdgeId, f64)> {
@@ -357,21 +342,16 @@ impl ObliviousRouting for VlbRouting {
         self.via(s, w, t)
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         let n = self.graph.n();
         let w = 1.0 / n as f64;
-        let mut builder = DistributionBuilder::new();
         for mid in 0..n as VertexId {
-            builder.add(&self.via(s, mid, t), w);
+            out.push(&self.via(s, mid, t), w);
         }
-        let mut parts = builder.finish();
+        out.merge_open();
         // Renormalize the fp residue of summing n copies of 1/n.
-        let total: f64 = parts.iter().map(|(_, w)| w).sum();
-        for (_, w) in parts.iter_mut() {
-            *w /= total;
-        }
-        parts
+        out.normalize_open(s, t);
     }
 }
 

@@ -28,9 +28,8 @@
 //! slow-but-simple reference the per-source path is checked against.
 
 use crate::traits::{ObliviousRouting, TemplateStageStats};
-use rand::{Rng, RngCore};
 use ssor_flow::decompose::{decompose, EdgeFlow};
-use ssor_graph::{CsrLaplacian, Graph, Path, Preconditioner, VertexId};
+use ssor_graph::{CsrLaplacian, Distributions, Graph, Preconditioner, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -284,41 +283,19 @@ impl ObliviousRouting for ElectricalRouting {
         &self.graph
     }
 
-    fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
-        assert_ne!(s, t);
-        let dist = self.path_distribution(s, t);
-        let total: f64 = dist.iter().map(|(_, w)| w).sum();
-        let mut x = rng.gen::<f64>() * total;
-        for (p, w) in &dist {
-            x -= w;
-            if x <= 0.0 {
-                return p.clone();
-            }
-        }
-        // Floating-point residue landed past the end of the CDF: fall
-        // back to an explicit, NaN-safe max over the weights instead of
-        // whatever happens to be last in sort order.
-        dist.into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("electrical distribution is never empty")
-            .0
-    }
-
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         let flow = self.pair_flow(s, t);
-        let mut parts = decompose(&self.graph, flow, s, t, 1e-9);
-        // Numerical residue: renormalize to exactly 1.
-        let total: f64 = parts.iter().map(|(_, w)| w).sum();
-        assert!(total > 0.5, "electrical flow lost more than half its mass");
-        for (_, w) in parts.iter_mut() {
-            *w /= total;
+        for (p, w) in decompose(&self.graph, flow, s, t, 1e-9) {
+            out.push(&p, w);
         }
-        // `total_cmp`, not `partial_cmp().unwrap()`: a NaN weight out of
-        // a barely-converged CG solve must not panic the sort (it orders
-        // deterministically instead).
-        parts.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.edges().cmp(b.0.edges())));
-        parts
+        // Numerical residue: renormalize to exactly 1.
+        let total = out.normalize_open(s, t);
+        assert!(total > 0.5, "electrical flow lost more than half its mass");
+        out.sort_open_by(|store, a, b| {
+            b.1.total_cmp(&a.1)
+                .then(store.edges(a.0).cmp(store.edges(b.0)))
+        });
     }
 
     fn build_stats(&self) -> Option<TemplateStageStats> {

@@ -19,11 +19,11 @@
 //! matches Theorem 7.1, which is all the Section 7 construction in
 //! `ssor-core` uses.
 
-use crate::traits::{DistributionBuilder, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
-use ssor_graph::{Graph, Path, VertexId};
+use ssor_graph::{Distributions, Graph, Path, VertexId};
 
 /// Options for [`HopConstrainedRouting::build`].
 #[derive(Debug, Clone)]
@@ -142,18 +142,18 @@ impl ObliviousRouting for HopConstrainedRouting {
         self.path_via(s, t, i)
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         let feasible = self.feasible_landmarks(s, t);
         if feasible.is_empty() {
-            return vec![(self.fallback(s, t), 1.0)];
+            out.push(&self.fallback(s, t), 1.0);
+            return;
         }
         let w = 1.0 / feasible.len() as f64;
-        let mut acc = DistributionBuilder::new();
         for i in feasible {
-            acc.add(&self.path_via(s, t, i), w);
+            out.push(&self.path_via(s, t, i), w);
         }
-        acc.finish()
+        out.merge_open();
     }
 }
 

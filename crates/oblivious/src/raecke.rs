@@ -20,9 +20,9 @@
 //! [`TemplateStageStats`] (see [`RaeckeRouting::build_stats`]).
 
 use crate::frt::{sample_trees_for_metric, FrtTree, Metric, TreeRouting};
-use crate::traits::{DistributionBuilder, ObliviousRouting, TemplateStageStats};
+use crate::traits::{ObliviousRouting, TemplateStageStats};
 use rand::{Rng, RngCore};
-use ssor_graph::{par_ordered_map, EdgeLoads, Graph, Path, VertexId};
+use ssor_graph::{par_ordered_map, Distributions, EdgeLoads, Graph, Path, VertexId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -296,13 +296,12 @@ impl ObliviousRouting for RaeckeRouting {
         self.trees.last().unwrap().path(&self.graph, s, t)
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
-        let mut acc = DistributionBuilder::new();
         for (tr, &w) in self.trees.iter().zip(self.weights.iter()) {
-            acc.add(&tr.path(&self.graph, s, t), w);
+            out.push(&tr.path(&self.graph, s, t), w);
         }
-        acc.finish()
+        out.merge_open();
     }
 
     fn build_stats(&self) -> Option<TemplateStageStats> {

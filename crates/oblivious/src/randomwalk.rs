@@ -16,11 +16,11 @@
 //! and thread counts, and the engine can fingerprint builds the same
 //! way it does for FRT ensembles.
 
-use crate::traits::{DistributionBuilder, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
-use ssor_graph::{derive_seed, EdgeId, Graph, Path, VertexId};
+use ssor_graph::{derive_seed, Distributions, EdgeId, Graph, Path, VertexId};
 
 /// Stream tag decorrelating random-walk seeds from every other consumer
 /// of the same master seed (the engine's stream-tag discipline).
@@ -113,38 +113,17 @@ impl ObliviousRouting for RandomWalkRouting {
         &self.graph
     }
 
-    fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
-        assert_ne!(s, t);
-        // Sample from the fixed per-pair ensemble (the template the
-        // engine fingerprints), not a fresh walk: the caller's RNG picks
-        // *within* the distribution, it does not perturb its support.
-        let dist = self.path_distribution(s, t);
-        let total: f64 = dist.iter().map(|(_, w)| w).sum();
-        let mut x = rng.gen::<f64>() * total;
-        for (p, w) in &dist {
-            x -= w;
-            if x <= 0.0 {
-                return p.clone();
-            }
-        }
-        dist.into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("random-walk distribution is never empty")
-            .0
-    }
-
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         // Per-pair stream: tag ^ master, then source, then target — the
         // same nested derive_seed discipline as the FRT tree ensemble.
         let pair_seed = derive_seed(derive_seed(self.seed ^ RW_STREAM_TAG, s as u64), t as u64);
         let mut rng = StdRng::seed_from_u64(pair_seed);
         let w = 1.0 / self.walks as f64;
-        let mut builder = DistributionBuilder::new();
         let mut fallback_mass = 0.0;
         for _ in 0..self.walks {
             match self.walk(s, t, &mut rng) {
-                Some(p) => builder.add(&p, w),
+                Some(p) => out.push(&p, w),
                 None => fallback_mass += w,
             }
         }
@@ -152,15 +131,11 @@ impl ObliviousRouting for RandomWalkRouting {
             let p = self.trees[s as usize]
                 .path_to(&self.graph, t)
                 .expect("connected");
-            builder.add(&p, fallback_mass);
+            out.push(&p, fallback_mass);
         }
-        let mut parts = builder.finish();
+        out.merge_open();
         // Renormalize the fp residue of summing `walks` copies of 1/walks.
-        let total: f64 = parts.iter().map(|(_, w)| w).sum();
-        for (_, w) in parts.iter_mut() {
-            *w /= total;
-        }
-        parts
+        out.normalize_open(s, t);
     }
 }
 

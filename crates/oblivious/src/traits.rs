@@ -3,34 +3,60 @@
 //! An oblivious routing `R = {R(s, t)}` fixes, independently of the demand,
 //! a distribution over simple `(s, t)`-paths for every pair. The paper's
 //! semi-oblivious construction (Definition 5.2) only ever *samples* from
-//! `R(s, t)`, so that is the one required method; everything else
-//! (materializing distributions, exact congestion) has default
-//! implementations that concrete routings can specialize.
+//! `R(s, t)`. Writing `R(s, t)` into a [`Distributions`] sink is the one
+//! required method; everything else (sampling, materializing
+//! distributions, exact congestion) has default implementations that
+//! concrete routings can specialize.
 
-use rand::RngCore;
-use ssor_flow::{Demand, Routing};
-use ssor_graph::{EdgeId, EdgeLoads, Graph, Path, PathStore, VertexId};
+use rand::{Rng, RngCore};
+use ssor_flow::Demand;
+use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, Path, VertexId};
 
 /// An oblivious routing over a fixed graph.
 ///
 /// Implementations must guarantee that [`sample_path`](Self::sample_path)
 /// returns a *simple* path from `s` to `t`, and that
-/// [`path_distribution`](Self::path_distribution) returns the exact (finite)
-/// distribution that `sample_path` draws from.
+/// [`write_distribution`](Self::write_distribution) writes the exact
+/// (finite) distribution that `sample_path` draws from.
 pub trait ObliviousRouting {
     /// The graph this routing is defined over.
     fn graph(&self) -> &Graph;
 
-    /// Draws one path from `R(s, t)`.
+    /// Draws one path from `R(s, t)`. The default scans the written
+    /// distribution with one deviate ([`Distributions::sample_open`]), so
+    /// the caller's RNG picks *within* a fixed support; templates with a
+    /// cheaper exact sampler override it.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `s == t` or vertices are out of range.
-    fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path;
+    fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
+        written(self, s, t)
+            .sample_open(rng.gen::<f64>())
+            .expect("R(s, t) is never empty")
+    }
 
-    /// The full distribution `R(s, t)` as `(path, probability)` pairs with
-    /// probabilities summing to 1. Identical paths must be merged.
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)>;
+    /// Pushes `R(s, t)` onto `out`'s (empty) open run as `(path,
+    /// probability)` entries summing to 1 up to float residue, identical
+    /// paths merged, in the template's canonical order. Callers then
+    /// [`Distributions::commit`] it or read it raw.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `s == t` or vertices are out of range.
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions);
+
+    /// The full distribution `R(s, t)` as owned `(path, probability)`
+    /// pairs — the boundary accessor, materializing exactly what
+    /// [`write_distribution`](Self::write_distribution) writes.
+    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+        let out = written(self, s, t);
+        let store = out.store();
+        out.open()
+            .iter()
+            .map(|&(id, w)| (store.materialize(id), w))
+            .collect()
+    }
 
     /// Marginal edge probabilities `P[e in R(s, t)]`, sparse.
     ///
@@ -40,13 +66,14 @@ pub trait ObliviousRouting {
     /// edge-id order; routings with huge supports (e.g. ECMP) can
     /// override with closed-form marginals.
     fn edge_marginals(&self, s: VertexId, t: VertexId) -> Vec<(EdgeId, f64)> {
+        let out = written(self, s, t);
         let mut acc: Vec<(EdgeId, f64)> = Vec::new();
-        for (p, w) in self.path_distribution(s, t) {
-            acc.extend(p.edges().iter().map(|&e| (e, w)));
+        for &(id, w) in out.open() {
+            acc.extend(out.store().edges(id).iter().map(|&e| (e, w)));
         }
-        // Stable sort: entries sharing an edge keep path_distribution
-        // order, so the per-edge f64 summation order (and with it the
-        // last bit of every marginal) is pinned across toolchains.
+        // Stable sort: entries sharing an edge keep distribution order,
+        // so the per-edge f64 summation order (and with it the last bit
+        // of every marginal) is pinned across toolchains.
         acc.sort_by_key(|&(e, _)| e);
         let mut out: Vec<(EdgeId, f64)> = Vec::new();
         for (e, w) in acc {
@@ -56,15 +83,6 @@ pub trait ObliviousRouting {
             }
         }
         out
-    }
-
-    /// Materializes `R` on the support of `d` as a [`Routing`].
-    fn routing_for(&self, d: &Demand) -> Routing {
-        let mut r = Routing::new();
-        for (s, t) in d.support() {
-            r.set_distribution(s, t, self.path_distribution(s, t));
-        }
-        r
     }
 
     /// Exact `cong(R, d)` (Section 4), computed from edge marginals.
@@ -82,9 +100,10 @@ pub trait ObliviousRouting {
     fn dilation(&self, d: &Demand) -> usize {
         let mut best = 0;
         for ((s, t), _) in d.iter() {
-            for (p, w) in self.path_distribution(s, t) {
+            let out = written(self, s, t);
+            for &(id, w) in out.open() {
                 if w > 0.0 {
-                    best = best.max(p.hop());
+                    best = best.max(out.store().hop(id));
                 }
             }
         }
@@ -168,108 +187,47 @@ impl TemplateStageStats {
     }
 }
 
-/// Accumulates weighted path draws into an exact, deduplicated
-/// distribution — the one flow-accumulation loop shared by every template
-/// whose `R(s, t)` is "enumerate deterministic sub-routings and merge
-/// identical paths" (Räcke tree mixtures, Valiant intermediates,
-/// hop-constrained landmarks).
-///
-/// Identical paths are collapsed through a [`PathStore`] arena: each
-/// `add` interns once (hash + id compare) and accumulates into a dense
-/// per-id weight table, replacing the former per-template
-/// `HashMap<Vec<u32>, (Path, f64)>` accumulators. [`finish`] materializes
-/// the merged support sorted by edge sequence, the canonical order
-/// `path_distribution` implementations promise.
-///
-/// [`finish`]: DistributionBuilder::finish
-///
-/// # Examples
-///
-/// ```
-/// use ssor_graph::{Graph, Path};
-/// use ssor_oblivious::DistributionBuilder;
-///
-/// let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-/// let direct = Path::from_vertices(&g, &[0, 2]).unwrap();
-/// let detour = Path::from_vertices(&g, &[0, 1, 2]).unwrap();
-/// let mut acc = DistributionBuilder::new();
-/// acc.add(&direct, 0.25);
-/// acc.add(&detour, 0.5);
-/// acc.add(&direct, 0.25); // merges with the first draw
-/// let dist = acc.finish();
-/// assert_eq!(dist.len(), 2);
-/// assert_eq!(dist.iter().map(|(_, w)| w).sum::<f64>(), 1.0);
-/// ```
-#[derive(Debug, Default)]
-pub struct DistributionBuilder {
-    store: PathStore,
-    weights: Vec<f64>,
-}
-
-impl DistributionBuilder {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        DistributionBuilder::default()
-    }
-
-    /// Adds one draw of `path` with probability mass `w` (merging with
-    /// any previous draws of the same path).
-    pub fn add(&mut self, path: &Path, w: f64) {
-        let id = self.store.intern(path);
-        if id.index() == self.weights.len() {
-            self.weights.push(w);
-        } else {
-            self.weights[id.index()] += w;
-        }
-    }
-
-    /// The merged `(path, probability)` support, sorted by edge sequence.
-    pub fn finish(self) -> Vec<(Path, f64)> {
-        let mut out: Vec<(Path, f64)> = self
-            .store
-            .ids()
-            .zip(self.weights)
-            .map(|(id, w)| (self.store.materialize(id), w))
-            .collect();
-        out.sort_by(|a, b| a.0.edges().cmp(b.0.edges()));
-        out
-    }
+/// `R(s, t)` written onto the open run of a fresh sink.
+fn written<O: ObliviousRouting + ?Sized>(r: &O, s: VertexId, t: VertexId) -> Distributions {
+    let mut out = Distributions::new();
+    r.write_distribution(s, t, &mut out);
+    out
 }
 
 /// Checks the structural contract of an implementation on the given pairs:
-/// simple valid paths with correct endpoints, probabilities summing to 1.
-/// Intended for tests.
+/// simple valid paths with correct endpoints, no path listed twice,
+/// positive probabilities summing to 1. Intended for tests.
 pub fn validate_oblivious_routing<O: ObliviousRouting + ?Sized>(
     routing: &O,
     pairs: &[(VertexId, VertexId)],
 ) -> Result<(), String> {
     let g = routing.graph();
     for &(s, t) in pairs {
-        let dist = routing.path_distribution(s, t);
-        if dist.is_empty() {
-            return Err(format!("empty distribution for ({s}, {t})"));
+        let out = written(routing, s, t);
+        let (store, run) = (out.store(), out.open());
+        let total: f64 = run.iter().map(|&(_, w)| w).sum();
+        if run.is_empty() || (total - 1.0).abs() > 1e-6 {
+            let k = run.len();
+            return Err(format!(
+                "({s}, {t}): {k} paths, probabilities sum to {total}"
+            ));
         }
-        let total: f64 = dist.iter().map(|(_, w)| w).sum();
-        if (total - 1.0).abs() > 1e-6 {
-            return Err(format!("({s}, {t}): probabilities sum to {total}"));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for (p, w) in &dist {
-            if *w <= 0.0 {
-                return Err(format!("({s}, {t}): nonpositive weight {w}"));
-            }
-            if p.source() != s || p.target() != t {
-                return Err(format!("({s}, {t}): path endpoints {:?}", p));
-            }
-            if !p.is_valid(g) {
-                return Err(format!("({s}, {t}): invalid path {:?}", p));
-            }
-            if !p.is_simple() {
-                return Err(format!("({s}, {t}): non-simple path {:?}", p));
-            }
-            if !seen.insert(p.edges().to_vec()) {
-                return Err(format!("({s}, {t}): duplicate path {:?}", p));
-            }
+        for (i, &(id, w)) in run.iter().enumerate() {
+            let problem = if w <= 0.0 {
+                "nonpositive weight"
+            } else if store.source(id) != s || store.target(id) != t {
+                "wrong endpoints"
+            } else if !store.is_valid(id, g) {
+                "invalid path"
+            } else if !store.is_simple(id) {
+                "non-simple path"
+            } else if run.iter().take(i).any(|&(seen, _)| seen == id) {
+                "duplicate path"
+            } else {
+                continue;
+            };
+            let p = store.materialize(id);
+            return Err(format!("({s}, {t}): {problem} {p:?} (weight {w})"));
         }
     }
     Ok(())

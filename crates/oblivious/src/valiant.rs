@@ -10,10 +10,10 @@
 //! bit-reversal or transpose permutations its congestion is `Θ(sqrt(n))`
 //! `[KKT91]`, which experiment E4 regenerates.
 
-use crate::traits::{DistributionBuilder, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 
-use ssor_graph::{generators, Graph, Path, VertexId};
+use ssor_graph::{generators, Distributions, Graph, Path, VertexId};
 
 /// Greedy bit-fixing vertex sequence from `s` to `t` (ascending bit order).
 fn bit_fix_vertices(s: VertexId, t: VertexId, dim: u32) -> Vec<VertexId> {
@@ -87,15 +87,14 @@ impl ObliviousRouting for ValiantRouting {
         self.path_via(s, t, w)
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         let n = 1u32 << self.dim;
-        let mut acc = DistributionBuilder::new();
         let w_prob = 1.0 / n as f64;
         for w in 0..n {
-            acc.add(&self.path_via(s, t, w), w_prob);
+            out.push(&self.path_via(s, t, w), w_prob);
         }
-        acc.finish()
+        out.merge_open();
     }
 }
 
@@ -134,9 +133,9 @@ impl ObliviousRouting for BitFixingRouting {
         self.path(s, t)
     }
 
-    fn path_distribution(&self, s: VertexId, t: VertexId) -> Vec<(Path, f64)> {
+    fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
-        vec![(self.path(s, t), 1.0)]
+        out.push(&self.path(s, t), 1.0);
     }
 }
 

@@ -11,15 +11,16 @@
 //!    batches (for different `N`, and with a live background rebuilder)
 //!    must produce replies that replay bit-exactly from each reply's
 //!    recorded generation;
-//! 3. flatten exactness — a proptest that the [`RouteTable`] CDFs and
-//!    sampling agree *bitwise* with the reference normalization in
-//!    `Routing::set_distribution` on random graphs (the serving snapshot
+//! 3. freeze exactness — a proptest that a [`RouteTable`] frozen from a
+//!    `Routing`'s distributions has CDFs equal *bitwise* to the prefix
+//!    sums of the routing's normalized weights, and samples the same
+//!    paths as a reference scan, on random graphs (the serving snapshot
 //!    is the same distribution, only flattened).
 
 use proptest::prelude::*;
 use ssor::engine::{PathSystemCache, Pipeline, TemplateSpec, TopologySpec};
 use ssor::flow::Routing;
-use ssor::graph::{generators, Path, RouteTable, RouteTableBuilder, VertexId};
+use ssor::graph::{generators, Path, RouteTable, VertexId};
 use ssor::serve::{
     answer_batch_on, churned_source, BatchOutcome, ChurnModel, EpochCell, QueryPlane, Rebuilder,
     Request,
@@ -171,9 +172,9 @@ fn live_rebuilder_stress_stays_replayable() {
     assert!(seen.len() >= 2, "stress never observed a swap");
 }
 
-/// Reference selection mirroring `Routing`'s sampling arithmetic: `x`
-/// scaled by the left-to-right weight total, first prefix reaching `x`,
-/// clamped to the last entry.
+/// Reference selection over a run's normalized weights: `x` scaled by
+/// the left-to-right weight total, first prefix reaching `x`, clamped
+/// to the last entry.
 fn reference_pick(weights: &[f64], u: f64) -> usize {
     let total: f64 = weights.iter().sum();
     let x = u * total;
@@ -188,11 +189,11 @@ fn reference_pick(weights: &[f64], u: f64) -> usize {
 }
 
 proptest! {
-    /// On random connected-enough graphs, the flattened [`RouteTable`]
-    /// must agree with [`Routing::set_distribution`] *bitwise*: same
-    /// surviving support, CDF entries equal to the prefix sums of the
-    /// normalized weights, and every sampled deviate selecting the same
-    /// path as the reference scan.
+    /// On random connected-enough graphs, a [`RouteTable`] frozen from a
+    /// [`Routing`]'s distributions must agree with the routing *bitwise*:
+    /// same surviving support, CDF entries equal to the prefix sums of
+    /// the normalized weights, and every sampled deviate selecting the
+    /// same path as the reference scan.
     #[test]
     fn flattened_sampling_matches_routing_reference(
         n in 4usize..12,
@@ -206,7 +207,6 @@ proptest! {
         // Random per-pair distributions over up to 3 shortest paths,
         // including zero weights (dropped only after the total).
         let mut routing = Routing::new();
-        let mut builder = RouteTableBuilder::new(n, 1);
         let mut pushed = Vec::new();
         for s in 0..n as VertexId {
             for t in 0..n as VertexId {
@@ -229,38 +229,39 @@ proptest! {
                         (path, w)
                     })
                     .collect();
-                routing.set_distribution(s, t, dist.clone());
-                builder.push_pair(s, t, &dist);
-                pushed.push((s, t));
+                let kept = dist.iter().filter(|(_, w)| *w > 0.0).count();
+                routing.set_distribution(s, t, dist);
+                pushed.push((s, t, kept));
             }
         }
         prop_assume!(!pushed.is_empty());
-        let table = builder.finish();
+        let table = RouteTable::freeze(n, 1, routing.distributions().clone());
 
-        for &(s, t) in &pushed {
+        for &(s, t, kept) in &pushed {
             let reference = routing.distribution(s, t).unwrap();
             let ids = table.path_ids(s, t).unwrap();
             let cdf = table.cdf(s, t).unwrap();
             prop_assert_eq!(ids.len(), reference.len(), "support mismatch at ({}, {})", s, t);
+            prop_assert_eq!(ids.len(), kept, "zero weights not dropped at ({}, {})", s, t);
 
             // CDF = prefix sums of the reference's normalized weights,
             // bitwise (same left-to-right order, same arithmetic).
             let mut acc = 0.0f64;
-            for (k, wp) in reference.iter().enumerate() {
-                acc += wp.weight;
+            for (k, &(id, w)) in reference.iter().enumerate() {
+                acc += w;
                 prop_assert_eq!(
                     cdf[k].to_bits(), acc.to_bits(),
                     "cdf[{}] diverges at ({}, {})", k, s, t
                 );
                 // The flattened entry is the same path.
                 prop_assert_eq!(
-                    &table.store().materialize(ids[k]), &wp.path,
+                    table.store().materialize(ids[k]), routing.store().materialize(id),
                     "path {} diverges at ({}, {})", k, s, t
                 );
             }
 
             // Sampling: random deviates plus the exact boundaries.
-            let weights: Vec<f64> = reference.iter().map(|wp| wp.weight).collect();
+            let weights: Vec<f64> = reference.iter().map(|&(_, w)| w).collect();
             let mut deviates: Vec<f64> = (0..16).map(|_| rng.gen::<f64>()).collect();
             deviates.extend(cdf.iter().copied().filter(|u| *u < 1.0));
             deviates.push(0.0);
