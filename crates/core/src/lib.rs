@@ -62,4 +62,4 @@ pub mod special;
 pub mod weak;
 
 pub use path_system::PathSystem;
-pub use router::{CompetitiveReport, SemiObliviousRouter};
+pub use router::{CompetitiveReport, RouterError, SemiObliviousRouter};

@@ -191,13 +191,20 @@ impl PathSystem {
 
     /// Validates every path against `g` (without materializing).
     pub fn is_valid(&self, g: &Graph) -> bool {
-        self.per_pair.iter().all(|(&(s, t), ids)| {
-            ids.iter().all(|&id| {
+        self.first_invalid_pair(g).is_none()
+    }
+
+    /// The first pair (in pair order) holding a path that is not a
+    /// simple `s → t` walk in `g`, or `None` when every path is valid.
+    pub fn first_invalid_pair(&self, g: &Graph) -> Option<(VertexId, VertexId)> {
+        self.per_pair.iter().find_map(|(&(s, t), ids)| {
+            let valid = ids.iter().all(|&id| {
                 self.store.source(id) == s
                     && self.store.target(id) == t
                     && self.store.is_valid(id, g)
                     && self.store.is_simple(id)
-            })
+            });
+            (!valid).then_some((s, t))
         })
     }
 

@@ -14,10 +14,15 @@ use ssor_flow::solver::{
     min_congestion_restricted, min_congestion_unrestricted, MinCongSolution, SolveOptions,
 };
 use ssor_flow::Demand;
-use ssor_graph::Graph;
+use ssor_graph::{Graph, VertexId};
+use std::sync::Arc;
 
 /// A semi-oblivious routing ready to serve demands: a graph plus a path
 /// system (Definition 5.1).
+///
+/// Both halves are installed state, shared by [`Arc`]: a clone costs two
+/// pointer copies, and every constructor validates the path system
+/// against the graph exactly once, so a clone is never re-checked.
 ///
 /// # Examples
 ///
@@ -37,9 +42,37 @@ use ssor_graph::Graph;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SemiObliviousRouter {
-    graph: Graph,
-    paths: PathSystem,
+    graph: Arc<Graph>,
+    paths: Arc<PathSystem>,
 }
+
+/// Why [`SemiObliviousRouter::try_new`] rejected a path system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouterError {
+    /// Some path of `P(source, target)` is not a simple
+    /// `source → target` walk in the graph. Names the first such pair,
+    /// in pair order.
+    InvalidPath {
+        /// Source of the first invalid pair.
+        source: VertexId,
+        /// Target of the first invalid pair.
+        target: VertexId,
+    },
+}
+
+impl std::fmt::Display for RouterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RouterError::InvalidPath { source, target } => write!(
+                f,
+                "path system invalid for graph: a path of pair ({source}, {target}) \
+                 is not a simple walk between them"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RouterError {}
 
 /// A competitive-ratio report (Stage 5).
 #[derive(Debug, Clone)]
@@ -57,14 +90,45 @@ pub struct CompetitiveReport {
 }
 
 impl SemiObliviousRouter {
+    /// Wraps a graph and a path system, owned or already shared.
+    ///
+    /// This is the one validation point: every path must be a simple
+    /// walk in `graph` between its pair's endpoints.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ssor_core::{PathSystem, RouterError, SemiObliviousRouter};
+    /// use ssor_graph::{generators, Path};
+    ///
+    /// let ring = generators::ring(6);
+    /// let mut ps = PathSystem::new();
+    /// ps.insert(Path::from_vertices(&ring, &[4, 5]).unwrap());
+    /// assert!(SemiObliviousRouter::try_new(ring, ps.clone()).is_ok());
+    /// // Vertex 5 does not exist on a 4-ring.
+    /// let err = SemiObliviousRouter::try_new(generators::ring(4), ps).unwrap_err();
+    /// assert_eq!(err, RouterError::InvalidPath { source: 4, target: 5 });
+    /// ```
+    pub fn try_new(
+        graph: impl Into<Arc<Graph>>,
+        paths: impl Into<Arc<PathSystem>>,
+    ) -> Result<Self, RouterError> {
+        let (graph, paths) = (graph.into(), paths.into());
+        match paths.first_invalid_pair(&graph) {
+            Some((source, target)) => Err(RouterError::InvalidPath { source, target }),
+            None => Ok(SemiObliviousRouter { graph, paths }),
+        }
+    }
+
     /// Wraps a graph and a path system.
     ///
     /// # Panics
     ///
-    /// Panics if the path system contains a path invalid for `graph`.
+    /// Panics if the path system contains a path invalid for `graph`
+    /// (use [`SemiObliviousRouter::try_new`] to handle that as an
+    /// error).
     pub fn new(graph: Graph, paths: PathSystem) -> Self {
-        assert!(paths.is_valid(&graph), "path system invalid for graph");
-        SemiObliviousRouter { graph, paths }
+        Self::try_new(graph, paths).expect("path system invalid for graph")
     }
 
     /// The graph.
@@ -74,6 +138,16 @@ impl SemiObliviousRouter {
 
     /// The path system.
     pub fn paths(&self) -> &PathSystem {
+        &self.paths
+    }
+
+    /// The shared graph allocation.
+    pub fn shared_graph(&self) -> &Arc<Graph> {
+        &self.graph
+    }
+
+    /// The shared path-system allocation.
+    pub fn shared_paths(&self) -> &Arc<PathSystem> {
         &self.paths
     }
 
@@ -216,6 +290,42 @@ mod tests {
         let router = SemiObliviousRouter::new(g, ps);
         assert!(router.covers(&Demand::from_pairs(&[(0, 1)])));
         assert!(!router.covers(&Demand::from_pairs(&[(1, 3)])));
+    }
+
+    #[test]
+    fn invalid_path_system_is_a_typed_error() {
+        // Valid on the 6-ring. The other graph keeps the ring's edge ids
+        // except edge 2, which joins 2-1 instead of 2-3.
+        let ring = generators::ring(6);
+        let mut ps = PathSystem::new();
+        let walks: [&[VertexId]; 4] = [&[0, 1], &[2, 3, 4], &[5, 0], &[3, 4, 5]];
+        for walk in walks {
+            ps.insert(Path::from_vertices(&ring, walk).expect("a ring walk"));
+        }
+        let other = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 1), (3, 4), (4, 5), (5, 0)]);
+        let err = SemiObliviousRouter::try_new(other.clone(), ps.clone()).unwrap_err();
+        assert_eq!(
+            err,
+            RouterError::InvalidPath {
+                source: 2,
+                target: 4
+            }
+        );
+        assert!(err.to_string().contains("(2, 4)"), "{err}");
+        // The panicking constructor still panics.
+        let caught = std::panic::catch_unwind(|| SemiObliviousRouter::new(other, ps));
+        assert!(caught.is_err());
+    }
+
+    #[test]
+    fn clones_share_the_installed_state() {
+        let r = ValiantRouting::new(3);
+        let mut rng = StdRng::seed_from_u64(8);
+        let ps = alpha_sample(&r, &all_pairs(8), 2, &mut rng);
+        let router = SemiObliviousRouter::new(r.graph().clone(), ps);
+        let copy = router.clone();
+        assert!(Arc::ptr_eq(router.shared_graph(), copy.shared_graph()));
+        assert!(Arc::ptr_eq(router.shared_paths(), copy.shared_paths()));
     }
 
     #[test]

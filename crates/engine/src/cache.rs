@@ -7,9 +7,14 @@
 //! on `(topology, demand)`, not on `α` at all. [`PathSystemCache`] memoizes
 //! all four stages behind hashable spec keys, so an 8-point `α`-sweep pays
 //! for its graphs, templates, and OPT baselines exactly once.
+//!
+//! Sampled path systems are stored as validated
+//! [`SemiObliviousRouter`]s: a path system is checked against its graph
+//! once, when it is inserted, and every hit hands out the same `Arc`s.
 
 use crate::spec::{DemandSpec, TemplateSpec, TopologySpec};
-use ssor_core::PathSystem;
+use ssor_core::{PathSystem, SemiObliviousRouter};
+use ssor_graph::Graph;
 use ssor_lowerbound::graphs::CGraphMeta;
 use ssor_oblivious::{ObliviousRouting, TemplateStageStats};
 use std::collections::HashMap;
@@ -21,8 +26,9 @@ use std::time::{Duration, Instant};
 pub type SharedTemplate = Arc<dyn ObliviousRouting + Send + Sync>;
 
 /// A built graph together with its lower-bound gadget metadata (when the
-/// topology has any).
-pub type SharedGraph = Arc<(ssor_graph::Graph, Option<CGraphMeta>)>;
+/// topology has any). The graph is itself shared, so the routers built
+/// on it point at the same allocation.
+pub type SharedGraph = Arc<(Arc<Graph>, Option<CGraphMeta>)>;
 
 /// The issue's cache key for a sampled path system:
 /// `(topology, template, α, seed)`.
@@ -59,7 +65,9 @@ pub struct CacheStats {
 /// Path systems are keyed by `(topology, template, α, seed)` — the
 /// complete provenance of a Definition 5.2 sample — so sweeps over `α` or
 /// demands never re-sample, and repeated runs of the same configuration
-/// are free.
+/// are free. Each one is validated against its topology's graph once,
+/// on insert, and stored as a [`SemiObliviousRouter`]; a hit is pointer
+/// copies.
 ///
 /// The cache is internally synchronized: share one instance (by reference
 /// or `Arc`) across every pipeline of a sweep.
@@ -76,13 +84,13 @@ pub struct CacheStats {
 /// let first = p.prepare(&cache);
 /// let again = p.prepare(&cache);
 /// // Same key -> the identical cached path system, not a re-sample.
-/// assert_eq!(first.paths().total_paths(), again.paths().total_paths());
+/// assert!(std::ptr::eq(first.paths(), again.paths()));
 /// assert!(cache.stats().hits > 0);
 /// ```
 pub struct PathSystemCache {
     graphs: Mutex<HashMap<TopologySpec, Entry<SharedGraph>>>,
     templates: Mutex<HashMap<(TopologySpec, TemplateSpec, u64), Entry<SharedTemplate>>>,
-    paths: Mutex<HashMap<PathKey, Entry<Arc<PathSystem>>>>,
+    routers: Mutex<HashMap<PathKey, Entry<SemiObliviousRouter>>>,
     opt: Mutex<HashMap<OptKey, Entry<OptBounds>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -112,7 +120,7 @@ impl Default for PathSystemCache {
         PathSystemCache {
             graphs: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
-            paths: Mutex::new(HashMap::new()),
+            routers: Mutex::new(HashMap::new()),
             opt: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -284,7 +292,10 @@ impl PathSystemCache {
             &self.generation,
             usize::MAX,
             topo.clone(),
-            || Arc::new(topo.build()),
+            || {
+                let (graph, meta) = topo.build();
+                Arc::new((Arc::new(graph), meta))
+            },
         )
         .0
     }
@@ -338,6 +349,11 @@ impl PathSystemCache {
     /// The sampled path system for `(topo, template, alpha, seed)`,
     /// computing it with `sample` on a miss.
     ///
+    /// # Panics
+    ///
+    /// Panics if `sample` returns a path system invalid for the
+    /// topology's graph; the invalid system is never inserted.
+    ///
     /// # Examples
     ///
     /// ```
@@ -350,7 +366,7 @@ impl PathSystemCache {
     /// let key_template = TemplateSpec::ShortestPath;
     /// let a = cache.paths(&topo, &key_template, 2, 0, || Arc::new(PathSystem::new()));
     /// let b = cache.paths(&topo, &key_template, 2, 0, || panic!("cached"));
-    /// assert_eq!(a.total_paths(), b.total_paths());
+    /// assert!(Arc::ptr_eq(&a, &b));
     /// ```
     pub fn paths(
         &self,
@@ -360,9 +376,28 @@ impl PathSystemCache {
         seed: u64,
         sample: impl FnOnce() -> Arc<PathSystem>,
     ) -> Arc<PathSystem> {
+        Arc::clone(
+            self.router(topo, template, alpha, seed, sample)
+                .shared_paths(),
+        )
+    }
+
+    /// The validated router over the sampled path system for
+    /// `(topo, template, alpha, seed)`: the store behind
+    /// [`PathSystemCache::paths`]. On a miss, `sample` runs and its
+    /// result is validated against the topology's graph, once, before
+    /// it is inserted.
+    pub(crate) fn router(
+        &self,
+        topo: &TopologySpec,
+        template: &TemplateSpec,
+        alpha: usize,
+        seed: u64,
+        sample: impl FnOnce() -> Arc<PathSystem>,
+    ) -> SemiObliviousRouter {
         let key = (topo.clone(), template.clone(), alpha, seed);
         get_or_compute(
-            &self.paths,
+            &self.routers,
             &self.hits,
             &self.misses,
             &self.evictions,
@@ -370,7 +405,11 @@ impl PathSystemCache {
             &self.generation,
             self.capacity,
             key,
-            sample,
+            || {
+                let graph = self.graph(topo);
+                SemiObliviousRouter::try_new(Arc::clone(&graph.0), sample())
+                    .expect("cache fill returned a path system invalid for its topology")
+            },
         )
         .0
     }

@@ -8,7 +8,7 @@
 //! this type; none of them hand-roll the stage plumbing anymore.
 
 use crate::cache::{
-    OptBounds, PathSystemCache, SharedTemplate, TemplateBuildStats, TemplateBuilder,
+    OptBounds, PathSystemCache, SharedGraph, SharedTemplate, TemplateBuildStats, TemplateBuilder,
 };
 use crate::sampling::{mix, par_alpha_sample};
 use crate::spec::{DemandSpec, ResolveCtx, StreamModel, TemplateSpec, TopologySpec};
@@ -27,7 +27,6 @@ use ssor_flow::solver::{
 };
 use ssor_flow::{Demand, SolveOptions};
 use ssor_graph::{derive_seed, par_ordered_map, EdgeId, Graph, SubTopology};
-use ssor_lowerbound::graphs::CGraphMeta;
 use ssor_sim::{simulate_routing, SimConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -451,7 +450,9 @@ impl Pipeline {
             Objective::Congestion => {
                 let (template, template_stats) =
                     TemplateBuilder::new(cache).build(&self.topology, &self.template, self.seed);
-                let paths = cache.paths(
+                // A hit clones the cached, already-validated router: two
+                // pointer copies, no path is re-checked.
+                let router = cache.router(
                     &self.topology,
                     &self.template,
                     self.alpha,
@@ -466,17 +467,12 @@ impl Pipeline {
                         ))
                     },
                 );
-                let router = PreparedRouter::Semi(SemiObliviousRouter::new(
-                    graph_and_meta.0.clone(),
-                    (*paths).clone(),
-                ));
                 PreparedPipeline {
                     pipeline: self.clone(),
                     graph_and_meta,
                     template: Some(template),
                     template_stats: Some(template_stats),
-                    paths,
-                    router,
+                    router: PreparedRouter::Semi(router),
                 }
             }
             // The Section 7 ladder builds its own per-hop-scale routings
@@ -493,14 +489,12 @@ impl Pipeline {
                 let n = graph_and_meta.0.n();
                 let comp =
                     CompletionTimeRouter::build(&graph_and_meta.0, &all_pairs(n), &opts, &mut rng);
-                let paths = Arc::new(comp.path_system().clone());
                 PreparedPipeline {
                     pipeline: self.clone(),
                     graph_and_meta,
                     template: None,
                     template_stats: None,
-                    paths,
-                    router: PreparedRouter::Completion(comp),
+                    router: PreparedRouter::Completion(Box::new(comp)),
                 }
             }
         }
@@ -868,7 +862,7 @@ impl Pipeline {
 /// Which router stage 4 uses.
 enum PreparedRouter {
     Semi(SemiObliviousRouter),
-    Completion(CompletionTimeRouter),
+    Completion(Box<CompletionTimeRouter>),
 }
 
 /// Stages 1–3, executed: graph + template + sampled path system, ready
@@ -889,13 +883,13 @@ enum PreparedRouter {
 /// ```
 pub struct PreparedPipeline {
     pipeline: Pipeline,
-    graph_and_meta: Arc<(Graph, Option<CGraphMeta>)>,
+    graph_and_meta: SharedGraph,
     /// `None` under [`Objective::CompletionTime`], which builds its own
     /// hop-ladder routings instead of sampling a template.
     template: Option<SharedTemplate>,
     /// What the stage-2 build cost (`None` when no template was built).
     template_stats: Option<TemplateBuildStats>,
-    paths: Arc<PathSystem>,
+    /// Stage 4, which also owns the stage-3 path system.
     router: PreparedRouter,
 }
 
@@ -964,7 +958,8 @@ impl PreparedPipeline {
         ))
     }
 
-    /// The sampled path system (stage 3).
+    /// The sampled path system (stage 3): the router's own, or the
+    /// completion-time ladder's union.
     ///
     /// # Examples
     ///
@@ -977,7 +972,10 @@ impl PreparedPipeline {
     /// assert_eq!(p.paths().len(), 56);
     /// ```
     pub fn paths(&self) -> &PathSystem {
-        &self.paths
+        match &self.router {
+            PreparedRouter::Semi(r) => r.paths(),
+            PreparedRouter::Completion(comp) => comp.path_system(),
+        }
     }
 
     /// The stage-4 semi-oblivious router (congestion objective only).
@@ -1017,7 +1015,7 @@ impl PreparedPipeline {
     pub fn resolve(&self, spec: &DemandSpec) -> Demand {
         let ctx = ResolveCtx::new(&self.pipeline.topology, &self.graph_and_meta.0).with_paths(
             self.graph_and_meta.1.as_ref(),
-            &self.paths,
+            self.paths(),
             self.pipeline.alpha,
         );
         spec.resolve(&ctx)

@@ -6,8 +6,31 @@
 //! matters.
 
 use crate::graph::{EdgeId, Graph, VertexId};
-use std::collections::HashSet;
 use std::fmt;
+
+/// Whether no vertex repeats in `vertices` — the one simplicity test
+/// behind [`Path::is_simple`] and
+/// [`PathStore::is_simple`](crate::PathStore::is_simple).
+///
+/// A quadratic scan that never allocates: paths are short, so it beats a
+/// hash set on every slice a path system holds.
+///
+/// # Examples
+///
+/// ```
+/// assert!(ssor_graph::all_distinct(&[0, 3, 1]));
+/// assert!(!ssor_graph::all_distinct(&[0, 3, 0]));
+/// ```
+pub fn all_distinct(vertices: &[VertexId]) -> bool {
+    let mut rest = vertices;
+    while let Some((v, tail)) = rest.split_first() {
+        if tail.contains(v) {
+            return false;
+        }
+        rest = tail;
+    }
+    true
+}
 
 /// A walk in a graph: alternating vertices and edge ids.
 ///
@@ -129,8 +152,7 @@ impl Path {
 
     /// Whether no vertex repeats.
     pub fn is_simple(&self) -> bool {
-        let mut seen = HashSet::with_capacity(self.vertices.len());
-        self.vertices.iter().all(|v| seen.insert(*v))
+        all_distinct(&self.vertices)
     }
 
     /// Whether the path uses edge `e`.

@@ -199,9 +199,7 @@ impl PathStore {
 
     /// Whether no vertex repeats along `id`.
     pub fn is_simple(&self, id: PathId) -> bool {
-        let vs = self.vertices(id);
-        let mut seen = std::collections::HashSet::with_capacity(vs.len());
-        vs.iter().all(|v| seen.insert(*v))
+        crate::path::all_distinct(self.vertices(id))
     }
 
     /// Whether `id` is a valid walk in `g`: every edge exists and connects

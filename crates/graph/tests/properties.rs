@@ -307,4 +307,14 @@ proptest! {
         }
         prop_assert!(seen.into_iter().all(|x| x));
     }
+
+    #[test]
+    fn all_distinct_matches_hash_set_reference(
+        vertices in proptest::collection::vec(0 as VertexId..12, 0..16),
+    ) {
+        // Short slices over a small alphabet hit both answers often.
+        let mut seen = std::collections::HashSet::new();
+        let reference = vertices.iter().all(|v| seen.insert(*v));
+        prop_assert_eq!(ssor_graph::all_distinct(&vertices), reference);
+    }
 }
