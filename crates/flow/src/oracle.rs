@@ -16,15 +16,21 @@
 //!
 //! Oracle batches are embarrassingly parallel — the paper's pipeline
 //! samples and routes pairs independently (Definition 5.2), and a
-//! Dijkstra tree per source is pure computation. [`AllPathsOracle`]
-//! groups queries by source and fans the per-source trees out over rayon
-//! workers; results are merged back **in source-index order** and
-//! interned serially, so the returned ids, costs, and the arena's
-//! interning order are bit-identical to a serial sweep at any worker
-//! count — the same discipline as the engine's `par_alpha_sample`.
-//! Small batches skip the fan-out entirely (the shim spawns threads per
-//! call, which only amortizes over enough Dijkstra work); the cutoff
-//! affects wall-clock only, never results.
+//! Dijkstra sweep per source is pure computation. [`AllPathsOracle`]
+//! sorts queries by source once and cuts the sources into contiguous
+//! blocks that fan out over rayon workers, one reusable
+//! [`DijkstraWorkspace`] per block. Each source's sweep stops as soon as
+//! that source's targets are settled; under the core's total
+//! `(dist, vertex)` pop order a settled vertex's cost and parent chain
+//! are final, so the truncation cannot change a path or a cost. Block
+//! results are merged back **in source-index order** and each target's
+//! parent chain is interned serially, so the returned ids, costs, and the
+//! arena's interning order are bit-identical to a serial full-tree sweep
+//! at any worker count — the same discipline as the engine's
+//! `par_alpha_sample`. A single block skips the fan-out entirely (the
+//! shim spawns threads per call, which only amortizes over enough
+//! Dijkstra work); block size and cutoff affect wall-clock only, never
+//! results.
 //!
 //! # Unreachable pairs
 //!
@@ -37,9 +43,8 @@
 //! `MinCongSolution::stranded`).
 
 use crate::candidates::Candidates;
-use ssor_graph::shortest_path::{dijkstra_trees_csr_batch, dijkstra_trees_csr_view_batch, SpTree};
-use ssor_graph::{par_ordered_map, Csr, Graph, PathId, PathStore, VertexId};
-use std::collections::BTreeMap;
+use ssor_graph::shortest_path::{dijkstra_targets_csr, DijkstraWorkspace};
+use ssor_graph::{par_ordered_map, Csr, EdgeId, Graph, PathId, PathStore, VertexId};
 
 /// Oracle answering "cheapest usable path per pair" under edge weights.
 pub trait PathOracle {
@@ -111,24 +116,24 @@ impl PathOracle for CandidateOracle<'_> {
 /// optional edge-usability mask as configuration.
 ///
 /// Queries are grouped by source so each distinct source costs one
-/// Dijkstra run over a CSR adjacency built once for the whole solve; the
-/// per-source trees fan out over rayon workers and merge back in
-/// deterministic source order (see the module docs). With a mask
-/// ([`AllPathsOracle::masked`]) dead edges get infinite length in the
-/// same sweep — edge ids and traversal order stay identical to the
-/// unmasked oracle, no graph is rebuilt, and no ids shift.
+/// Dijkstra sweep over a CSR adjacency built once for the whole solve,
+/// stopped as soon as that source's targets are settled. Sources are cut
+/// into contiguous blocks that fan out over rayon workers, one reusable
+/// workspace per block, and merge back in deterministic source order (see
+/// the module docs). With a mask ([`AllPathsOracle::masked`]) dead edges
+/// get infinite length in the same sweep — edge ids and traversal order
+/// stay identical to the unmasked oracle, no graph is rebuilt, and no ids
+/// shift.
 #[derive(Debug)]
-pub struct AllPathsOracle<'a> {
-    graph: &'a Graph,
+pub struct AllPathsOracle {
     csr: Csr,
     usable: Option<Vec<bool>>,
 }
 
-impl<'a> AllPathsOracle<'a> {
+impl AllPathsOracle {
     /// Creates an oracle over the whole (intact) graph.
-    pub fn new(graph: &'a Graph) -> Self {
+    pub fn new(graph: &Graph) -> Self {
         AllPathsOracle {
-            graph,
             csr: graph.csr(),
             usable: None,
         }
@@ -142,51 +147,87 @@ impl<'a> AllPathsOracle<'a> {
     /// # Panics
     ///
     /// Panics if `usable.len() != graph.m()`.
-    pub fn masked(graph: &'a Graph, usable: &[bool]) -> Self {
+    pub fn masked(graph: &Graph, usable: &[bool]) -> Self {
         assert_eq!(usable.len(), graph.m(), "one mask bit per edge required");
         AllPathsOracle {
-            graph,
             csr: graph.csr(),
             usable: Some(usable.to_vec()),
         }
     }
 }
 
-impl PathOracle for AllPathsOracle<'_> {
+/// Distinct sources per parallel block: each block reuses one Dijkstra
+/// workspace across its sources. Blocks move wall-clock only, never
+/// results.
+const SOURCES_PER_BLOCK: usize = 8;
+
+/// One block's answers in pair order. Found paths are stored back to back
+/// in the flat vertex/edge buffers, each recorded as its hop count and
+/// cost.
+#[derive(Default)]
+struct BlockPaths {
+    vertices: Vec<VertexId>,
+    edges: Vec<EdgeId>,
+    found: Vec<Option<(usize, f64)>>,
+}
+
+impl PathOracle for AllPathsOracle {
     fn best_paths(
         &mut self,
         pairs: &[(VertexId, VertexId)],
         w: &[f64],
         store: &mut PathStore,
     ) -> Vec<Option<(PathId, f64)>> {
-        let mut by_source: BTreeMap<VertexId, Vec<usize>> = BTreeMap::new();
-        for (i, &(s, _)) in pairs.iter().enumerate() {
-            by_source.entry(s).or_default().push(i);
-        }
-        let sources: Vec<(VertexId, Vec<usize>)> = by_source.into_iter().collect();
-        // Fan the per-source trees out over the shared batch helpers in
-        // `ssor_graph::shortest_path`, which return them in source-index
-        // order — that ordered collect IS the deterministic merge. The
-        // unmasked arm stays on the statically-dispatched batch
-        // (monomorphized `FullTopology`, no per-edge vtable call on the
-        // solver's hottest loop); a mask rides along as a `dyn EdgeView`
-        // only when one actually exists. Both wrap the one generic tree
-        // core, so damaged and intact sweeps cannot drift.
-        let srcs: Vec<VertexId> = sources.iter().map(|&(s, _)| s).collect();
-        let trees: Vec<SpTree> = match &self.usable {
-            None => dijkstra_trees_csr_batch(&self.csr, &srcs, &|e| w[e as usize]),
-            Some(mask) => dijkstra_trees_csr_view_batch(&self.csr, &srcs, &|e| w[e as usize], mask),
-        };
-        // Serial path extraction + interning in source order, pair-index
-        // order within each source — the arena's id assignment matches a
-        // serial sweep exactly.
+        // `(source, pair index, target)`, sorted: grouped by source, in
+        // pair-index order within a source — the order the arena interns
+        // in.
+        let mut keyed: Vec<(VertexId, usize, VertexId)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t))| (s, i, t))
+            .collect();
+        keyed.sort_unstable();
+        let groups: Vec<&[(VertexId, usize, VertexId)]> =
+            keyed.chunk_by(|a, b| a.0 == b.0).collect();
+        let blocks: Vec<_> = groups.chunks(SOURCES_PER_BLOCK).collect();
+        let mask = self.usable.as_deref();
+        // A single block stays serial.
+        let answers = par_ordered_map(&blocks, 2, |block| {
+            let mut ws = DijkstraWorkspace::new();
+            let (mut targets, mut vs, mut es) = (Vec::new(), Vec::new(), Vec::new());
+            let mut out = BlockPaths::default();
+            for group in block.iter() {
+                let Some(&(s, _, _)) = group.first() else {
+                    continue;
+                };
+                targets.clear();
+                targets.extend(group.iter().map(|&(_, _, t)| t));
+                dijkstra_targets_csr(&self.csr, s, &targets, w, mask, &mut ws);
+                for &t in &targets {
+                    out.found.push(ws.path_parts(t, &mut vs, &mut es).then(|| {
+                        out.vertices.extend_from_slice(&vs);
+                        out.edges.extend_from_slice(&es);
+                        (es.len(), ws.dist(t))
+                    }));
+                }
+            }
+            out
+        });
+        // Serial interning in source order, pair-index order within each
+        // source — the arena's id assignment matches a serial sweep
+        // exactly.
         let mut out: Vec<Option<(PathId, f64)>> = vec![None; pairs.len()];
-        for ((_, idxs), tree) in sources.iter().zip(trees.iter()) {
-            for &i in idxs {
-                let t = pairs[i].1;
-                out[i] = tree
-                    .path_to(self.graph, t)
-                    .map(|p| (store.intern(&p), tree.dist_to(t)));
+        let mut slots = keyed.iter();
+        for block in &answers {
+            let (mut vs, mut es) = (block.vertices.as_slice(), block.edges.as_slice());
+            // `found` first: `zip` then never draws a slot past its end.
+            for (found, &(_, i, _)) in block.found.iter().zip(slots.by_ref()) {
+                out[i] = found.map(|(hops, cost)| {
+                    let (v, v_rest) = vs.split_at(hops + 1);
+                    let (e, e_rest) = es.split_at(hops);
+                    (vs, es) = (v_rest, e_rest);
+                    (store.intern_parts(v, e), cost)
+                });
             }
         }
         out

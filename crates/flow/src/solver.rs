@@ -320,13 +320,6 @@ impl PairState {
     }
 }
 
-/// Softmax value `max + ln(sum exp(beta*(load - max)))/beta` of edge loads.
-fn softmax(loads: &[f64], beta: f64) -> f64 {
-    let mx = loads.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let s: f64 = loads.iter().map(|&l| ((l - mx) * beta).exp()).sum();
-    mx + s.ln() / beta
-}
-
 /// Copies the per-pair convex combinations into a [`Routing`] (paths
 /// re-interned from the solver's arena), dropping weights at or below
 /// [`WEIGHT_PRUNE`].
@@ -388,6 +381,7 @@ fn frank_wolfe(
     let mut converged = false;
 
     let mut loads_y = EdgeLoads::zeros(m);
+    let mut w: Vec<f64> = Vec::with_capacity(m);
     let mut iterations = 0;
     for it in 0..opts.max_iters {
         iterations = it + 1;
@@ -413,7 +407,8 @@ fn frank_wolfe(
         let beta = (m as f64).ln().max(1.0) / (0.25 * stage_eps * ub);
         // Softmax gradient weights (scaled to max 1 for numerical safety).
         let mx = ub;
-        let w: Vec<f64> = loads.iter().map(|l| ((l - mx) * beta).exp()).collect();
+        w.clear();
+        w.extend(loads.iter().map(|l| ((l - mx) * beta).exp()));
         let wsum: f64 = w.iter().sum();
 
         // Best response under w.
@@ -450,14 +445,18 @@ fn frank_wolfe(
             loads_y.add_path(store, id, *dem);
         }
 
-        // Exact line search on the softmax potential (convex in gamma).
+        // Exact line search on the softmax potential (convex in gamma):
+        // `max + ln(sum exp(beta*(mixed - max)))/beta` of the mixed loads
+        // `(1 - gamma)*a + gamma*b`, recomputed per pass instead of stored.
+        let (la, lb) = (loads.as_slice(), loads_y.as_slice());
         let phi = |gamma: f64| -> f64 {
-            let mixed: Vec<f64> = loads
+            let mixed = la
                 .iter()
-                .zip(loads_y.iter())
-                .map(|(a, b)| (1.0 - gamma) * a + gamma * b)
-                .collect();
-            softmax(&mixed, beta)
+                .zip(lb)
+                .map(|(a, b)| (1.0 - gamma) * a + gamma * b);
+            let mx = mixed.clone().fold(f64::NEG_INFINITY, f64::max);
+            let s: f64 = mixed.map(|l| ((l - mx) * beta).exp()).sum();
+            mx + s.ln() / beta
         };
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;

@@ -6,7 +6,10 @@ use ssor_flow::integral_opt::{integral_opt_exhaustive, integral_opt_restricted};
 use ssor_flow::lp::exact_restricted_congestion;
 use ssor_flow::oracle::{AllPathsOracle, PathOracle};
 use ssor_flow::rounding::round_routing;
-use ssor_flow::solver::{min_congestion_restricted, min_congestion_unrestricted, SolveOptions};
+use ssor_flow::solver::{
+    min_congestion, min_congestion_restricted, min_congestion_unrestricted, MinCongSolution,
+    SolveOptions,
+};
 use ssor_flow::{CandidateSet, Demand, Routing};
 use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{dijkstra_tree_csr, dijkstra_tree_csr_view};
@@ -229,6 +232,66 @@ fn serial_best_paths(
     out
 }
 
+/// An oracle edge weight: mostly continuous, but also exact `0.0` (the
+/// softmax weight `exp((l - max) * beta)` underflows to it at sharp
+/// stages) and small integers, whose sums tie — the cases where a
+/// stopped Dijkstra sweep and its tie-break could part from a full tree.
+fn edge_weight() -> impl Strategy<Value = f64> {
+    (0u32..4, 1u32..3, 1e-3f64..10.0).prop_map(|(kind, k, x)| match kind {
+        0 => 0.0,
+        1 => k as f64,
+        _ => x,
+    })
+}
+
+/// [`serial_best_paths`] as a [`PathOracle`], so whole solves can run
+/// against the reference.
+struct SerialReference<'g> {
+    g: &'g Graph,
+    usable: Option<&'g [bool]>,
+}
+
+impl PathOracle for SerialReference<'_> {
+    fn best_paths(
+        &mut self,
+        pairs: &[(VertexId, VertexId)],
+        w: &[f64],
+        store: &mut PathStore,
+    ) -> Vec<Option<(PathId, f64)>> {
+        serial_best_paths(self.g, self.usable, pairs, w, store)
+    }
+}
+
+/// A solution's routing as materialized paths with weight bits, in
+/// demand order.
+fn routing_bits(sol: &MinCongSolution, d: &Demand) -> Vec<Vec<(Path, u64)>> {
+    let r = &sol.routing;
+    d.support()
+        .into_iter()
+        .map(|(s, t)| {
+            r.distribution(s, t)
+                .unwrap_or(&[])
+                .iter()
+                .map(|&(id, w)| (r.store().materialize(id), w.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// A random edge mask; about a quarter of the edges die.
+fn random_mask(m: usize, seed: u64) -> Vec<bool> {
+    let mut x = seed;
+    (0..m)
+        .map(|_| {
+            // SplitMix64-ish scramble.
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 62) != 0
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -238,21 +301,27 @@ proptest! {
     // worker count the test runs under.
     #[test]
     fn parallel_batch_oracle_matches_serial_reference(
-        (g, pairs, weights, mask_seed) in multigraph().prop_flat_map(|g| {
+        (g, pairs, fan, weights, mask_seed) in multigraph().prop_flat_map(|g| {
             let n = g.n() as VertexId;
             let m = g.m();
             // Distinct endpoints by construction (n >= 3 here).
             let pair = (0..n, 0..n)
                 .prop_map(move |(s, t)| if s == t { (s, (t + 1) % n) } else { (s, t) });
+            // One source with several targets: the stopped sweep must
+            // settle all of them before it returns.
+            let fan = (0..n, proptest::collection::vec(0..n, 2..8));
             (
                 Just(g),
                 proptest::collection::vec(pair, 1..24),
-                proptest::collection::vec(1e-3f64..10.0, m..m + 1),
+                fan,
+                proptest::collection::vec(edge_weight(), m..m + 1),
                 any::<u64>(),
             )
         }),
     ) {
+        let (hub, spokes) = fan;
         let mut pairs = pairs;
+        pairs.extend(spokes.into_iter().filter(|&t| t != hub).map(|t| (hub, t)));
         pairs.sort_unstable();
         pairs.dedup();
         // Unmasked oracle vs reference.
@@ -268,13 +337,7 @@ proptest! {
         }
         // Masked oracle vs reference (random knockouts; disconnected
         // pairs must come back None identically on both sides).
-        let mut mask = vec![true; g.m()];
-        let mut x = mask_seed;
-        for bit in mask.iter_mut() {
-            // SplitMix64-ish scramble; ~1/4 of edges die.
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *bit = (x >> 62) != 0;
-        }
+        let mask = random_mask(g.m(), mask_seed);
         let mut store_par = PathStore::new();
         let mut store_ser = PathStore::new();
         let mut oracle = AllPathsOracle::masked(&g, &mask);
@@ -289,6 +352,42 @@ proptest! {
                 (None, None) => {}
                 _ => prop_assert!(false, "reachability mismatch"),
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Whole solves, masked and unmasked, driven by the batch oracle and
+    // by the serial full-tree reference must agree bit for bit: bounds,
+    // iteration count, convergence and routing. This pins the Frank–Wolfe
+    // loop around the oracle (line search, updates, interning order) to
+    // the reference computation, not just single oracle calls.
+    #[test]
+    fn min_congestion_matches_serial_reference_oracle(
+        (g, d, mask_seed) in multigraph().prop_flat_map(|g| {
+            let n = g.n();
+            (Just(g), demand_on(n), any::<u64>())
+        }),
+    ) {
+        prop_assume!(!d.is_empty());
+        let opts = SolveOptions { eps: 0.05, max_iters: 150 };
+        let mask = random_mask(g.m(), mask_seed);
+        for usable in [None, Some(mask.as_slice())] {
+            let mut fast = match usable {
+                None => AllPathsOracle::new(&g),
+                Some(mask) => AllPathsOracle::masked(&g, mask),
+            };
+            let mut reference = SerialReference { g: &g, usable };
+            let got = min_congestion(&g, &d, &mut fast, &opts);
+            let want = min_congestion(&g, &d, &mut reference, &opts);
+            prop_assert_eq!(got.congestion.to_bits(), want.congestion.to_bits());
+            prop_assert_eq!(got.lower_bound.to_bits(), want.lower_bound.to_bits());
+            prop_assert_eq!(got.iterations, want.iterations);
+            prop_assert_eq!(got.converged, want.converged);
+            prop_assert_eq!(got.stranded.to_bits(), want.stranded.to_bits());
+            prop_assert_eq!(routing_bits(&got, &d), routing_bits(&want, &d));
         }
     }
 }

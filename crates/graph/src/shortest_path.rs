@@ -9,19 +9,24 @@
 //! column-generation oracle) build the CSR once and amortize it. Both
 //! variants traverse in the identical deterministic order.
 //!
-//! The Dijkstra core is additionally generic over an [`EdgeView`]
-//! restricting which edges may be traversed: [`dijkstra_tree_csr`] is the
+//! There is one Dijkstra core. It is generic over an [`EdgeView`]
+//! restricting which edges may be traversed ([`dijkstra_tree_csr`] is the
 //! [`FullTopology`] instantiation, [`dijkstra_tree_csr_view`] accepts any
-//! view (e.g. the mask a `SubTopology` exports) — one implementation, so
-//! damaged-topology solves cannot drift from intact ones.
+//! view, e.g. the mask a `SubTopology` exports), so damaged-topology
+//! solves cannot drift from intact ones. It also takes an optional stop
+//! set and a caller-owned [`DijkstraWorkspace`]: [`dijkstra_targets_csr`]
+//! returns as soon as its targets are settled and allocates nothing once
+//! the workspace has grown, while a full tree is the no-stop-set case of
+//! the same core. Pops follow the total `(dist, vertex)` order, so a
+//! truncated sweep reports bit-identical paths and costs for its targets.
+//! The offline-OPT oracle runs one target-bounded sweep per source.
 //!
-//! Multi-source sweeps (all-pairs metrics, per-source baselines, the
-//! batch oracle) should use the *batch* helpers — [`bfs_trees_csr_batch`]
-//! and [`dijkstra_trees_csr_batch`] / [`dijkstra_trees_csr_view_batch`] —
-//! which fan the per-source trees out over rayon workers and return them
-//! in source-index order, so results are bit-identical to a serial sweep
-//! at any thread count. Small batches stay serial (the cutoff moves
-//! wall-clock only, never bits).
+//! Multi-source tree sweeps (all-pairs metrics, per-source baselines)
+//! should use the *batch* helpers — [`bfs_trees_csr_batch`] and
+//! [`dijkstra_trees_csr_batch`] — which fan the per-source trees out over
+//! rayon workers and return them in source-index order, so results are
+//! bit-identical to a serial sweep at any thread count. Small batches
+//! stay serial (the cutoff moves wall-clock only, never bits).
 
 use crate::csr::{Adjacency, Csr, EdgeView, FullTopology};
 use crate::graph::{EdgeId, Graph, VertexId};
@@ -129,7 +134,7 @@ pub fn hop_distance(g: &Graph, s: VertexId, t: VertexId) -> usize {
     }
 }
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     dist: f64,
     vertex: VertexId,
@@ -156,34 +161,127 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The single Dijkstra-tree implementation of the workspace, generic over
-/// the adjacency representation *and* an [`EdgeView`] restricting which
-/// edges may be traversed (see [`bfs_tree_in`] for why it stays private
-/// behind monomorphic wrappers).
+/// Reusable scratch for the Dijkstra core: distances, parents, the heap
+/// and the stop-set marks of the last sweep.
+///
+/// A caller running many single-source sweeps over one graph keeps one
+/// workspace and hands it to every [`dijkstra_targets_csr`] call, so no
+/// sweep allocates once the buffers have grown to the graph's size. After
+/// a sweep the workspace answers [`DijkstraWorkspace::dist`] and
+/// [`DijkstraWorkspace::path_parts`] for every target of that sweep.
+#[derive(Debug, Default)]
+pub struct DijkstraWorkspace {
+    dist: Vec<f64>,
+    parent: Vec<Option<(VertexId, EdgeId)>>,
+    heap: BinaryHeap<HeapEntry>,
+    stop: Vec<bool>,
+}
+
+impl DijkstraWorkspace {
+    /// An empty workspace; buffers grow on the first sweep.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Distance from the last sweep's source to `t` (`f64::INFINITY` if
+    /// unreachable). Exact for the source, every target and every vertex
+    /// on a target's path.
+    pub fn dist(&self, t: VertexId) -> f64 {
+        self.dist[t as usize]
+    }
+
+    /// Writes the last sweep's shortest path from its source to `t` into
+    /// `vertices` and `edges` (cleared first), in the layout
+    /// [`crate::PathStore::intern_parts`] takes; returns `false`, with
+    /// both left empty, if `t` is unreachable.
+    pub fn path_parts(
+        &self,
+        t: VertexId,
+        vertices: &mut Vec<VertexId>,
+        edges: &mut Vec<EdgeId>,
+    ) -> bool {
+        vertices.clear();
+        edges.clear();
+        if self.dist(t).is_infinite() {
+            return false;
+        }
+        let mut cur = t;
+        vertices.push(cur);
+        while let Some(&Some((p, e))) = self.parent.get(cur as usize) {
+            edges.push(e);
+            vertices.push(p);
+            cur = p;
+        }
+        vertices.reverse();
+        edges.reverse();
+        true
+    }
+}
+
+/// The single Dijkstra implementation of the workspace, generic over the
+/// adjacency representation, the length function *and* an [`EdgeView`]
+/// restricting which edges may be traversed (see [`bfs_tree_in`] for why
+/// it stays private behind monomorphic wrappers).
 ///
 /// Unusable edges are treated as infinitely long: a relaxation through
 /// one can never improve a distance, so they are effectively absent while
 /// edge ids, traversal order, and tie-breaking stay identical to the
 /// unmasked sweep. Vertices cut off by the view end with
 /// `dist == f64::INFINITY`, exactly like genuinely unreachable ones.
-fn dijkstra_tree_in<A: Adjacency + ?Sized, V: EdgeView + ?Sized>(
+///
+/// With `stop = Some(targets)` the sweep returns as soon as every target
+/// is settled; `None` builds the full tree. Pops follow the total
+/// `(dist, vertex)` order, and under nonnegative lengths a settled
+/// vertex's distance and parent chain are final, so a truncated sweep
+/// reports bit-identical paths and costs for its targets.
+fn dijkstra_in<A, L, V>(
     g: &A,
     s: VertexId,
-    len: &dyn Fn(EdgeId) -> f64,
+    len: &L,
     view: &V,
-) -> SpTree {
+    stop: Option<&[VertexId]>,
+    ws: &mut DijkstraWorkspace,
+) where
+    A: Adjacency + ?Sized,
+    L: Fn(EdgeId) -> f64 + ?Sized,
+    V: EdgeView + ?Sized,
+{
     let n = g.n();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[s as usize] = 0.0;
-    heap.push(HeapEntry {
+    ws.dist.clear();
+    ws.dist.resize(n, f64::INFINITY);
+    ws.parent.clear();
+    ws.parent.resize(n, None);
+    ws.heap.clear();
+    ws.dist[s as usize] = 0.0;
+    // Stop-set marks, left empty for a full tree; the targets still
+    // unsettled (`usize::MAX`, never reached, for a full tree).
+    ws.stop.clear();
+    let mut pending = usize::MAX;
+    if let Some(targets) = stop {
+        ws.stop.resize(n, false);
+        pending = 0;
+        for &t in targets {
+            let mark = &mut ws.stop[t as usize];
+            pending += usize::from(!*mark);
+            *mark = true;
+        }
+        if pending == 0 {
+            return;
+        }
+    }
+    ws.heap.push(HeapEntry {
         dist: 0.0,
         vertex: s,
     });
-    while let Some(HeapEntry { dist: d, vertex: v }) = heap.pop() {
-        if d > dist[v as usize] {
+    while let Some(HeapEntry { dist: d, vertex: v }) = ws.heap.pop() {
+        if d > ws.dist[v as usize] {
             continue;
+        }
+        if ws.stop.get(v as usize) == Some(&true) {
+            pending -= 1;
+            if pending == 0 {
+                return;
+            }
         }
         for a in g.arcs(v) {
             let w = if view.usable(a.edge) {
@@ -197,20 +295,32 @@ fn dijkstra_tree_in<A: Adjacency + ?Sized, V: EdgeView + ?Sized>(
             // naming the edge, not three layers downstream.
             debug_assert!(w >= 0.0, "negative or NaN length {w} on edge {}", a.edge);
             let nd = d + w;
-            if nd < dist[a.to as usize] {
-                dist[a.to as usize] = nd;
-                parent[a.to as usize] = Some((v, a.edge));
-                heap.push(HeapEntry {
+            let best = &mut ws.dist[a.to as usize];
+            if nd < *best {
+                *best = nd;
+                ws.parent[a.to as usize] = Some((v, a.edge));
+                ws.heap.push(HeapEntry {
                     dist: nd,
                     vertex: a.to,
                 });
             }
         }
     }
+}
+
+/// The no-stop-set case of [`dijkstra_in`]: the full tree from `s`.
+fn dijkstra_tree_in<A: Adjacency + ?Sized, V: EdgeView + ?Sized>(
+    g: &A,
+    s: VertexId,
+    len: &dyn Fn(EdgeId) -> f64,
+    view: &V,
+) -> SpTree {
+    let mut ws = DijkstraWorkspace::new();
+    dijkstra_in(g, s, len, view, None, &mut ws);
     SpTree {
         source: s,
-        dist,
-        parent,
+        dist: ws.dist,
+        parent: ws.parent,
     }
 }
 
@@ -246,6 +356,29 @@ pub fn dijkstra_tree_csr_view(
     dijkstra_tree_in(g, s, len, view)
 }
 
+/// Settles every vertex of `targets` from `s` under per-edge lengths
+/// `w` (indexed by edge id), reusing `ws`, and stops at the last one; read
+/// the answers from [`DijkstraWorkspace::dist`] and
+/// [`DijkstraWorkspace::path_parts`]. `mask`, when given, marks the
+/// usable edges (one bit per edge id). Paths and costs are bit-identical
+/// to the full tree's ([`dijkstra_tree_csr`] / [`dijkstra_tree_csr_view`])
+/// — the same core, truncated — and the offline-OPT oracle runs one such
+/// sweep per source per Frank–Wolfe iteration.
+pub fn dijkstra_targets_csr(
+    g: &Csr,
+    s: VertexId,
+    targets: &[VertexId],
+    w: &[f64],
+    mask: Option<&[bool]>,
+    ws: &mut DijkstraWorkspace,
+) {
+    let len = |e: EdgeId| w[e as usize];
+    match mask {
+        None => dijkstra_in(g, s, &len, &FullTopology, Some(targets), ws),
+        Some(mask) => dijkstra_in(g, s, &len, mask, Some(targets), ws),
+    }
+}
+
 /// Below this many sources a batch tree sweep stays serial: a single
 /// tree on the experiment-scale graphs costs a few microseconds, while
 /// the vendored rayon shim spawns threads per call. The cutoff affects
@@ -268,26 +401,13 @@ pub fn bfs_trees_csr_batch(g: &Csr, sources: &[VertexId]) -> Vec<SpTree> {
 
 /// One [`dijkstra_tree_csr`] per source, fanned out over rayon workers
 /// and returned in source-index order — bit-identical to a serial sweep
-/// at any thread count. The all-pairs template metric and the solver's
-/// batch oracle are built on this.
+/// at any thread count. The all-pairs template metric is built on this.
 pub fn dijkstra_trees_csr_batch(
     g: &Csr,
     sources: &[VertexId],
     len: &(dyn Fn(EdgeId) -> f64 + Sync),
 ) -> Vec<SpTree> {
     batch_trees(sources, |s| dijkstra_tree_in(g, s, len, &FullTopology))
-}
-
-/// [`dijkstra_trees_csr_batch`] restricted to the edges an [`EdgeView`]
-/// marks usable — the batch form of [`dijkstra_tree_csr_view`], sharing
-/// the identical tree core so masked and intact sweeps cannot drift.
-pub fn dijkstra_trees_csr_view_batch(
-    g: &Csr,
-    sources: &[VertexId],
-    len: &(dyn Fn(EdgeId) -> f64 + Sync),
-    view: &(dyn EdgeView + Sync),
-) -> Vec<SpTree> {
-    batch_trees(sources, |s| dijkstra_tree_in(g, s, len, view))
 }
 
 /// Shortest path between `s` and `t` under per-edge lengths.
@@ -478,20 +598,37 @@ mod tests {
         }
     }
 
+    /// Every target of a stopped sweep reads the full tree's cost and
+    /// path, masked or not, under zero-length edges and length ties, with
+    /// one workspace reused across sources and target sets.
     #[test]
-    fn batch_view_trees_match_masked_calls() {
-        let g = generators::grid(4, 4);
+    fn target_sweeps_match_full_trees() {
+        let g = generators::grid(4, 5);
         let csr = g.csr();
-        let mut usable = vec![true; g.m()];
-        for e in [0usize, 7, 13] {
-            usable[e] = false;
-        }
-        let sources: Vec<VertexId> = g.vertices().collect();
-        let batch = dijkstra_trees_csr_view_batch(&csr, &sources, &|_| 1.0, &usable);
-        for (i, &s) in sources.iter().enumerate() {
-            let one = dijkstra_tree_csr_view(&csr, s, &|_| 1.0, &usable);
-            assert_eq!(batch[i].dist, one.dist, "source {s}");
-            assert_eq!(batch[i].parent, one.parent, "source {s}");
+        let lens: Vec<f64> = (0..g.m()).map(|e| (e % 3) as f64).collect();
+        let len = |e: EdgeId| lens[e as usize];
+        let usable: Vec<bool> = (0..g.m()).map(|e| !matches!(e, 2 | 9 | 14)).collect();
+        let mut ws = DijkstraWorkspace::new();
+        let (mut vs, mut es) = (Vec::new(), Vec::new());
+        for mask in [None, Some(usable.as_slice())] {
+            for s in g.vertices() {
+                let full = match mask {
+                    None => dijkstra_tree_csr(&csr, s, &len),
+                    Some(_) => dijkstra_tree_csr_view(&csr, s, &len, &usable),
+                };
+                let far = (s + 7) % g.n() as VertexId;
+                for targets in [vec![s], vec![far], vec![far, s, 19, far, 0]] {
+                    dijkstra_targets_csr(&csr, s, &targets, &lens, mask, &mut ws);
+                    for &t in &targets {
+                        assert_eq!(ws.dist(t).to_bits(), full.dist_to(t).to_bits());
+                        let want = full.path_to(&g, t);
+                        assert_eq!(ws.path_parts(t, &mut vs, &mut es), want.is_some());
+                        if let Some(p) = want {
+                            assert_eq!((vs.as_slice(), es.as_slice()), (p.vertices(), p.edges()));
+                        }
+                    }
+                }
+            }
         }
     }
 

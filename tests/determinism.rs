@@ -144,16 +144,16 @@ fn run_dynamic_at(threads: usize, scenario: &ScenarioSpec) -> Vec<(u64, usize, V
     }
 }
 
-/// The solver's parallel batch oracle fans per-source Dijkstra trees out
-/// over the rayon workers with an index-ordered merge; solves through
-/// the unified entry points — unrestricted, failure-masked, and a warm
-/// `Solver` chain — must be bit-identical at any worker count.
+/// The solver's parallel batch oracle fans blocks of per-source Dijkstra
+/// sweeps out over the rayon workers with an index-ordered merge; solves
+/// through the unified entry points — unrestricted, failure-masked, and a
+/// warm `Solver` chain — must be bit-identical at any worker count.
 #[test]
 fn solver_entry_points_are_thread_count_invariant() {
     let _guard = env_lock();
-    // 28 distinct sources on Q5 — far above the oracle's serial cutoff
-    // and above the 8-thread fan-in, so the parallel merge actually runs
-    // at every swept width.
+    // 28 distinct sources on Q5 — four of the oracle's source blocks,
+    // above its serial cutoff, so the parallel merge actually runs at
+    // every swept width.
     let g = generators::hypercube(5);
     let d = Demand::random_permutation(32, &mut rand::rngs::StdRng::seed_from_u64(3));
     let mut sub = g.sub_topology();
