@@ -74,7 +74,7 @@ fn main() {
             sol.iterations.to_string(),
             sol.converged.to_string(),
             stats.oracle_calls.to_string(),
-            format!("{:.0}%", stats.oracle_share() * 100.0),
+            format!("{:.0}%", stats.profile.share("oracle") * 100.0),
             stats.stages.len().to_string(),
         ]);
         rows.push(Row {
@@ -84,7 +84,7 @@ fn main() {
             iterations: sol.iterations,
             converged: sol.converged,
             oracle_calls: stats.oracle_calls,
-            oracle_share: stats.oracle_share(),
+            oracle_share: stats.profile.share("oracle"),
             stages: stats.stages.len(),
         });
     }

@@ -14,13 +14,13 @@
 
 use crate::spec::{DemandSpec, TemplateSpec, TopologySpec};
 use ssor_core::{PathSystem, SemiObliviousRouter};
+use ssor_graph::obs::StageProfile;
 use ssor_graph::Graph;
 use ssor_lowerbound::graphs::CGraphMeta;
-use ssor_oblivious::{ObliviousRouting, TemplateStageStats};
+use ssor_oblivious::ObliviousRouting;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// A shared oblivious-routing template.
 pub type SharedTemplate = Arc<dyn ObliviousRouting + Send + Sync>;
@@ -484,44 +484,22 @@ impl PathSystemCache {
 }
 
 /// What one template construction cost, as observed by a
-/// [`TemplateBuilder`]: total wall-clock, whether the cache answered it
-/// (a *shared* template — e.g. the intact-topology template every
-/// failure-sweep trial re-routes against), and, for templates that track
-/// them, the per-stage split ([`TemplateStageStats`]) showing how much of
-/// the build ran on the rayon-parallel stages.
-#[derive(Debug, Clone, Copy, Default)]
+/// [`TemplateBuilder`]: whether the cache answered it (a *shared*
+/// template — e.g. the intact-topology template every failure-sweep
+/// trial re-routes against) and the template's per-stage build profile.
+#[derive(Debug, Clone, Default)]
 pub struct TemplateBuildStats {
-    /// Wall-clock of the (possibly cache-answered) build.
-    pub wall: Duration,
     /// `true` when the cache already held the template — no construction
     /// ran.
     pub cached: bool,
-    /// Per-stage construction split, when the template records one (the
-    /// Räcke/FRT builders do).
-    pub stages: Option<TemplateStageStats>,
-    /// Snapshot of the cache's aggregate hit/miss/eviction counters as of
-    /// this build — the serving rebuild loop reads `cache.evictions` here
-    /// to watch a bounded cache shed stale generations under churn.
-    pub cache: CacheStats,
+    /// Where the template's construction spent its wall-clock (on a
+    /// cache hit, the original build's); empty for templates that track
+    /// no stages (the Räcke/FRT and electrical builders do).
+    pub profile: StageProfile,
 }
 
-impl TemplateBuildStats {
-    /// Fraction of the construction spent in rayon-parallel stages —
-    /// the single-core headroom. 1.0 for a cache hit (nothing was
-    /// rebuilt), the template's own
-    /// [`parallel_share`](TemplateStageStats::parallel_share) when
-    /// per-stage stats exist, 0.0 otherwise.
-    pub fn parallel_share(&self) -> f64 {
-        if self.cached {
-            1.0
-        } else {
-            self.stages.map_or(0.0, |s| s.parallel_share())
-        }
-    }
-}
-
-/// Constructs oblivious templates through a [`PathSystemCache`], timing
-/// every build and reporting whether the cache shared it.
+/// Constructs oblivious templates through a [`PathSystemCache`],
+/// reporting each build's stage profile and whether the cache shared it.
 ///
 /// A single template build is already internally parallel (metric
 /// Dijkstras, canonical-load blocks). The double-checked cache never
@@ -563,17 +541,9 @@ impl<'a> TemplateBuilder<'a> {
         template: &TemplateSpec,
         seed: u64,
     ) -> (SharedTemplate, TemplateBuildStats) {
-        // Diagnostics-only wall clock: TemplateBuildStats.wall never
-        // enters the serialized report body. lint: allow(wall_clock)
-        let start = Instant::now();
         let (t, cached) = self.cache.template_with_hit(topo, template, seed);
-        let stats = TemplateBuildStats {
-            wall: start.elapsed(),
-            cached,
-            stages: t.build_stats(),
-            cache: self.cache.stats(),
-        };
-        (t, stats)
+        let profile = t.build_profile().cloned().unwrap_or_default();
+        (t, TemplateBuildStats { cached, profile })
     }
 }
 
@@ -661,11 +631,16 @@ mod tests {
         let topo = TopologySpec::Grid { rows: 3, cols: 3 };
         let (a, first) = builder.build(&topo, &TemplateSpec::raecke(), 5);
         assert!(!first.cached);
-        assert!(first.stages.is_some(), "raecke reports per-stage stats");
-        assert!(first.parallel_share() >= 0.0);
+        assert!(
+            !first.profile.stages().is_empty(),
+            "raecke reports per-stage timings"
+        );
         let (b, second) = builder.build(&topo, &TemplateSpec::raecke(), 5);
         assert!(second.cached, "second build shares the cached template");
-        assert_eq!(second.parallel_share(), 1.0);
+        assert_eq!(
+            second.profile, first.profile,
+            "a hit reports the original build"
+        );
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -719,19 +694,6 @@ mod tests {
         // Graph store ignores the bound (only templates/paths churn).
         let a2 = cache.graph(&TopologySpec::Ring { n: 4 });
         assert!(Arc::ptr_eq(&a, &a2));
-    }
-
-    #[test]
-    fn build_stats_surface_cache_counters() {
-        let cache = PathSystemCache::bounded(1);
-        let builder = TemplateBuilder::new(&cache);
-        let topo = TopologySpec::Ring { n: 6 };
-        let (_, s0) = builder.build(&topo, &TemplateSpec::ShortestPath, 0);
-        assert_eq!(s0.cache.evictions, 0);
-        cache.advance_generation();
-        let (_, s1) = builder.build(&topo, &TemplateSpec::ShortestPath, 1);
-        assert_eq!(s1.cache.evictions, 1, "capacity 1: second build evicts");
-        assert!(s1.cache.misses >= 2);
     }
 
     #[test]

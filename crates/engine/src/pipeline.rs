@@ -26,10 +26,10 @@ use ssor_flow::solver::{
     Solver,
 };
 use ssor_flow::{Demand, SolveOptions};
+use ssor_graph::obs::Stopwatch;
 use ssor_graph::{derive_seed, par_ordered_map, EdgeId, Graph, SubTopology};
 use ssor_sim::{simulate_routing, SimConfig};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What stage 4 optimizes.
 ///
@@ -519,9 +519,7 @@ impl Pipeline {
     /// assert!(r4.records[0].congestion <= r1.records[0].congestion * 1.1 + 1e-6);
     /// ```
     pub fn run(&self, cache: &PathSystemCache) -> RunReport {
-        // Diagnostics-only wall clock: RunReport.wall stays out of the
-        // canonical report body (see report_json). lint: allow(wall_clock)
-        let start = Instant::now();
+        let clock = Stopwatch::start();
         let prepared = self.prepare(cache);
         // Stages 4–5 fan out over the demand batch; records come back in
         // batch order at any thread count (evaluations are independent;
@@ -531,7 +529,7 @@ impl Pipeline {
         });
         RunReport {
             records,
-            wall: start.elapsed(),
+            wall: clock.elapsed(),
             template: prepared.template_stats,
         }
     }
@@ -576,8 +574,7 @@ impl Pipeline {
         let prepared = self.prepare(cache);
         let g = prepared.graph();
         let demands = model.sequence(g.n(), steps);
-        // Diagnostics-only wall clock for StreamReport. lint: allow(wall_clock)
-        let start = Instant::now();
+        let clock = Stopwatch::start();
         let mut warm_sol = Solver::new(g);
         let mut records = Vec::with_capacity(steps);
         for (step, d) in demands.into_iter().enumerate() {
@@ -626,7 +623,7 @@ impl Pipeline {
         }
         StreamReport {
             steps: records,
-            wall: start.elapsed(),
+            wall: clock.elapsed(),
             template: prepared.template_stats,
         }
     }
@@ -690,8 +687,7 @@ impl Pipeline {
         trials: usize,
         threads: Option<usize>,
     ) -> FailureSweepReport {
-        // Diagnostics-only wall clock for FailureSweepReport. lint: allow(wall_clock)
-        let start = Instant::now();
+        let clock = Stopwatch::start();
         let prepared = self.prepare(cache);
         let g = prepared.graph();
         assert!(
@@ -813,7 +809,7 @@ impl Pipeline {
             .collect();
         FailureSweepReport {
             trials: trials_flat,
-            wall: start.elapsed(),
+            wall: clock.elapsed(),
             template: prepared.template_stats,
         }
     }
@@ -1243,7 +1239,7 @@ mod tests {
             .expect("congestion objective builds a template");
         assert!(!t1.cached);
         assert!(
-            t1.stages.is_some(),
+            !t1.profile.stages().is_empty(),
             "default Raecke template reports stages"
         );
         let second = p.run(&cache);

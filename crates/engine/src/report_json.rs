@@ -3,13 +3,13 @@
 //! These `serde::Serialize` impls define the *golden schema* of the
 //! engine's outputs: every field they emit is a pure function of the
 //! run's spec (bit-identical at any thread count, pinned by the
-//! fixtures in `tests/fixtures/`), and every nondeterministic field —
-//! wall-clock durations, cache-shared flags, oracle timing splits — is
-//! deliberately excluded. Experiments that want timings report them
-//! separately (see the `bench_trajectory` perf harness); reports that
-//! flow through the sweep journal must serialize to the same bytes on
-//! every run, or crash-resume and steal-order invariance would be
-//! unverifiable.
+//! fixtures in `tests/fixtures/`), and every nondeterministic field — the
+//! reports' `wall` totals, the template build's `cached` flag and stage
+//! profile, the solver's `profile` — is deliberately excluded. Timings
+//! are `ssor_graph::obs` values read in process, never serialized;
+//! reports that flow through the sweep journal must serialize to the
+//! same bytes on every run, or crash-resume and steal-order invariance
+//! would be unverifiable.
 //!
 //! The impls build `serde::Value` trees by hand rather than deriving:
 //! the vendored derive macro only handles plain named-field structs,
@@ -25,8 +25,8 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 fn solver_stats_value(stats: &ssor_flow::SolverStats) -> Value {
-    // Wall-clock fields (`oracle_wall`, `total_wall`) are intentionally
-    // dropped: iteration structure is deterministic, timings are not.
+    // The wall-clock `profile` is intentionally dropped: iteration
+    // structure is deterministic, timings are not.
     obj(vec![
         ("iterations", stats.iterations.to_value()),
         ("oracle_calls", stats.oracle_calls.to_value()),
@@ -144,6 +144,9 @@ impl Serialize for StreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::TemplateBuildStats;
+    use ssor_graph::obs::StageProfile;
+    use std::time::Duration;
 
     #[test]
     fn eval_record_schema_is_stable() {
@@ -190,13 +193,54 @@ mod tests {
 
     #[test]
     fn run_report_excludes_wall_clock_fields() {
-        let report = RunReport {
-            records: Vec::new(),
-            wall: std::time::Duration::from_secs(1),
-            template: None,
+        // A build with a cache flag and a non-empty stage profile, and a
+        // solve with an oracle profile: none of it may reach the bytes.
+        let template = || {
+            let mut profile = StageProfile::default();
+            profile.add("metric", Duration::from_millis(2));
+            profile.add_total(Duration::from_millis(3));
+            Some(TemplateBuildStats {
+                cached: true,
+                profile,
+            })
         };
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(!json.contains("wall"));
-        assert!(!json.contains("template"));
+        let mut solver = ssor_flow::SolverStats::default();
+        solver.profile.add("oracle", Duration::from_millis(1));
+        let record = EvalRecord {
+            name: "d".into(),
+            alpha: 2,
+            congestion: 1.5,
+            dilation: 3,
+            opt_lower_bound: None,
+            opt_upper_bound: None,
+            ratio: None,
+            makespan: None,
+            converged: None,
+            stats: Some(solver),
+        };
+        let wall = Duration::from_secs(1);
+        let reports = [
+            serde_json::to_string(&RunReport {
+                records: vec![record],
+                wall,
+                template: template(),
+            }),
+            serde_json::to_string(&StreamReport {
+                steps: Vec::new(),
+                wall,
+                template: template(),
+            }),
+            serde_json::to_string(&FailureSweepReport {
+                trials: Vec::new(),
+                wall,
+                template: template(),
+            }),
+        ];
+        for json in reports {
+            let json = json.unwrap();
+            for key in ["wall", "template", "cached", "profile", "metric"] {
+                assert!(!json.contains(key), "{key} leaked into {json}");
+            }
+        }
     }
 }

@@ -429,7 +429,7 @@ impl TemplateSpec {
                 };
                 // Eager all-source precompute: the engine treats
                 // templates as all-pairs objects, and the batched build
-                // surfaces TemplateStageStats like the tree templates.
+                // records a stage profile like the tree templates.
                 Arc::new(ElectricalRouting::with_options(g, opts).precomputed())
             }
             TemplateSpec::RandomWalk { walks, max_len } => {
@@ -1222,8 +1222,7 @@ mod tests {
         let topo = TopologySpec::Grid { rows: 3, cols: 3 };
         let g = topo.build_graph();
         let t = TemplateSpec::electrical().build(&topo, &g, 0);
-        let stats = t.build_stats().expect("electrical build records stats");
-        assert_eq!(stats.tree_wall.as_nanos(), 0);
-        assert_eq!(stats.metric_wall, stats.total_wall);
+        let profile = t.build_profile().expect("electrical build records stages");
+        assert_eq!(profile.stages(), [("metric", profile.total())]);
     }
 }

@@ -87,11 +87,11 @@ use crate::candidates::Candidates;
 use crate::demand::Demand;
 use crate::oracle::{AllPathsOracle, CandidateOracle, PathOracle};
 use crate::routing::Routing;
+use ssor_graph::obs::{StageProfile, Stopwatch};
 use ssor_graph::{
     normalize_run, Distributions, EdgeId, EdgeLoads, Graph, PathId, PathStore, VertexId,
 };
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// Per-pair weights at or below this fraction of the pair's probability
 /// mass are dropped when a routing is materialized. Each pair's weights
@@ -149,10 +149,10 @@ pub struct StageIters {
 /// the oracle's share of the wall-clock.
 ///
 /// The oracle is the solver's embarrassingly parallel layer (the
-/// per-source Dijkstra fan-out in `AllPathsOracle`), so `oracle_share`
-/// bounds how much a multi-core run can gain — these numbers make solver
-/// speedups measurable instead of anecdotal (see the `a2_solver_ablation`
-/// bench bin).
+/// per-source Dijkstra fan-out in `AllPathsOracle`), so
+/// `profile.share("oracle")` bounds how much a multi-core run can gain —
+/// these numbers make solver speedups measurable instead of anecdotal
+/// (see the `a2_solver_ablation` bench bin).
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// Total Frank–Wolfe iterations.
@@ -160,56 +160,36 @@ pub struct SolverStats {
     /// Oracle batch calls (one per iteration plus one per cold/fresh
     /// initialization).
     pub oracle_calls: usize,
-    /// Wall-clock spent inside oracle calls.
-    pub oracle_wall: Duration,
-    /// Wall-clock of the whole solve.
-    pub total_wall: Duration,
+    /// Wall-clock of the whole solve, with the time spent inside oracle
+    /// calls as its `"oracle"` stage.
+    pub profile: StageProfile,
     /// Iterations per smoothing stage, in the order the stages ran;
     /// `eps` only ever halves, so entries sharpen strictly.
     pub stages: Vec<StageIters>,
 }
 
-impl SolverStats {
-    /// Fraction of the solve's wall-clock spent in the oracle
-    /// (`0.0` when the solve was too fast to measure).
-    pub fn oracle_share(&self) -> f64 {
-        let total = self.total_wall.as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.oracle_wall.as_secs_f64() / total
-        }
-    }
-}
-
 /// Accumulates [`SolverStats`] across the init call and the loop.
 struct StatsAcc {
-    started: Instant,
+    clock: Stopwatch,
     oracle_calls: usize,
-    oracle_wall: Duration,
+    profile: StageProfile,
     stages: Vec<StageIters>,
 }
 
 impl StatsAcc {
     fn new() -> StatsAcc {
         StatsAcc {
-            // Diagnostics-only wall clock: feeds SolverStats, which the
-            // report layer keeps out of the deterministic comparison
-            // surface. lint: allow(wall_clock)
-            started: Instant::now(),
+            clock: Stopwatch::start(),
             oracle_calls: 0,
-            oracle_wall: Duration::ZERO,
+            profile: StageProfile::default(),
             stages: Vec::new(),
         }
     }
 
     /// Times one oracle batch call.
     fn time_oracle<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now(); // diagnostics-only oracle timing; lint: allow(wall_clock)
-        let out = f();
-        self.oracle_wall += t0.elapsed();
         self.oracle_calls += 1;
-        out
+        self.profile.time("oracle", f)
     }
 
     /// Counts one iteration at smoothing stage `eps`.
@@ -220,12 +200,12 @@ impl StatsAcc {
         }
     }
 
-    fn finish(self, iterations: usize) -> SolverStats {
+    fn finish(mut self, iterations: usize) -> SolverStats {
+        self.profile.add_total(self.clock.elapsed());
         SolverStats {
             iterations,
             oracle_calls: self.oracle_calls,
-            oracle_wall: self.oracle_wall,
-            total_wall: self.started.elapsed(),
+            profile: self.profile,
             stages: self.stages,
         }
     }
@@ -1156,8 +1136,9 @@ mod tests {
             stats.stages.iter().map(|s| s.iterations).sum::<usize>(),
             sol.iterations
         );
-        assert!(stats.oracle_wall <= stats.total_wall);
-        assert!((0.0..=1.0).contains(&stats.oracle_share()));
+        let profile = &stats.profile;
+        assert!(matches!(profile.stages(), [("oracle", wall)] if *wall <= profile.total()));
+        assert!((0.0..=1.0).contains(&profile.share("oracle")));
         // Stages sharpen monotonically within the run.
         for pair in stats.stages.windows(2) {
             assert!(pair[1].eps < pair[0].eps, "stages must sharpen");

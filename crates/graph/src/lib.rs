@@ -33,7 +33,9 @@
 //! * [`maxflow`] — Dinic max-flow for `cut_G(s, t)` (Definition 2.1);
 //! * [`matching`] — Hopcroft–Karp, used by the Lemma 8.1 adversary;
 //! * [`ksp`] — Yen's k-shortest simple paths (SMORE baseline) and
-//!   exhaustive path enumeration for exact small-instance optima.
+//!   exhaustive path enumeration for exact small-instance optima;
+//! * [`obs`] — the one wall-clock read ([`obs::Stopwatch`]) and the one
+//!   per-stage timing shape ([`obs::StageProfile`]).
 //!
 //! # Examples
 //!
@@ -57,6 +59,7 @@ mod laplacian;
 mod load;
 pub mod matching;
 pub mod maxflow;
+pub mod obs;
 mod par;
 mod path;
 mod route_table;

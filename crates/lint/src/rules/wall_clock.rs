@@ -2,9 +2,9 @@
 //! serialized report bytes.
 //!
 //! **Why.** Wall time is the one nondeterminism the workspace cannot
-//! derive from a seed. It is legitimate in exactly one role: filling
-//! `*Stats.wall`-style observability fields (solver timing splits,
-//! template build stages, the perf harness) that are *excluded* from
+//! derive from a seed. It is legitimate in exactly one role: feeding
+//! observability values (report `wall` totals, solver and template
+//! stage profiles, the perf harness) that are *excluded* from
 //! every serialized report. The sweep journal, the golden-report
 //! fixtures, and crash/resume splicing all require reports to
 //! serialize to the same bytes on every run — one `Instant::now()`
@@ -12,8 +12,8 @@
 //! invariance verification for every downstream consumer.
 //!
 //! **Rule.** `Instant::now` and `SystemTime` may appear only on lines
-//! carrying `// lint: allow(wall_clock)` (put the annotation where the
-//! clock is read, with the measured quantity's sink named nearby).
+//! carrying `// lint: allow(wall_clock)`. The library's one such read is
+//! `ssor_graph::obs::Stopwatch`, the sink all its timing goes through.
 //! Perf-harness code — `crates/bench/` and `benches/` directories — is
 //! exempt wholesale: measuring wall time is its entire job.
 //!

@@ -27,12 +27,12 @@
 //! The original per-pair solver survives in the tests as the
 //! slow-but-simple reference the per-source path is checked against.
 
-use crate::traits::{ObliviousRouting, TemplateStageStats};
+use crate::traits::ObliviousRouting;
 use ssor_flow::decompose::{decompose, EdgeFlow};
+use ssor_graph::obs::{StageProfile, Stopwatch};
 use ssor_graph::{CsrLaplacian, Distributions, Graph, Preconditioner, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Why an [`ElectricalRouting`] could not be constructed.
 ///
@@ -116,7 +116,8 @@ pub struct ElectricalRouting {
     /// Laplacian solves performed so far — the observable the O(n)
     /// scaling test asserts on.
     solves: AtomicUsize,
-    stats: Option<TemplateStageStats>,
+    /// Batched precompute wall, as one `"metric"` stage.
+    profile: Option<StageProfile>,
 }
 
 impl ElectricalRouting {
@@ -155,7 +156,7 @@ impl ElectricalRouting {
             opts,
             potentials: Mutex::new(vec![None; g.n()]),
             solves: AtomicUsize::new(0),
-            stats: None,
+            profile: None,
         })
     }
 
@@ -189,7 +190,7 @@ impl ElectricalRouting {
     /// Batch-solves `ψ_s` for every vertex up front, fanning sources
     /// over rayon workers (input-order collected, so the cache is
     /// bit-identical at any thread count), and records the build wall
-    /// into [`ObliviousRouting::build_stats`]. The all-pairs template
+    /// into [`ObliviousRouting::build_profile`]. The all-pairs template
     /// build: `O(n)` solves, after which every pair query is solve-free.
     pub fn precomputed(self) -> Self {
         let sources: Vec<VertexId> = (0..self.graph.n() as VertexId).collect();
@@ -201,7 +202,7 @@ impl ElectricalRouting {
     /// for an `n × n` potentials cache.
     pub fn precompute_sources(mut self, sources: &[VertexId]) -> Self {
         let n = self.graph.n();
-        let t0 = std::time::Instant::now(); // lint: allow(wall_clock) — feeds TemplateStageStats only
+        let clock = Stopwatch::start();
         let rhs: Vec<Vec<f64>> = sources.iter().map(|&s| source_rhs(n, s)).collect();
         let solved = self.lap.solve_batch(
             &rhs,
@@ -209,7 +210,7 @@ impl ElectricalRouting {
             self.opts.tolerance,
             4 * n + 200,
         );
-        let wall = t0.elapsed();
+        let wall = clock.elapsed();
         self.solves.fetch_add(sources.len(), Ordering::Relaxed);
         {
             let mut cache = self.potentials.lock().expect("potentials cache lock");
@@ -217,14 +218,9 @@ impl ElectricalRouting {
                 cache[s as usize] = Some(Arc::new(sol.potentials));
             }
         }
-        let prev = self.stats.unwrap_or_default();
-        self.stats = Some(TemplateStageStats {
-            metric_wall: prev.metric_wall + wall,
-            tree_wall: Duration::ZERO,
-            load_wall: Duration::ZERO,
-            total_wall: prev.total_wall + wall,
-            tree_stage_parallel: false,
-        });
+        let profile = self.profile.get_or_insert_with(StageProfile::default);
+        profile.add("metric", wall);
+        profile.add_total(wall);
         self
     }
 
@@ -298,8 +294,8 @@ impl ObliviousRouting for ElectricalRouting {
         });
     }
 
-    fn build_stats(&self) -> Option<TemplateStageStats> {
-        self.stats
+    fn build_profile(&self) -> Option<&StageProfile> {
+        self.profile.as_ref()
     }
 }
 
@@ -478,7 +474,7 @@ mod tests {
             n,
             "queries after precompute are solve-free"
         );
-        assert!(pre.build_stats().is_some());
+        assert!(pre.build_profile().is_some());
     }
 
     #[test]

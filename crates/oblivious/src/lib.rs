@@ -57,5 +57,5 @@ pub use frt::{sample_tree_routings_seeded, tree_seed, FrtTree, Metric, TreeRouti
 pub use hop::{HopConstrainedRouting, HopOptions};
 pub use raecke::{RaeckeOptions, RaeckeRouting};
 pub use randomwalk::RandomWalkRouting;
-pub use traits::{validate_oblivious_routing, ObliviousRouting, TemplateStageStats};
+pub use traits::{validate_oblivious_routing, ObliviousRouting};
 pub use valiant::{BitFixingRouting, ValiantRouting};

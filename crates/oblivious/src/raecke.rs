@@ -17,14 +17,16 @@
 //! ([`Metric::build`]), and the canonical-load accumulation walks its `m`
 //! tree paths in fixed edge blocks merged through
 //! [`EdgeLoads::par_merge`]. Where the build time went is recorded as a
-//! [`TemplateStageStats`] (see [`RaeckeRouting::build_stats`]).
+//! [`StageProfile`] with `"metric"`, `"tree"` and `"load"` stages (see
+//! [`ObliviousRouting::build_profile`]); the FRT ensemble has no load
+//! stage.
 
 use crate::frt::{sample_trees_for_metric, FrtTree, Metric, TreeRouting};
-use crate::traits::{ObliviousRouting, TemplateStageStats};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
+use ssor_graph::obs::{StageProfile, Stopwatch};
 use ssor_graph::{par_ordered_map, Distributions, EdgeLoads, Graph, Path, VertexId};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Options for [`RaeckeRouting::build`].
 #[derive(Debug, Clone)]
@@ -88,7 +90,7 @@ pub struct RaeckeRouting {
     /// Max relative load per iteration (diagnostic; Räcke's objective).
     relative_loads: Vec<f64>,
     /// Where the construction spent its wall-clock.
-    stats: TemplateStageStats,
+    profile: StageProfile,
 }
 
 /// The canonical "every edge ships one unit between its endpoints" load
@@ -139,30 +141,24 @@ impl RaeckeRouting {
         assert!(g.m() > 0, "graph must have edges");
         assert!(g.is_connected(), "Raecke routing needs a connected graph");
         assert!(opts.iterations > 0);
-        // Stage timings below feed TemplateStageStats — diagnostics only,
-        // never part of the deterministic report surface.
-        let build_start = Instant::now(); // lint: allow(wall_clock)
+        let clock = Stopwatch::start();
         let m = g.m();
         let canonical: Vec<(VertexId, VertexId)> = g.edges().map(|(_, uv)| uv).collect();
         let mut lengths = vec![1.0f64; m];
         let mut trees = Vec::with_capacity(opts.iterations);
         let mut relative_loads = Vec::with_capacity(opts.iterations);
-        let mut stats = TemplateStageStats::default();
+        let mut profile = StageProfile::default();
 
         for _ in 0..opts.iterations {
             let lens = lengths.clone();
-            let stage = Instant::now(); // lint: allow(wall_clock)
-            let metric = Arc::new(Metric::build(g, &move |e| lens[e as usize]));
-            stats.metric_wall += stage.elapsed();
-
-            let stage = Instant::now(); // lint: allow(wall_clock)
-            let tree = Arc::new(FrtTree::sample(&metric, g.n(), rng));
-            let tr = TreeRouting::new(Arc::clone(&metric), tree);
-            stats.tree_wall += stage.elapsed();
-
-            let stage = Instant::now(); // lint: allow(wall_clock)
-            let load = canonical_loads(g, &tr, &canonical);
-            stats.load_wall += stage.elapsed();
+            let metric = profile.time("metric", || {
+                Arc::new(Metric::build(g, &move |e| lens[e as usize]))
+            });
+            let tr = profile.time("tree", || {
+                let tree = Arc::new(FrtTree::sample(&metric, g.n(), rng));
+                TreeRouting::new(Arc::clone(&metric), tree)
+            });
+            let load = profile.time("load", || canonical_loads(g, &tr, &canonical));
             let rho = load.max().max(1.0);
             relative_loads.push(rho);
 
@@ -180,14 +176,14 @@ impl RaeckeRouting {
 
             trees.push(tr);
         }
-        stats.total_wall = build_start.elapsed();
+        profile.add_total(clock.elapsed());
         let w = 1.0 / trees.len() as f64;
         RaeckeRouting {
             graph: g.clone(),
             weights: vec![w; trees.len()],
             relative_loads,
             trees,
-            stats,
+            profile,
         }
     }
 
@@ -198,7 +194,7 @@ impl RaeckeRouting {
     /// # Panics
     ///
     /// Panics if `trees` is empty.
-    fn uniform_mixture(g: &Graph, trees: Vec<TreeRouting>) -> Self {
+    fn uniform_mixture(g: &Graph, trees: Vec<TreeRouting>, profile: StageProfile) -> Self {
         assert!(!trees.is_empty(), "a mixture needs at least one tree");
         let w = 1.0 / trees.len() as f64;
         RaeckeRouting {
@@ -206,7 +202,7 @@ impl RaeckeRouting {
             weights: vec![w; trees.len()],
             relative_loads: Vec::new(),
             trees,
-            stats: TemplateStageStats::default(),
+            profile,
         }
     }
 
@@ -239,23 +235,12 @@ impl RaeckeRouting {
         assert!(count > 0, "ensemble needs at least one tree");
         assert!(g.m() > 0, "graph must have edges");
         assert!(g.is_connected(), "FRT ensemble needs a connected graph");
-        // Stage timings feed TemplateStageStats — diagnostics only.
-        let build_start = Instant::now(); // lint: allow(wall_clock)
-        let stage = Instant::now(); // lint: allow(wall_clock)
-        let metric = Arc::new(Metric::hops(g));
-        let metric_wall = stage.elapsed();
-        let stage = Instant::now(); // lint: allow(wall_clock)
-        let trees = sample_trees_for_metric(g, &metric, count, seed);
-        let tree_wall = stage.elapsed();
-        let mut mixture = RaeckeRouting::uniform_mixture(g, trees);
-        mixture.stats = TemplateStageStats {
-            metric_wall,
-            tree_wall,
-            load_wall: std::time::Duration::ZERO,
-            total_wall: build_start.elapsed(),
-            tree_stage_parallel: true,
-        };
-        mixture
+        let clock = Stopwatch::start();
+        let mut profile = StageProfile::default();
+        let metric = profile.time("metric", || Arc::new(Metric::hops(g)));
+        let trees = profile.time("tree", || sample_trees_for_metric(g, &metric, count, seed));
+        profile.add_total(clock.elapsed());
+        RaeckeRouting::uniform_mixture(g, trees, profile)
     }
 
     /// The trees in the mixture.
@@ -304,8 +289,8 @@ impl ObliviousRouting for RaeckeRouting {
         out.merge_open();
     }
 
-    fn build_stats(&self) -> Option<TemplateStageStats> {
-        Some(self.stats)
+    fn build_profile(&self) -> Option<&StageProfile> {
+        Some(&self.profile)
     }
 }
 
@@ -318,6 +303,17 @@ mod tests {
     use ssor_flow::solver::{min_congestion_unrestricted, SolveOptions};
     use ssor_flow::Demand;
     use ssor_graph::generators;
+    use std::time::Duration;
+
+    /// The build's stages are exactly `names`, in order, and sum to at
+    /// most the total: they are disjoint intervals inside the build,
+    /// read off one monotonic clock.
+    fn assert_stages_fit(profile: &StageProfile, names: &[&str]) {
+        let got: Vec<&str> = profile.stages().iter().map(|&(name, _)| name).collect();
+        assert_eq!(got, names);
+        let sum: Duration = profile.stages().iter().map(|&(_, wall)| wall).sum();
+        assert!(sum <= profile.total(), "{sum:?} > {:?}", profile.total());
+    }
 
     #[test]
     fn builds_and_validates_on_grid() {
@@ -327,9 +323,9 @@ mod tests {
         let pairs: Vec<(u32, u32)> = vec![(0, 8), (2, 6), (1, 7), (3, 5)];
         validate_oblivious_routing(&r, &pairs).unwrap();
         assert_eq!(r.trees().len(), 12);
-        let stats = r.build_stats().expect("raecke tracks build stats");
-        assert!(stats.total_wall.as_nanos() > 0);
-        assert!(stats.metric_wall + stats.tree_wall + stats.load_wall <= stats.total_wall * 2);
+        let profile = r.build_profile().expect("raecke tracks build stages");
+        assert!(profile.total().as_nanos() > 0);
+        assert_stages_fit(profile, &["metric", "tree", "load"]);
     }
 
     #[test]
@@ -508,11 +504,7 @@ mod tests {
             assert_eq!(a.path_distribution(s, t), b.path_distribution(s, t));
         }
         assert!(a.relative_loads().is_empty(), "no MW adaptation ran");
-        let stats = a.build_stats().expect("ensemble tracks build stats");
-        assert_eq!(stats.load_wall.as_nanos(), 0);
-        // Seeded ensembles sample trees in parallel, so the tree stage
-        // counts toward the parallel share (~100% for this template).
-        assert!(stats.tree_stage_parallel);
-        assert!(stats.parallel_share() > 0.8, "{}", stats.parallel_share());
+        let profile = a.build_profile().expect("ensemble tracks build stages");
+        assert_stages_fit(profile, &["metric", "tree"]);
     }
 }

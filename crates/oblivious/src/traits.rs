@@ -10,6 +10,7 @@
 
 use rand::{Rng, RngCore};
 use ssor_flow::Demand;
+use ssor_graph::obs::StageProfile;
 use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, Path, VertexId};
 
 /// An oblivious routing over a fixed graph.
@@ -111,79 +112,12 @@ pub trait ObliviousRouting {
     }
 
     /// Per-stage construction timings, for templates that track them
-    /// (the Räcke/FRT builders do; cheap deterministic templates return
-    /// `None`). The engine surfaces these next to its solver stats so a
-    /// run reports where template time went and how much of it was
-    /// parallelizable.
-    fn build_stats(&self) -> Option<TemplateStageStats> {
+    /// (the Räcke/FRT builders and the precomputed electrical template
+    /// do; cheap deterministic templates return `None`). The engine
+    /// surfaces these next to its solver stats so a run reports where
+    /// template time went.
+    fn build_profile(&self) -> Option<&StageProfile> {
         None
-    }
-}
-
-/// Where a template construction spent its wall-clock, split by stage.
-///
-/// The tree-based templates have exactly three cost centers: the
-/// all-pairs metric (`n` Dijkstra trees, rayon-parallel), FRT tree
-/// sampling (parallel for seeded ensembles, inherently sequential inside
-/// the Räcke multiplicative-weights loop), and the canonical-load
-/// accumulation (`m` path walks per iteration, rayon-parallel in fixed
-/// blocks). [`parallel_share`](TemplateStageStats::parallel_share) is the
-/// fraction of the build that fans out over workers — the single-core
-/// headroom a multi-core runner converts into wall-clock.
-///
-/// # Examples
-///
-/// ```
-/// use ssor_oblivious::TemplateStageStats;
-/// use std::time::Duration;
-///
-/// let stats = TemplateStageStats {
-///     metric_wall: Duration::from_millis(6),
-///     tree_wall: Duration::from_millis(2),
-///     load_wall: Duration::from_millis(2),
-///     total_wall: Duration::from_millis(10),
-///     tree_stage_parallel: false,
-/// };
-/// assert!((stats.parallel_share() - 0.8).abs() < 1e-9);
-/// assert!(
-///     (TemplateStageStats { tree_stage_parallel: true, ..stats }.parallel_share() - 1.0).abs()
-///         < 1e-9
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TemplateStageStats {
-    /// Wall-clock spent building all-pairs metrics (parallelizable).
-    pub metric_wall: std::time::Duration,
-    /// Wall-clock spent sampling FRT trees (parallelizable for seeded
-    /// ensembles, sequential inside the multiplicative-weights loop —
-    /// see [`tree_stage_parallel`](Self::tree_stage_parallel)).
-    pub tree_wall: std::time::Duration,
-    /// Wall-clock spent accumulating canonical loads (parallelizable).
-    pub load_wall: std::time::Duration,
-    /// Wall-clock of the whole construction.
-    pub total_wall: std::time::Duration,
-    /// Whether the tree-sampling stage ran on the parallel seeded path
-    /// (`true` for seeded ensembles, `false` when trees consume a
-    /// sequential threaded RNG, as inside the Räcke
-    /// multiplicative-weights loop).
-    pub tree_stage_parallel: bool,
-}
-
-impl TemplateStageStats {
-    /// Fraction of the total build spent in rayon-parallel stages
-    /// (metric construction, canonical-load accumulation, and tree
-    /// sampling when the build used seed-derived per-tree streams);
-    /// 0 when no time was recorded.
-    pub fn parallel_share(&self) -> f64 {
-        let total = self.total_wall.as_secs_f64();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let mut par = self.metric_wall + self.load_wall;
-        if self.tree_stage_parallel {
-            par += self.tree_wall;
-        }
-        (par.as_secs_f64() / total).min(1.0)
     }
 }
 

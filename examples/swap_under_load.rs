@@ -13,13 +13,13 @@
 //! — readers take one brief lock per *swap*, never per query.
 
 use ssor::engine::{PathSystemCache, Pipeline, TemplateSpec, TopologySpec};
+use ssor::graph::obs::Stopwatch;
 use ssor::graph::VertexId;
 use ssor::serve::{
     answer_batch_on, churned_source, BatchOutcome, ChurnModel, EpochCell, QueryPlane, Rebuilder,
     Request,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 const ALPHA: usize = 4;
 const BATCH: u64 = 256;
@@ -58,10 +58,9 @@ fn drive(plane: &QueryPlane, reqs: &[Request], batches: usize) -> (Vec<BatchOutc
     let mut replies = Vec::with_capacity(batches);
     let mut nanos = Vec::with_capacity(batches);
     for _ in 0..batches {
-        // Example prints latency to stderr; never serialized. lint: allow(wall_clock)
-        let start = Instant::now();
+        let clock = Stopwatch::start();
         replies.push(plane.answer_batch(reqs));
-        nanos.push(start.elapsed().as_nanos());
+        nanos.push(clock.elapsed().as_nanos());
     }
     (replies, nanos)
 }
