@@ -110,6 +110,20 @@ impl Graph {
         self.endpoints[e as usize]
     }
 
+    /// The endpoint of edge `e` opposite `v`, or `None` if `e` is not
+    /// incident to `v` — one hop of a walk given by edge ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
+    pub fn far_end(&self, e: EdgeId, v: VertexId) -> Option<VertexId> {
+        match self.endpoints(e) {
+            (a, b) if a == v => Some(b),
+            (a, b) if b == v => Some(a),
+            _ => None,
+        }
+    }
+
     /// Incident arcs of vertex `v` (one per incident edge).
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[Arc] {

@@ -73,7 +73,7 @@ pub use graph::{Arc, EdgeId, Graph, VertexId};
 pub use laplacian::{CsrLaplacian, LaplacianSolve, Preconditioner};
 pub use load::EdgeLoads;
 pub use par::{derive_seed, par_ordered_map};
-pub use path::{all_distinct, Path};
+pub use path::{all_distinct, Path, ShortcutWalk};
 pub use route_table::RouteTable;
 pub use store::{PathId, PathStore};
 pub use subtopology::SubTopology;

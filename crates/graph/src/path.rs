@@ -105,19 +105,12 @@ impl Path {
     ///
     /// Returns `None` if some edge is not incident to the current vertex.
     pub fn from_edges(g: &Graph, start: VertexId, edges: &[EdgeId]) -> Option<Self> {
-        let mut vertices = vec![start];
+        let mut vertices = Vec::with_capacity(edges.len() + 1);
+        vertices.push(start);
         let mut cur = start;
         for &e in edges {
-            let (a, b) = g.endpoints(e);
-            let next = if a == cur {
-                b
-            } else if b == cur {
-                a
-            } else {
-                return None;
-            };
-            vertices.push(next);
-            cur = next;
+            cur = g.far_end(e, cur)?;
+            vertices.push(cur);
         }
         Some(Path {
             vertices,
@@ -163,36 +156,19 @@ impl Path {
     /// Removes cycles, producing a vertex-simple path with the same
     /// endpoints. Each surviving edge was an edge of the original walk, so
     /// shortcutting can only decrease per-edge congestion.
+    ///
+    /// Feeds the walk hop by hop through a [`ShortcutWalk`], which cuts
+    /// each loop as soon as the walk closes it.
     pub fn shortcut(&self) -> Path {
-        // Walk the path; when a vertex repeats, excise everything between
-        // its first occurrence and the repeat. A single left-to-right pass
-        // with a "last position" map restarted after each excision is
-        // O(len^2) worst case but our walks are short; use the simple
-        // stack-based algorithm instead, which is linear.
-        let mut stack_v: Vec<VertexId> = Vec::with_capacity(self.vertices.len());
-        let mut stack_e: Vec<EdgeId> = Vec::with_capacity(self.edges.len());
-        let mut pos: std::collections::HashMap<VertexId, usize> = std::collections::HashMap::new();
-        stack_v.push(self.vertices[0]);
-        pos.insert(self.vertices[0], 0);
-        for i in 0..self.edges.len() {
-            let v = self.vertices[i + 1];
-            if let Some(&j) = pos.get(&v) {
-                // Unwind back to the first occurrence of v.
-                while stack_v.len() > j + 1 {
-                    let dropped = stack_v.pop().expect("stack holds > j+1 entries");
-                    pos.remove(&dropped);
-                    stack_e.pop();
-                }
-            } else {
-                pos.insert(v, stack_v.len());
-                stack_v.push(v);
-                stack_e.push(self.edges[i]);
-            }
+        let mut walk = ShortcutWalk::new();
+        walk.start(self.source());
+        for (&e, &v) in self.edges.iter().zip(self.vertices.iter().skip(1)) {
+            walk.step(e, v);
         }
-        Path {
-            vertices: stack_v,
-            edges: stack_e,
-        }
+        let ShortcutWalk {
+            vertices, edges, ..
+        } = walk;
+        Path { vertices, edges }
     }
 
     /// Concatenates `self` with `other`, which must start where `self` ends.
@@ -242,6 +218,111 @@ impl Path {
             let (u, v) = (self.vertices[i], self.vertices[i + 1]);
             (a, b) == (u, v) || (a, b) == (v, u)
         })
+    }
+}
+
+/// Stack position of a vertex that is not on a [`ShortcutWalk`].
+const OFF_WALK: u32 = u32::MAX;
+
+/// A walk made simple as it is fed, one hop at a time: the loop-removal
+/// primitive behind [`Path::shortcut`], exposed so a caller can assemble
+/// a path from pieces without building the raw walk first.
+///
+/// It keeps the current simple path as a vertex stack and an edge stack,
+/// plus a dense vertex → stack-position index. A hop to a vertex already
+/// on the stack pops back to that vertex's first occurrence, which cuts
+/// the loop just closed; every other hop pushes. That is linear in the
+/// walk length, and the result is exactly [`Path::shortcut`] of the whole
+/// walk. The index grows to the largest vertex id seen and only the
+/// entries the previous walk touched are reset, so one scratch can be
+/// restarted cheaply for walk after walk.
+///
+/// # Examples
+///
+/// ```
+/// use ssor_graph::ShortcutWalk;
+///
+/// // The walk 0 -e0- 1 -e1- 2 -e1- 1 -e2- 3 loses its 1-2-1 detour.
+/// let mut walk = ShortcutWalk::new();
+/// walk.start(0);
+/// for (e, v) in [(0, 1), (1, 2), (1, 1), (2, 3)] {
+///     walk.step(e, v);
+/// }
+/// assert_eq!(walk.vertices(), &[0, 1, 3]);
+/// assert_eq!(walk.edges(), &[0, 2]);
+/// ```
+#[derive(Debug, Default)]
+pub struct ShortcutWalk {
+    vertices: Vec<VertexId>,
+    edges: Vec<EdgeId>,
+    /// Stack position per vertex id; [`OFF_WALK`] for vertices not on it.
+    pos: Vec<u32>,
+}
+
+impl ShortcutWalk {
+    /// An empty scratch; call [`start`](Self::start) before stepping.
+    pub fn new() -> Self {
+        ShortcutWalk::default()
+    }
+
+    /// Starts a new walk at `v`, discarding the previous one.
+    pub fn start(&mut self, v: VertexId) {
+        for &u in &self.vertices {
+            if let Some(p) = self.pos.get_mut(u as usize) {
+                *p = OFF_WALK;
+            }
+        }
+        self.vertices.clear();
+        self.edges.clear();
+        self.place(v);
+    }
+
+    /// Extends the walk along edge `e` to vertex `v`. If `v` is already
+    /// on the path, the loop back to it is cut instead.
+    pub fn step(&mut self, e: EdgeId, v: VertexId) {
+        match self.pos.get(v as usize) {
+            Some(&j) if j != OFF_WALK => {
+                let keep = j as usize + 1;
+                for u in self.vertices.drain(keep..) {
+                    if let Some(p) = self.pos.get_mut(u as usize) {
+                        *p = OFF_WALK;
+                    }
+                }
+                self.edges.truncate(keep - 1);
+            }
+            _ => {
+                self.place(v);
+                self.edges.push(e);
+            }
+        }
+    }
+
+    /// Pushes `v`, recording its stack position.
+    fn place(&mut self, v: VertexId) {
+        let i = v as usize;
+        if i >= self.pos.len() {
+            self.pos.resize(i + 1, OFF_WALK);
+        }
+        if let Some(p) = self.pos.get_mut(i) {
+            *p = self.vertices.len() as u32;
+        }
+        self.vertices.push(v);
+    }
+
+    /// The current simple path's vertex sequence.
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vertices
+    }
+
+    /// The current simple path's edge-id sequence.
+    pub fn edges(&self) -> &[EdgeId] {
+        &self.edges
+    }
+
+    /// The current simple path as an exact-size owned [`Path`]; the
+    /// scratch stays reusable.
+    pub fn to_path(&self) -> Path {
+        Path::raw(self.vertices.clone(), self.edges.clone())
     }
 }
 

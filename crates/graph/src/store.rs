@@ -19,10 +19,16 @@
 //! and edge-id sequence (which, on a fixed graph, determines the vertex
 //! sequence) — the same equivalence `PathSystem` has always deduplicated
 //! by.
+//!
+//! Deduplication hashes each path once, with a deterministic FNV-1a over
+//! its source and edge ids, and looks the hash up in an open-addressing
+//! table of `PathId`s kept at most half full. The table stores ids only;
+//! each path's hash sits next to its span, so a probe compares hashes
+//! before slices and growing the table never re-reads a path. No
+//! per-path heap allocation and no second hash.
 
 use crate::graph::{EdgeId, Graph, VertexId};
 use crate::path::Path;
-use std::collections::HashMap;
 
 /// Identifier of an interned path within one [`PathStore`] (dense,
 /// `0..store.len()`, in first-interning order).
@@ -67,9 +73,13 @@ pub struct PathStore {
     verts: Vec<VertexId>,
     edges: Vec<EdgeId>,
     spans: Vec<Span>,
-    /// Deterministic FNV-1a hash of `(source, edge sequence)` → candidate
-    /// ids (collisions resolved by slice comparison).
-    dedup: HashMap<u64, Vec<PathId>>,
+    /// [`fnv1a`] of each path, indexed by id.
+    hashes: Vec<u64>,
+    /// Open-addressing dedup table: `id + 1` per occupied slot, 0 for an
+    /// empty one. Its length is zero or a power of two at least twice
+    /// [`len`](Self::len); lookups probe linearly from the slot the hash
+    /// selects.
+    slots: Vec<u32>,
 }
 
 /// FNV-1a over the source vertex and edge-id sequence. Deterministic
@@ -117,7 +127,9 @@ impl PathStore {
     ///
     /// This is the zero-copy entry point for moving paths *between*
     /// arenas (`store_a.intern_parts(store_b.vertices(id), store_b.edges(id))`)
-    /// without materializing an owned [`Path`].
+    /// without materializing an owned [`Path`]. The path is hashed once
+    /// and probed in the open-addressing table (see the module docs); a
+    /// new path is appended to the flat arrays and gets the next id.
     ///
     /// # Panics
     ///
@@ -129,13 +141,10 @@ impl PathStore {
             "a path has one more vertex than edges"
         );
         let h = fnv1a(vertices[0], edges);
-        if let Some(cands) = self.dedup.get(&h) {
-            for &id in cands {
-                if self.edges(id) == edges && self.vertices(id)[0] == vertices[0] {
-                    return id;
-                }
-            }
-        }
+        let slot = match self.probe(h, vertices[0], edges) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
         let id = PathId(self.spans.len() as u32);
         self.spans.push(Span {
             vstart: self.verts.len() as u32,
@@ -144,18 +153,58 @@ impl PathStore {
         });
         self.verts.extend_from_slice(vertices);
         self.edges.extend_from_slice(edges);
-        self.dedup.entry(h).or_default().push(id);
+        self.hashes.push(h);
+        if 2 * self.spans.len() > self.slots.len() {
+            self.grow();
+        } else if let Some(s) = self.slots.get_mut(slot) {
+            *s = id.0 + 1;
+        }
         id
     }
 
     /// Looks up a path without interning it; `None` if it is not stored.
     pub fn find(&self, vertices: &[VertexId], edges: &[EdgeId]) -> Option<PathId> {
-        let h = fnv1a(vertices[0], edges);
-        self.dedup
-            .get(&h)?
-            .iter()
-            .copied()
-            .find(|&id| self.edges(id) == edges && self.vertices(id)[0] == vertices[0])
+        self.probe(fnv1a(vertices[0], edges), vertices[0], edges)
+            .ok()
+    }
+
+    /// The id stored for `(source, edges)` with hash `h`, or the empty
+    /// slot where it would go (`usize::MAX` while the table is empty).
+    fn probe(&self, h: u64, source: VertexId, edges: &[EdgeId]) -> Result<PathId, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut slot = h as usize & mask;
+        while let Some(&entry) = self.slots.get(slot) {
+            let Some(id) = entry.checked_sub(1).map(PathId) else {
+                return Err(slot);
+            };
+            if self.hashes.get(id.index()) == Some(&h)
+                && self.source(id) == source
+                && self.edges(id) == edges
+            {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(usize::MAX)
+    }
+
+    /// Doubles the table (16 slots at first) and re-inserts every id in
+    /// id order from the stored hashes.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        let mask = len - 1;
+        let mut slots = vec![0u32; len];
+        for (id, &h) in (1u32..).zip(&self.hashes) {
+            let mut slot = h as usize & mask;
+            while let Some(s) = slots.get_mut(slot) {
+                if *s == 0 {
+                    *s = id;
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        self.slots = slots;
     }
 
     /// The vertex sequence of `id`.

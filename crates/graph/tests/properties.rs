@@ -6,7 +6,9 @@ use ssor_graph::shortest_path::{
     bfs_path, bfs_tree, bfs_trees_csr_batch, dijkstra_path, dijkstra_tree_csr,
     dijkstra_trees_csr_batch, hop_distance,
 };
-use ssor_graph::{generators, CsrLaplacian, EdgeLoads, Graph, Path, PathStore, VertexId};
+use ssor_graph::{
+    generators, CsrLaplacian, EdgeId, EdgeLoads, Graph, Path, PathStore, ShortcutWalk, VertexId,
+};
 
 /// Strategy: a connected random graph with `n` in 2..=12 via an
 /// Erdős–Rényi draw stitched to connectivity (deterministic from the seed).
@@ -51,6 +53,48 @@ fn random_simple_path(g: &Graph, rng: &mut rand::rngs::StdRng) -> Path {
         cur = a.to;
     }
     Path::from_edges(g, start, &edges).unwrap().shortcut()
+}
+
+/// The reference shortcut: the stack walk with a hash-map position
+/// index, as `(vertices, edges)`.
+fn shortcut_reference(walk: &Path) -> (Vec<VertexId>, Vec<EdgeId>) {
+    let vertices = walk.vertices();
+    let mut stack_v = vec![walk.source()];
+    let mut stack_e: Vec<EdgeId> = Vec::new();
+    let mut pos: std::collections::HashMap<VertexId, usize> =
+        std::collections::HashMap::from([(walk.source(), 0)]);
+    for (&e, &v) in walk.edges().iter().zip(&vertices[1..]) {
+        if let Some(&j) = pos.get(&v) {
+            while stack_v.len() > j + 1 {
+                pos.remove(&stack_v.pop().unwrap());
+                stack_e.pop();
+            }
+        } else {
+            pos.insert(v, stack_v.len());
+            stack_v.push(v);
+            stack_e.push(e);
+        }
+    }
+    (stack_v, stack_e)
+}
+
+/// A random walk of `len` hops from `start`, as edge ids.
+fn random_walk_edges(
+    g: &Graph,
+    start: VertexId,
+    len: usize,
+    rng: &mut rand::rngs::StdRng,
+) -> (Vec<EdgeId>, VertexId) {
+    use rand::Rng;
+    let mut cur = start;
+    let mut edges = Vec::with_capacity(len);
+    for _ in 0..len {
+        let nbrs = g.neighbors(cur);
+        let a = nbrs[rng.gen_range(0..nbrs.len())];
+        edges.push(a.edge);
+        cur = a.to;
+    }
+    (edges, cur)
 }
 
 proptest! {
@@ -149,6 +193,52 @@ proptest! {
         prop_assert_eq!(p.target(), walk.target());
         prop_assert_eq!(p.shortcut(), p.clone(), "idempotent");
         prop_assert!(p.hop() <= walk.hop());
+    }
+
+    #[test]
+    fn shortcut_matches_hash_map_reference(
+        g in connected_multigraph(),
+        first in 0usize..12,
+        back in any::<bool>(),
+        more in 0usize..200,
+        seed in any::<u64>(),
+    ) {
+        // A random walk, optionally retraced to its source (so the
+        // source itself is revisited and the first leg collapses), then
+        // continued for up to 200 more hops, which revisits the small
+        // graph's vertices many times over.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start = rng.gen_range(0..g.n()) as VertexId;
+        let (mut edges, mut cur) = random_walk_edges(&g, start, first, &mut rng);
+        if back {
+            let retrace: Vec<EdgeId> = edges.iter().rev().copied().collect();
+            edges.extend(retrace);
+            cur = start;
+        }
+        let (tail, _) = random_walk_edges(&g, cur, more, &mut rng);
+        edges.extend(tail);
+        let walk = Path::from_edges(&g, start, &edges).unwrap();
+        let reference = shortcut_reference(&walk);
+        let p = walk.shortcut();
+        prop_assert_eq!(p.vertices(), &reference.0[..]);
+        prop_assert_eq!(p.edges(), &reference.1[..]);
+        // One scratch reused across walks gives the same answers: a
+        // restart resets every position the previous walk left behind.
+        let other_start = rng.gen_range(0..g.n()) as VertexId;
+        let (other_edges, _) = random_walk_edges(&g, other_start, more, &mut rng);
+        let other = Path::from_edges(&g, other_start, &other_edges).unwrap();
+        let other_ref = shortcut_reference(&other);
+        let mut scratch = ShortcutWalk::new();
+        for (w, want) in [(&walk, &reference), (&other, &other_ref), (&walk, &reference)] {
+            scratch.start(w.source());
+            for (&e, &v) in w.edges().iter().zip(&w.vertices()[1..]) {
+                scratch.step(e, v);
+            }
+            prop_assert_eq!(scratch.vertices(), &want.0[..]);
+            prop_assert_eq!(scratch.edges(), &want.1[..]);
+        }
     }
 
     #[test]
@@ -255,6 +345,63 @@ proptest! {
                 prop_assert_eq!(same, ia == ib);
             }
         }
+    }
+
+    #[test]
+    fn path_store_matches_first_occurrence_model(
+        pool_len in 1usize..300,
+        picks in proptest::collection::vec(any::<u64>(), 0..600),
+        seed in any::<u64>(),
+    ) {
+        // A pool of paths over a small alphabet: zero-hop paths from
+        // several sources, shared edge prefixes, and every third entry
+        // repeating an earlier entry's edges under another source. The
+        // store only keys on (source, edges), so vertices after the
+        // first are derived from them.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pool: Vec<(Vec<VertexId>, Vec<EdgeId>)> = Vec::with_capacity(pool_len);
+        while pool.len() < pool_len {
+            let source = rng.gen_range(0..6) as VertexId;
+            let edges: Vec<EdgeId> = match pool.len() % 3 {
+                2 => pool[rng.gen_range(0..pool.len())].1.clone(),
+                _ => (0..rng.gen_range(0..6)).map(|_| rng.gen_range(0..8)).collect(),
+            };
+            let mut vertices = vec![source];
+            for &e in &edges {
+                vertices.push((vertices[vertices.len() - 1] + e + 1) % 16);
+            }
+            pool.push((vertices, edges));
+        }
+        // The model: distinct (source, edges) keys in first-interning
+        // order; a key's position is its id.
+        let mut model: Vec<(VertexId, &[EdgeId])> = Vec::new();
+        let mut store = PathStore::new();
+        for pick in picks {
+            let (vertices, edges) = &pool[pick as usize % pool.len()];
+            let key = (vertices[0], &edges[..]);
+            let known = model.iter().position(|k| *k == key);
+            prop_assert_eq!(store.find(vertices, edges).map(|id| id.index()), known);
+            let id = store.intern_parts(vertices, edges);
+            let want = known.unwrap_or_else(|| {
+                model.push(key);
+                model.len() - 1
+            });
+            prop_assert_eq!(id.index(), want);
+            prop_assert_eq!(store.len(), model.len());
+        }
+        for (vertices, edges) in &pool {
+            let key = (vertices[0], &edges[..]);
+            let want = model.iter().position(|k| *k == key);
+            prop_assert_eq!(store.find(vertices, edges).map(|id| id.index()), want);
+            if let Some(id) = store.find(vertices, edges) {
+                prop_assert_eq!(store.vertices(id), &vertices[..]);
+                prop_assert_eq!(store.edges(id), &edges[..]);
+            }
+        }
+        let ids: Vec<usize> = store.ids().map(|id| id.index()).collect();
+        prop_assert_eq!(ids, (0..model.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,7 +21,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ssor_graph::generators::mix_seed;
 use ssor_graph::shortest_path::{dijkstra_trees_csr_batch, SpTree};
-use ssor_graph::{par_ordered_map, EdgeId, Graph, Path, VertexId};
+use ssor_graph::{par_ordered_map, EdgeId, Graph, Path, ShortcutWalk, VertexId};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// All-pairs shortest-path structure under a fixed length function: one
@@ -55,18 +56,9 @@ impl Metric {
         self.trees[u as usize].dist_to(v)
     }
 
-    /// A shortest `u -> v` path under the metric's lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is unreachable from `u`.
-    pub fn path(&self, g: &Graph, u: VertexId, v: VertexId) -> Path {
-        if u == v {
-            return Path::trivial(u);
-        }
-        self.trees[u as usize]
-            .path_to(g, v)
-            .expect("metric requires a connected graph")
+    /// The shortest-path tree rooted at `u`.
+    fn tree(&self, u: VertexId) -> &SpTree {
+        &self.trees[u as usize]
     }
 
     /// Largest finite pairwise distance.
@@ -203,27 +195,46 @@ impl FrtTree {
     /// The tree-path waypoints from `s` to `t`: centers going up `s`'s
     /// chain to the meeting cluster, then down `t`'s chain. Consecutive
     /// duplicates are removed.
-    fn waypoints(&self, s: VertexId, t: VertexId) -> Vec<VertexId> {
+    fn waypoints(&self, s: VertexId, t: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         let j = self.meeting_level(s, t);
-        let mut w: Vec<VertexId> = Vec::with_capacity(2 * j + 1);
-        for i in 0..=j {
-            w.push(self.chains[s as usize][i]);
-        }
-        for i in (0..j).rev() {
-            w.push(self.chains[t as usize][i]);
-        }
-        w.dedup();
-        w
+        let up = self.chain(s).iter().take(j + 1);
+        let down = self.chain(t).iter().take(j).rev();
+        let mut last = None;
+        up.chain(down)
+            .copied()
+            .filter(move |&w| last.replace(w) != Some(w))
     }
 }
 
 /// Deterministic path map derived from one FRT tree: the `s -> t` path is
 /// the concatenation of shortest paths between consecutive tree waypoints,
 /// shortcut to a simple path.
+///
+/// The concatenation is never built. Each waypoint segment is read off
+/// the metric's shortest-path tree rooted at its start (the `parent`
+/// chain, with each edge checked for incidence as it is followed) and
+/// streamed hop by hop into a [`ShortcutWalk`], which removes loops as
+/// they close; the result is exactly the shortcut concatenation. The
+/// walk and segment buffers live in a per-thread scratch reused by every
+/// path assembled on that thread, so a path costs no allocation beyond
+/// the owned [`Path`] that [`path`](Self::path) returns.
 #[derive(Debug, Clone)]
 pub struct TreeRouting {
     metric: Arc<Metric>,
     tree: Arc<FrtTree>,
+}
+
+/// The buffers behind [`TreeRouting::with_walk`]: the shortcut walk and
+/// one waypoint segment's edges, collected target-first off the parent
+/// chain.
+#[derive(Debug, Default)]
+struct TreePathScratch {
+    walk: ShortcutWalk,
+    segment: Vec<EdgeId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<TreePathScratch> = RefCell::new(TreePathScratch::default());
 }
 
 impl TreeRouting {
@@ -232,27 +243,64 @@ impl TreeRouting {
         TreeRouting { metric, tree }
     }
 
-    /// The underlying FRT tree.
-    pub fn tree(&self) -> &FrtTree {
-        &self.tree
-    }
-
     /// The (deterministic, simple) routed path for `(s, t)`.
     ///
     /// # Panics
     ///
     /// Panics if `s == t`.
     pub fn path(&self, g: &Graph, s: VertexId, t: VertexId) -> Path {
+        self.with_walk(g, s, t, ShortcutWalk::to_path)
+    }
+
+    /// Assembles the routed `(s, t)` path in this thread's scratch and
+    /// hands the finished walk, whose slices are the path
+    /// [`path`](Self::path) returns, to `f`. `f` runs while the scratch
+    /// is borrowed, so it must not assemble another tree path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s == t`, or if a segment's parent chain is broken: an
+    /// unreachable waypoint, or a parent edge not incident to the walk's
+    /// head.
+    pub(crate) fn with_walk<R>(
+        &self,
+        g: &Graph,
+        s: VertexId,
+        t: VertexId,
+        f: impl FnOnce(&ShortcutWalk) -> R,
+    ) -> R {
         assert_ne!(s, t, "tree routing needs distinct endpoints");
-        let wps = self.tree.waypoints(s, t);
-        let mut acc = Path::trivial(s);
-        for w in wps.windows(2) {
-            acc = acc.concat(&self.metric.path(g, w[0], w[1]));
-        }
-        let p = acc.shortcut();
-        debug_assert_eq!(p.source(), s);
-        debug_assert_eq!(p.target(), t);
-        p
+        SCRATCH.with(|scratch| {
+            let TreePathScratch { walk, segment } = &mut *scratch.borrow_mut();
+            walk.start(s);
+            let mut head = s;
+            let mut waypoints = self.tree.waypoints(s, t);
+            let mut u = waypoints.next().unwrap_or(s);
+            for v in waypoints {
+                let sp = self.metric.tree(u);
+                segment.clear();
+                let mut x = v;
+                while x != u {
+                    let (p, e) = sp
+                        .parent
+                        .get(x as usize)
+                        .copied()
+                        .flatten()
+                        .expect("metric requires a connected graph");
+                    segment.push(e);
+                    x = p;
+                }
+                for &e in segment.iter().rev() {
+                    head = g
+                        .far_end(e, head)
+                        .expect("shortest-path tree edges chain from the segment start");
+                    walk.step(e, head);
+                }
+                u = v;
+            }
+            debug_assert_eq!(walk.vertices().last(), Some(&t));
+            f(walk)
+        })
     }
 }
 
@@ -469,7 +517,7 @@ mod tests {
         let metric = Metric::hops(&g);
         let mut rng = StdRng::seed_from_u64(23);
         let tree = FrtTree::sample(&metric, g.n(), &mut rng);
-        let w = tree.waypoints(0, 8);
+        let w: Vec<VertexId> = tree.waypoints(0, 8).collect();
         assert_eq!(*w.first().unwrap(), 0);
         assert_eq!(*w.last().unwrap(), 8);
         // No consecutive duplicates.

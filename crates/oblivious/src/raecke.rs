@@ -104,7 +104,7 @@ fn canonical_loads(g: &Graph, tr: &TreeRouting, canonical: &[(VertexId, VertexId
     let block_load = |chunk: &[(VertexId, VertexId)]| {
         let mut load = EdgeLoads::zeros(m);
         for &(u, v) in chunk {
-            load.add_edges(tr.path(g, u, v).edges(), 1.0);
+            tr.with_walk(g, u, v, |walk| load.add_edges(walk.edges(), 1.0));
         }
         load
     };
@@ -284,7 +284,9 @@ impl ObliviousRouting for RaeckeRouting {
     fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         for (tr, &w) in self.trees.iter().zip(self.weights.iter()) {
-            out.push(&tr.path(&self.graph, s, t), w);
+            tr.with_walk(&self.graph, s, t, |walk| {
+                out.push_parts(walk.vertices(), walk.edges(), w);
+            });
         }
         out.merge_open();
     }
