@@ -59,28 +59,8 @@ impl PathSystem {
         assert!(path.is_simple(), "path systems contain simple paths only");
         assert!(path.hop() >= 1, "paths must have at least one edge");
         let key = (path.source(), path.target());
-        self.push_interned(key, path.vertices(), path.edges())
-    }
-
-    /// The one intern-then-dedup-push sequence every mutating entry point
-    /// funnels through ([`insert`], [`absorb`]).
-    ///
-    /// [`insert`]: PathSystem::insert
-    /// [`absorb`]: PathSystem::absorb
-    fn push_interned(
-        &mut self,
-        key: (VertexId, VertexId),
-        vertices: &[VertexId],
-        edges: &[ssor_graph::EdgeId],
-    ) -> bool {
-        let id = self.store.intern_parts(vertices, edges);
-        let entry = self.per_pair.entry(key).or_default();
-        if entry.contains(&id) {
-            false
-        } else {
-            entry.push(id);
-            true
-        }
+        let id = self.store.intern(&path);
+        push_new(self.per_pair.entry(key).or_default(), id)
     }
 
     /// The candidate paths for `(s, t)`, materialized as owned [`Path`]s.
@@ -156,11 +136,35 @@ impl PathSystem {
 
     /// Absorbs every path of `other` into `self` (deduplicating), copying
     /// the raw vertex/edge data between arenas without materializing
-    /// [`Path`] objects.
+    /// [`Path`] objects or hashing a path again.
     pub fn absorb(&mut self, other: &PathSystem) {
         for (&key, ids) in &other.per_pair {
+            let entry = self.per_pair.entry(key).or_default();
             for &oid in ids {
-                self.push_interned(key, other.store.vertices(oid), other.store.edges(oid));
+                push_new(entry, self.store.intern_from(&other.store, oid));
+            }
+        }
+    }
+
+    /// [`absorb`](Self::absorb) by value, with `other`'s arena moved over
+    /// in its own id order instead of its pair order: an empty `self`
+    /// becomes `other` outright, and otherwise each path is interned from
+    /// its stored hash, never hashed again. The system is the one
+    /// `absorb` builds; only the arena's id order can differ.
+    pub fn append(&mut self, other: PathSystem) {
+        if self.store.is_empty() {
+            *self = other;
+            return;
+        }
+        let moved: Vec<PathId> = other
+            .store
+            .ids()
+            .map(|oid| self.store.intern_from(&other.store, oid))
+            .collect();
+        for (key, ids) in other.per_pair {
+            let entry = self.per_pair.entry(key).or_default();
+            for id in ids.iter().filter_map(|oid| moved.get(oid.index())) {
+                push_new(entry, *id);
             }
         }
     }
@@ -218,6 +222,16 @@ impl PathSystem {
     }
 }
 
+/// Pushes `id` onto a pair's candidates unless it is already there (the
+/// set semantics of Definition 5.2); returns whether it was pushed.
+fn push_new(candidates: &mut Vec<PathId>, id: PathId) -> bool {
+    let new = !candidates.contains(&id);
+    if new {
+        candidates.push(id);
+    }
+    new
+}
+
 /// Logical equality: same pairs, and per pair the same path sequences in
 /// the same order — independent of arena ids or interning history, so two
 /// systems built by differently-chunked parallel samplers compare equal
@@ -252,6 +266,30 @@ mod tests {
         ps.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
         ps.insert(Path::from_vertices(&g, &[1, 2]).unwrap());
         (g, ps)
+    }
+
+    #[test]
+    fn append_is_absorb_in_arena_order() {
+        let (g, ps) = ring_system();
+        let mut other = PathSystem::new();
+        let walks: [&[VertexId]; 3] = [&[4, 5], &[2, 1], &[0, 1, 2, 3]];
+        for p in walks.iter().filter_map(|vs| Path::from_vertices(&g, vs)) {
+            other.insert(p);
+        }
+        assert_eq!(other.len(), 3);
+        let mut absorbed = ps.clone();
+        absorbed.absorb(&other);
+        let mut appended = ps.clone();
+        appended.append(other.clone());
+        assert_eq!(appended, absorbed);
+        assert_eq!(appended.store().len(), 5, "the shared path is not copied");
+        // `other`'s arena order (4 → 5 first), not its pair order.
+        let ids: Vec<_> = appended.store().ids().collect();
+        assert_eq!(appended.path_ids(4, 5), ids.get(3..4));
+        let mut empty = PathSystem::new();
+        empty.append(other.clone());
+        assert_eq!(empty.store().len(), other.store().len());
+        assert_eq!(empty.path_ids(2, 1), other.path_ids(2, 1));
     }
 
     #[test]

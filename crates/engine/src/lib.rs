@@ -21,6 +21,10 @@
 //! 5. **Simulate** — optionally round and packet-simulate the result
 //!    (`ssor_sim`).
 //!
+//! A prepared pipeline also serves: [`PreparedPipeline::route_table`]
+//! freezes the stage-3 path system into the `ssor_graph::RouteTable`
+//! the `ssor-serve` query plane answers from.
+//!
 //! [`Pipeline`] chains the stages behind a builder; [`ScenarioSpec`]
 //! names complete workloads (hypercube adversaries, random permutations,
 //! gravity WAN traffic, the Section 8 lower-bound gadget) so that a new
@@ -54,7 +58,6 @@ mod gravity;
 mod pipeline;
 mod report_json;
 pub mod sampling;
-mod snapshot;
 mod spec;
 mod stream;
 pub mod sweep;
@@ -63,7 +66,6 @@ pub use cache::{
     CacheStats, OptBounds, PathSystemCache, SharedTemplate, TemplateBuildStats, TemplateBuilder,
 };
 pub use pipeline::{EvalRecord, Objective, Pipeline, PreparedPipeline, RunReport};
-pub use snapshot::{route_table_all_pairs, route_table_from_template};
 pub use spec::{
     DemandSpec, Param, ResolveCtx, ScenarioSpec, StreamModel, TemplateSpec, TopologySpec,
 };

@@ -27,7 +27,9 @@ use ssor_flow::solver::{
 };
 use ssor_flow::{Demand, SolveOptions};
 use ssor_graph::obs::Stopwatch;
-use ssor_graph::{derive_seed, par_ordered_map, EdgeId, Graph, SubTopology};
+use ssor_graph::{
+    derive_seed, par_ordered_map, Distributions, EdgeId, Graph, RouteTable, SubTopology,
+};
 use ssor_sim::{simulate_routing, SimConfig};
 use std::sync::Arc;
 
@@ -929,11 +931,15 @@ impl PreparedPipeline {
             .map(|t| t as &dyn ssor_oblivious::ObliviousRouting)
     }
 
-    /// Flattens the stage-2 template into an immutable all-pairs
-    /// [`RouteTable`](ssor_graph::RouteTable) serving snapshot stamped
-    /// with `generation` — what a `ssor-serve` rebuilder publishes after
-    /// each churn step. `None` under [`Objective::CompletionTime`]
-    /// (no template to flatten).
+    /// Freezes the stage-3 path system into an immutable [`RouteTable`]
+    /// serving snapshot stamped with `generation` — what a `ssor-serve`
+    /// rebuilder publishes after each churn step. Each pair serves its
+    /// sampled `P(s, t)` (at most `α` distinct paths, in
+    /// [`paths`](Self::paths) order) at equal rates: one raw weight per
+    /// path through the one normalizer. The table's arena is a clone of
+    /// the path system's, so its ids are the system's and no path is
+    /// hashed again. `None` under [`Objective::CompletionTime`] (no
+    /// semi-oblivious router).
     ///
     /// # Examples
     ///
@@ -946,12 +952,14 @@ impl PreparedPipeline {
     /// let table = p.route_table(1).expect("congestion objective");
     /// assert_eq!(table.pair_count(), 56);
     /// ```
-    pub fn route_table(&self, generation: u64) -> Option<ssor_graph::RouteTable> {
-        let template = self.template.as_deref()?;
-        let pairs = all_pairs(self.graph().n());
-        Some(crate::snapshot::route_table_from_template(
-            template, &pairs, generation,
-        ))
+    pub fn route_table(&self, generation: u64) -> Option<RouteTable> {
+        let paths = self.router()?.paths();
+        let runs = paths.pairs().map(|(s, t)| {
+            let ids = paths.path_ids(s, t).unwrap_or_default();
+            ((s, t), ids.iter().map(|&id| (id, 1.0)))
+        });
+        let dists = Distributions::from_runs(paths.store().clone(), runs);
+        Some(RouteTable::freeze(self.graph().n(), generation, dists))
     }
 
     /// The sampled path system (stage 3): the router's own, or the

@@ -51,7 +51,9 @@ pub fn pair_seed(seed: u64, alpha: usize, s: VertexId, t: VertexId) -> u64 {
 ///
 /// Every pair draws `alpha` paths with replacement from `R(s, t)` using
 /// its own [`pair_seed`]-derived RNG; duplicates collapse, so
-/// `|P(s, t)| <= α`. The output is independent of the thread count.
+/// `|P(s, t)| <= α`. The output, down to its arena ids (every pair's
+/// distinct draws in pair-list order), is independent of the thread
+/// count.
 ///
 /// # Panics
 ///
@@ -88,8 +90,8 @@ pub fn par_alpha_sample<O: ObliviousRouting + Sync + ?Sized>(
         // Reviewed fan-out (the "chunked partial merge" special case the
         // par.rs docs name): chunk sizes adapt to the worker count, but
         // every pair's α draws run on its own per-pair seeded stream
-        // inside exactly one chunk, and the arena absorb below walks the
-        // partials in chunk order — logically identical at any thread
+        // inside exactly one chunk, and the arena append below walks the
+        // partials in chunk order — identical, id for id, at any thread
         // count. lint: allow(par_collect)
         .par_iter()
         .map(|chunk| {
@@ -104,14 +106,15 @@ pub fn par_alpha_sample<O: ObliviousRouting + Sync + ?Sized>(
             ps
         })
         .collect();
-    // Merge in chunk order by absorbing into one arena (raw slice copies,
-    // no Path materialization, no quadratic re-cloning). The result is
-    // logically identical at any thread count: each pair's draws happen
-    // inside exactly one chunk, and per-pair candidate order is draw
-    // order.
+    // Merge in chunk order by appending arenas: the first partial is the
+    // base and each later path moves by its stored hash, never hashed
+    // again. Each pair's draws happen inside exactly one chunk, so the
+    // arena is every pair's distinct draws in pair-list order — the same
+    // at any thread count, and for sorted pairs id for id what absorbing
+    // pair by pair gives.
     let mut out = PathSystem::new();
-    for p in &partials {
-        out.absorb(p);
+    for p in partials {
+        out.append(p);
     }
     out
 }
@@ -153,6 +156,29 @@ mod tests {
         pairs.reverse();
         let b = par_alpha_sample(&r, &pairs, 2, 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn arena_follows_the_pair_list_not_the_chunking() {
+        // One serial pass inserting every pair's draws in list order is
+        // the reference: the chunked sampler must give the same ids.
+        let r = ValiantRouting::new(3);
+        let mut pairs = all_pairs(8);
+        for _ in 0..2 {
+            let mut serial = PathSystem::new();
+            for &(s, t) in &pairs {
+                let mut rng = StdRng::seed_from_u64(pair_seed(4, 3, s, t));
+                for _ in 0..3 {
+                    serial.insert(r.sample_path(s, t, &mut rng));
+                }
+            }
+            let sampled = par_alpha_sample(&r, &pairs, 3, 4);
+            assert_eq!(sampled.store().len(), serial.store().len());
+            for &(s, t) in &pairs {
+                assert_eq!(sampled.path_ids(s, t), serial.path_ids(s, t));
+            }
+            pairs.reverse();
+        }
     }
 
     #[test]

@@ -105,9 +105,7 @@ impl PathOracle for CandidateOracle<'_> {
         // ...then a serial, index-ordered intern so the solve's arena ids
         // never depend on the thread count.
         best.into_iter()
-            .map(|found| {
-                found.map(|(id, cost)| (store.intern_parts(ext.vertices(id), ext.edges(id)), cost))
-            })
+            .map(|found| found.map(|(id, cost)| (store.intern_from(ext, id), cost)))
             .collect()
     }
 }

@@ -54,6 +54,29 @@ impl Distributions {
         Distributions::default()
     }
 
+    /// Adopts `store` as the arena and commits one run per pair from ids
+    /// already in it: each pair's raw `(id, weight)` entries, in the
+    /// given order, go through [`commit`](Self::commit), so no path is
+    /// interned again and the ids stay `store`'s.
+    ///
+    /// # Panics
+    ///
+    /// As [`commit`](Self::commit), and if an id is not in `store`.
+    pub fn from_runs<R: IntoIterator<Item = (PathId, f64)>>(
+        store: PathStore,
+        runs: impl IntoIterator<Item = ((VertexId, VertexId), R)>,
+    ) -> Self {
+        let mut d = Distributions {
+            store,
+            ..Distributions::default()
+        };
+        for ((s, t), run) in runs {
+            d.open.extend(run);
+            d.commit(s, t);
+        }
+        d
+    }
+
     /// The arena every [`PathId`] here refers into.
     pub fn store(&self) -> &PathStore {
         &self.store
@@ -153,20 +176,6 @@ impl Distributions {
             })
             .or_else(|| self.open.iter().max_by(|a, b| a.1.total_cmp(&b.1)))?;
         Some(self.store.materialize(id))
-    }
-
-    /// Copies `other`'s committed pairs in `(s, t)` order, re-interning
-    /// their paths here; weights are copied as already normalized.
-    pub fn extend_from(&mut self, other: &Distributions) {
-        for (pair, run) in other.iter() {
-            let start = self.entries.len() as u32;
-            for &(id, w) in run {
-                let (vertices, edges) = (other.store.vertices(id), other.store.edges(id));
-                let id = self.store.intern_parts(vertices, edges);
-                self.entries.push((id, w));
-            }
-            self.runs.insert(pair, (start, run.len() as u32));
-        }
     }
 }
 
@@ -282,27 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_reinterns_in_pair_order() {
+    fn from_runs_keeps_the_adopted_ids() {
         let (cw, ccw) = ring_paths();
-        let mut a = Distributions::new();
-        a.push(&ccw, 1.0);
-        a.commit(0, 2);
-        let mut b = Distributions::new();
-        b.push(&cw, 1.0); // interned but never committed: ids differ from `a`'s
-        b.open.clear();
-        b.push(&ring_path(&[1, 2]), 1.0);
-        b.commit(1, 2);
-        let mut merged = Distributions::new();
-        merged.extend_from(&b);
-        merged.extend_from(&a);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged.store().len(), 2, "only committed paths move");
-        assert_eq!(merged.get(1, 2), a.get(0, 2), "first path moved gets id 0");
-        let moved = merged.get(0, 2).and_then(|run| run.first());
-        assert_eq!(
-            moved.map(|&(id, _)| merged.store().materialize(id)),
-            Some(ccw)
-        );
+        let mut store = PathStore::new();
+        let (a, b) = (store.intern(&ccw), store.intern(&cw));
+        let d = Distributions::from_runs(store, [((0, 2), [(b, 1.0), (a, 3.0)])]);
+        assert_eq!(d.store().len(), 2, "nothing interned again");
+        assert_eq!(d.get(0, 2), Some([(b, 0.25), (a, 0.75)].as_slice()));
+        assert!(d.open().is_empty());
     }
 
     #[test]

@@ -125,11 +125,11 @@ impl PathStore {
 
     /// Interns a path given as raw vertex/edge slices.
     ///
-    /// This is the zero-copy entry point for moving paths *between*
-    /// arenas (`store_a.intern_parts(store_b.vertices(id), store_b.edges(id))`)
-    /// without materializing an owned [`Path`]. The path is hashed once
-    /// and probed in the open-addressing table (see the module docs); a
-    /// new path is appended to the flat arrays and gets the next id.
+    /// Interns without materializing an owned [`Path`]; a path that
+    /// already sits in another arena moves cheaper through
+    /// [`intern_from`](Self::intern_from). The path is hashed once and
+    /// probed in the open-addressing table (see the module docs); a new
+    /// path is appended to the flat arrays and gets the next id.
     ///
     /// # Panics
     ///
@@ -140,8 +140,32 @@ impl PathStore {
             edges.len() + 1,
             "a path has one more vertex than edges"
         );
-        let h = fnv1a(vertices[0], edges);
-        let slot = match self.probe(h, vertices[0], edges) {
+        let source = vertices[0];
+        self.intern_hashed(fnv1a(source, edges), source, vertices, edges)
+    }
+
+    /// Interns path `id` of `other` here, reusing the hash `other`
+    /// stored for it: moving a path between arenas copies it but never
+    /// hashes it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in `other`.
+    pub fn intern_from(&mut self, other: &PathStore, id: PathId) -> PathId {
+        let h = other.hashes[id.index()];
+        self.intern_hashed(h, other.source(id), other.vertices(id), other.edges(id))
+    }
+
+    /// [`intern_parts`](Self::intern_parts) past the hash: probe for `h`,
+    /// and append the path under the next id if it is new.
+    fn intern_hashed(
+        &mut self,
+        h: u64,
+        source: VertexId,
+        vertices: &[VertexId],
+        edges: &[EdgeId],
+    ) -> PathId {
+        let slot = match self.probe(h, source, edges) {
             Ok(id) => return id,
             Err(slot) => slot,
         };
@@ -301,6 +325,28 @@ mod tests {
         assert_eq!(store.source(ib), 0);
         assert_eq!(store.target(ib), 3);
         assert_eq!(store.hop(ia), 3);
+    }
+
+    #[test]
+    fn intern_from_matches_intern_parts() {
+        let (a, b) = ((&[0, 1, 2, 3], &[0, 1, 2]), (&[0, 5, 4, 3], &[5, 4, 3]));
+        let mut src = PathStore::new();
+        let (ia, ib) = (src.intern_parts(a.0, a.1), src.intern_parts(b.0, b.1));
+        let mut dst = PathStore::new();
+        let jb = dst.intern_parts(b.0, b.1);
+        assert_eq!(
+            dst.intern_from(&src, ib),
+            jb,
+            "a path already here keeps its id"
+        );
+        let ja = dst.intern_from(&src, ia);
+        assert_eq!(
+            (dst.vertices(ja), dst.edges(ja)),
+            (a.0.as_slice(), a.1.as_slice())
+        );
+        assert_eq!(dst.find(a.0, a.1), Some(ja));
+        assert_eq!(dst.intern_parts(a.0, a.1), ja);
+        assert_eq!(dst.len(), 2);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! The paper's headline — `α = O(log n)` random paths per pair suffice
 //! for near-optimal congestion — means the *serving* side of
-//! semi-oblivious routing is tiny: per pair, a handful of interned paths
-//! and a sampling CDF. This crate turns the engine's batch pipeline into
-//! something that answers queries:
+//! semi-oblivious routing is tiny: per pair, the at most `α` sampled
+//! paths `P(s, t)` (Definition 5.2) and a sampling CDF over them. This
+//! crate turns the engine's batch pipeline into something that answers
+//! queries:
 //!
 //! * [`EpochCell`] / [`EpochReader`] — atomic snapshot publication with
 //!   wait-free steady-state reads (one `Acquire` load per query batch; a
@@ -19,12 +20,13 @@
 //!   threads and merged in request order;
 //! * [`Rebuilder`] / [`churned_source`] / [`ChurnModel`] — the
 //!   background loop constructing generation `g + 1` through
-//!   `ssor_engine::Pipeline` under topology/seed churn and swapping it
-//!   in without stalling readers.
+//!   `ssor_engine::Pipeline` under topology/seed churn, freezing its
+//!   path system at equal rates (no demand is configured, so no rates
+//!   are adapted), and swapping it in without stalling readers.
 //!
 //! **Determinism contract.** A reply is a pure function of
 //! `(generation, request_id)`: its RNG stream is [`query_seed`]-derived,
-//! the snapshot for each generation is itself a deterministic flatten of
+//! the snapshot for each generation is itself a deterministic freeze of
 //! a deterministic build, and a batch is answered against a single
 //! snapshot. So replies are bit-identical at any shard count and under
 //! any swap timing, and any logged reply can be audited offline by

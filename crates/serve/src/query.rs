@@ -265,11 +265,17 @@ pub fn answer_batch_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssor_engine::{route_table_all_pairs, Pipeline, TemplateSpec, TopologySpec};
-    use ssor_oblivious::ValiantRouting;
+    use ssor_engine::{Pipeline, TemplateSpec, TopologySpec};
 
+    /// A Valiant hypercube's α = 3 path system, frozen. (The empty
+    /// fallback answers nothing, which every test below would catch.)
     fn table(generation: u64) -> RouteTable {
-        route_table_all_pairs(&ValiantRouting::new(3), generation)
+        Pipeline::on(TopologySpec::Hypercube { dim: 3 })
+            .template(TemplateSpec::Valiant)
+            .alpha(3)
+            .prepare(&Default::default())
+            .route_table(generation)
+            .unwrap_or_else(|| RouteTable::freeze(8, generation, Default::default()))
     }
 
     fn requests(count: u64) -> Vec<Request> {

@@ -3,8 +3,9 @@
 //! A [`Rebuilder`] owns one OS thread that repeatedly builds the next
 //! [`RouteTable`] generation (through whatever source closure it was
 //! given — typically [`churned_source`], which drives the engine's
-//! [`Pipeline`] + [`PathSystemCache`] through a [`ChurnModel`]) and
-//! publishes it into the shared [`EpochCell`]. Publication is the
+//! [`Pipeline`] + [`PathSystemCache`] through a [`ChurnModel`] and
+//! freezes each generation's sampled path system) and publishes it into
+//! the shared [`EpochCell`]. Publication is the
 //! epoch-swap from [`crate::epoch`]: readers keep answering on the old
 //! snapshot mid-build and pick up the new generation on their next epoch
 //! check — no stall, no torn state.
@@ -40,7 +41,9 @@ pub enum ChurnModel {
 
 /// A generation source driving `base` through `churn`: calling it with
 /// generation `g` prepares the churned pipeline through `cache` and
-/// flattens the result into a `RouteTable` stamped `g`. Advances the
+/// freezes the sampled path system into a `RouteTable` stamped `g`
+/// ([`PreparedPipeline::route_table`](ssor_engine::PreparedPipeline::route_table):
+/// each pair's α-sampled paths at equal rates). Advances the
 /// cache generation first, so a capacity-bounded cache evicts
 /// oldest-generation entries as churn proceeds (the serving loop's memory
 /// stays bounded).
@@ -50,8 +53,9 @@ pub enum ChurnModel {
 ///
 /// # Panics
 ///
-/// The closure panics if `base` uses an objective without a template
-/// (nothing to flatten), or if a `TopologyCycle` rotation is empty.
+/// The closure panics if `base` uses an objective without a
+/// semi-oblivious router (no path system to freeze), or if a
+/// `TopologyCycle` rotation is empty.
 ///
 /// # Examples
 ///
@@ -93,7 +97,7 @@ pub fn churned_source(
         pipeline
             .prepare(&cache)
             .route_table(generation)
-            .expect("churned pipeline must build a template")
+            .expect("churned pipeline must sample a path system")
     }
 }
 

@@ -3,18 +3,18 @@
 //!
 //! 1. pass [`validate_oblivious_routing`] on every ordered pair;
 //! 2. draw `sample_path` results from the support of `path_distribution`;
-//! 3. flatten into an all-pairs [`RouteTable`] whose per-pair path ids
-//!    materialize to `path_distribution`'s paths in order, with every CDF
-//!    entry bitwise equal to the prefix sum of the weights normalized by
-//!    their left-to-right total.
+//! 3. write, commit and freeze into an all-pairs [`RouteTable`] whose
+//!    per-pair path ids materialize to `path_distribution`'s paths in
+//!    order, with every CDF entry bitwise equal to the prefix sum of the
+//!    weights normalized by their left-to-right total.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssor::core::sample::all_pairs;
-use ssor::engine::{route_table_all_pairs, TemplateSpec, TopologySpec};
-use ssor::graph::{Graph, Preconditioner, RouteTable, VertexId};
-use ssor::oblivious::validate_oblivious_routing;
+use ssor::engine::{TemplateSpec, TopologySpec};
+use ssor::graph::{Distributions, Graph, Preconditioner, RouteTable, VertexId};
+use ssor::oblivious::{validate_oblivious_routing, ObliviousRouting};
 
 /// One small instance of every variant.
 fn every_spec() -> Vec<TemplateSpec> {
@@ -59,6 +59,17 @@ fn multigraph(topo: &TopologySpec, extra: usize, seed: u64) -> Graph {
     g
 }
 
+/// Every pair's distribution as the template writes it, committed
+/// through the one normalizer and frozen into a table.
+fn freeze_template(template: &dyn ObliviousRouting, pairs: &[(VertexId, VertexId)]) -> RouteTable {
+    let mut dists = Distributions::new();
+    for &(s, t) in pairs {
+        template.write_distribution(s, t, &mut dists);
+        dists.commit(s, t);
+    }
+    RouteTable::freeze(template.graph().n(), 1, dists)
+}
+
 /// Checks the three contract clauses for `spec` built on `(topo, g)`.
 fn check_contract(
     spec: &TemplateSpec,
@@ -71,7 +82,7 @@ fn check_contract(
     if let Err(e) = validate_oblivious_routing(template.as_ref(), &pairs) {
         return Err(TestCaseError::Fail(format!("{spec:?}: {e}")));
     }
-    let table: RouteTable = route_table_all_pairs(template.as_ref(), 1);
+    let table = freeze_template(template.as_ref(), &pairs);
     prop_assert_eq!(table.pair_count(), pairs.len());
     let mut rng = StdRng::seed_from_u64(seed);
     for &(s, t) in &pairs {
