@@ -1,8 +1,10 @@
 //! Path systems (Definition 2.1): the combinatorial object a semi-oblivious
 //! routing *is*.
 
+use rand::RngCore;
 use ssor_flow::Candidates;
 use ssor_graph::{Graph, Path, PathId, PathStore, VertexId};
+use ssor_oblivious::ObliviousRouting;
 use std::collections::BTreeMap;
 
 /// A path system `P = {P(s, t)}`: a set of simple `(s, t)`-paths per vertex
@@ -61,6 +63,46 @@ impl PathSystem {
         let key = (path.source(), path.target());
         let id = self.store.intern(&path);
         push_new(self.per_pair.entry(key).or_default(), id)
+    }
+
+    /// Adds `draws` paths drawn from `routing`'s `R(s, t)` to `P(s, t)`,
+    /// through one [`ObliviousRouting::sample_into`] call: the pair map is
+    /// touched once per pair, not once per draw, and the template interns
+    /// each distinct draw straight into the arena. The system, arena ids
+    /// included, and the RNG state afterwards are those of `draws`
+    /// [`insert`](Self::insert)s of
+    /// [`sample_path`](ObliviousRouting::sample_path) draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`insert`](Self::insert), if a drawn path is not
+    /// simple or has zero hops, and if its endpoints are not `(s, t)`.
+    pub fn insert_draws<O: ObliviousRouting + ?Sized>(
+        &mut self,
+        routing: &O,
+        s: VertexId,
+        t: VertexId,
+        draws: usize,
+        rng: &mut dyn RngCore,
+    ) {
+        if draws == 0 {
+            return;
+        }
+        let ids = self.per_pair.entry((s, t)).or_default();
+        let known = ids.len();
+        routing.sample_into(s, t, draws, rng, &mut self.store, ids);
+        let store = &self.store;
+        for &id in ids.iter().skip(known) {
+            assert!(
+                store.is_simple(id),
+                "path systems contain simple paths only"
+            );
+            assert!(store.hop(id) >= 1, "paths must have at least one edge");
+            assert!(
+                (store.source(id), store.target(id)) == (s, t),
+                "a draw from R({s}, {t}) must run from {s} to {t}"
+            );
+        }
     }
 
     /// The candidate paths for `(s, t)`, materialized as owned [`Path`]s.

@@ -6,6 +6,13 @@
 //! * [`alpha_cut_sample`] — `α + cut_G(s, t)` draws per pair (Theorem 5.3
 //!   setting, needed for arbitrary fractional demands: the two-cliques
 //!   example of Section 2.1 shows `cut` many paths are necessary).
+//!
+//! Both draw a pair's paths in one [`PathSystem::insert_draws`] call, the
+//! draw loop the engine's parallel sampler shares: the template's
+//! [`ObliviousRouting::sample_into`] interns each distinct draw straight
+//! into the arena (a tree mixture walks each distinct tree once), with
+//! the RNG consumed exactly as `count` [`ObliviousRouting::sample_path`]
+//! calls would.
 
 use crate::path_system::PathSystem;
 use rand::Rng;
@@ -13,20 +20,6 @@ use ssor_graph::maxflow::min_cut_value;
 use ssor_graph::{Graph, VertexId};
 use ssor_oblivious::ObliviousRouting;
 use std::collections::HashMap;
-
-/// Draws `count` paths (with replacement) from `R(s, t)` into `ps`.
-fn draw_into<O: ObliviousRouting + ?Sized, R: Rng>(
-    ps: &mut PathSystem,
-    routing: &O,
-    s: VertexId,
-    t: VertexId,
-    count: usize,
-    rng: &mut R,
-) {
-    for _ in 0..count {
-        ps.insert(routing.sample_path(s, t, rng));
-    }
-}
 
 /// An `α`-sample of the oblivious routing on the given pairs
 /// (Definition 5.2): for each pair, `α` paths sampled with replacement
@@ -59,7 +52,7 @@ pub fn alpha_sample<O: ObliviousRouting + ?Sized, R: Rng>(
     let mut ps = PathSystem::new();
     for &(s, t) in pairs {
         assert_ne!(s, t, "pairs must have distinct endpoints");
-        draw_into(&mut ps, routing, s, t, alpha, rng);
+        ps.insert_draws(routing, s, t, alpha, rng);
     }
     ps
 }
@@ -89,7 +82,7 @@ pub fn alpha_cut_sample<O: ObliviousRouting + ?Sized, R: Rng>(
             .entry(key)
             .or_insert_with(|| min_cut_value(graph, s, t));
         assert!(cut >= 1, "graph disconnected between {s} and {t}");
-        draw_into(&mut ps, routing, s, t, alpha + cut as usize, rng);
+        ps.insert_draws(routing, s, t, alpha + cut as usize, rng);
     }
     ps
 }

@@ -8,6 +8,12 @@
 //! on 1 thread or 64 — and pairs are distributed over worker threads in
 //! blocks.
 //!
+//! A pair's `α` draws are one [`PathSystem::insert_draws`] call, the
+//! draw loop [`ssor_core::sample`] shares: the template's
+//! [`ObliviousRouting::sample_into`] interns each distinct draw straight
+//! into the chunk's arena (a tree mixture walks each distinct tree once)
+//! and consumes the pair's stream exactly as `α` `sample_path` calls.
+//!
 //! The streams intentionally differ from the sequential
 //! [`ssor_core::sample::alpha_sample`] (which threads one RNG through all
 //! pairs and therefore cannot parallelize); both are valid Definition 5.2
@@ -82,8 +88,12 @@ pub fn par_alpha_sample<O: ObliviousRouting + Sync + ?Sized>(
     assert!(alpha >= 1, "alpha must be positive");
     let workers = rayon::current_num_threads();
     // A few blocks per worker: big enough to amortize merge cost, small
-    // enough that uneven per-pair costs still balance.
-    let blocks = (workers * 4).clamp(1, pairs.len().max(1));
+    // enough that uneven per-pair costs still balance. One worker has
+    // nothing to balance, so it samples one block and merges nothing.
+    let blocks = match workers {
+        1 => 1,
+        _ => (workers * 4).clamp(1, pairs.len().max(1)),
+    };
     let block_len = pairs.len().div_ceil(blocks);
     let chunks: Vec<&[(VertexId, VertexId)]> = pairs.chunks(block_len.max(1)).collect();
     let partials: Vec<PathSystem> = chunks
@@ -99,9 +109,7 @@ pub fn par_alpha_sample<O: ObliviousRouting + Sync + ?Sized>(
             for &(s, t) in *chunk {
                 assert_ne!(s, t, "pairs must have distinct endpoints");
                 let mut rng = StdRng::seed_from_u64(pair_seed(seed, alpha, s, t));
-                for _ in 0..alpha {
-                    ps.insert(template.sample_path(s, t, &mut rng));
-                }
+                ps.insert_draws(template, s, t, alpha, &mut rng);
             }
             ps
         })

@@ -144,8 +144,10 @@ impl RouteTable {
         self.path_ids.len()
     }
 
-    /// Approximate heap footprint of the flattened buffers in bytes
-    /// (arena + index + CDFs), for capacity planning.
+    /// Heap bytes of the per-pair serving state: the CSR pair index
+    /// (source offsets, targets, id ranges) plus each pair's path ids and
+    /// CDF entries. The path arena is not counted; it is shared by every
+    /// pair and reported by [`store`](Self::store).
     pub fn flat_bytes(&self) -> usize {
         use std::mem::size_of;
         self.src_offsets.len() * size_of::<u32>()
@@ -347,6 +349,25 @@ mod tests {
         assert!(table.flat_bytes() > 0);
         let first = table.path_ids(0, 2).and_then(|ids| ids.first());
         assert_eq!(first.map(|&id| table.store().materialize(id)), Some(longer));
+    }
+
+    #[test]
+    fn flat_bytes_counts_the_index_and_cdfs_not_the_arena() {
+        // One pair with one path: 5 source offsets (u32), 1 target (u32),
+        // 1 range (2 x u32), 1 path id (u32) and 1 CDF entry (f64),
+        // whether the path has one hop or three.
+        let g = generators::ring(4);
+        let walks: [&[VertexId]; 2] = [&[0, 1], &[0, 3, 2, 1]];
+        let bytes: Vec<usize> = walks
+            .iter()
+            .filter_map(|vs| Path::from_vertices(&g, vs))
+            .map(|p| table_of(&[((0, 1), vec![(&p, 1.0)])]).flat_bytes())
+            .collect();
+        let one = 5 * 4 + 4 + 8 + 4 + 8;
+        assert_eq!(bytes, vec![one, one], "the arena is not counted");
+        // A second path on the pair adds one id and one CDF entry.
+        let (two, _, _) = two_path_table();
+        assert_eq!(two.flat_bytes(), one + 4 + 8);
     }
 
     #[test]

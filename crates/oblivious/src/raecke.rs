@@ -22,10 +22,13 @@
 //! stage.
 
 use crate::frt::{sample_trees_for_metric, FrtTree, Metric, TreeRouting};
-use crate::traits::ObliviousRouting;
+use crate::traits::{push_new, ObliviousRouting};
 use rand::{Rng, RngCore};
 use ssor_graph::obs::{StageProfile, Stopwatch};
-use ssor_graph::{par_ordered_map, Distributions, EdgeLoads, Graph, Path, VertexId};
+use ssor_graph::{
+    par_ordered_map, Distributions, EdgeLoads, Graph, Path, PathId, PathStore, VertexId,
+};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Options for [`RaeckeRouting::build`].
@@ -91,6 +94,13 @@ pub struct RaeckeRouting {
     relative_loads: Vec<f64>,
     /// Where the construction spent its wall-clock.
     profile: StageProfile,
+}
+
+thread_local! {
+    /// The distinct tree indices of one pair's draws, in first-draw
+    /// order: [`RaeckeRouting::sample_into`]'s per-thread scratch, so a
+    /// pair costs no allocation.
+    static PICKS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The canonical "every edge ships one unit between its endpoints" load
@@ -253,6 +263,31 @@ impl RaeckeRouting {
     pub fn relative_loads(&self) -> &[f64] {
         &self.relative_loads
     }
+
+    /// The sum of the mixture weights: the scale of every tree draw.
+    fn weight_total(&self) -> f64 {
+        self.weights.iter().sum()
+    }
+
+    /// Draws one tree index with one deviate over the renormalized CDF:
+    /// the uniform draw is scaled by the actual weight sum `total`, so
+    /// floating-point shortfall (weights summing to slightly under 1)
+    /// cannot silently shift residual mass onto the last tree — tree `i`
+    /// is drawn with probability `w_i / total`, matching
+    /// `path_distribution` exactly. The last index is a safe landing for
+    /// an all-zero-weight mixture; for positive weights the subtractions
+    /// telescope to `(u - 1) * total <= 0` before it.
+    fn pick_tree(&self, total: f64, rng: &mut dyn RngCore) -> usize {
+        let mut x = rng.gen::<f64>() * total;
+        let last = self.weights.len().saturating_sub(1);
+        self.weights
+            .iter()
+            .position(|&w| {
+                x -= w;
+                x <= 0.0
+            })
+            .unwrap_or(last)
+    }
 }
 
 impl ObliviousRouting for RaeckeRouting {
@@ -262,23 +297,48 @@ impl ObliviousRouting for RaeckeRouting {
 
     fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
         assert_ne!(s, t);
-        // Renormalized CDF: scale the uniform draw by the actual weight
-        // sum, so floating-point shortfall (weights summing to slightly
-        // under 1) cannot silently shift residual mass onto the last
-        // tree — tree `i` is drawn with probability `w_i / total`,
-        // matching `path_distribution` exactly.
-        let total: f64 = self.weights.iter().sum();
-        let mut x = rng.gen::<f64>() * total;
-        for (tr, &w) in self.trees.iter().zip(self.weights.iter()) {
-            x -= w;
-            if x <= 0.0 {
-                return tr.path(&self.graph, s, t);
+        let i = self.pick_tree(self.weight_total(), rng);
+        let tree = self
+            .trees
+            .get(i)
+            .expect("a mixture holds at least one tree");
+        tree.path(&self.graph, s, t)
+    }
+
+    /// All `draws` tree indices first, one `pick_tree` deviate each in
+    /// draw order (the walk takes no randomness, so the RNG ends where
+    /// `draws` [`sample_path`](Self::sample_path) calls leave it); then
+    /// each distinct tree, in first-draw order, is walked once and its
+    /// walk interned straight from the scratch. A repeated tree repeats a
+    /// path, which the set `P(s, t)` drops anyway, so the ids and the
+    /// arena match the per-draw loop exactly.
+    fn sample_into(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        draws: usize,
+        rng: &mut dyn RngCore,
+        store: &mut PathStore,
+        out: &mut Vec<PathId>,
+    ) {
+        assert_ne!(s, t);
+        let total = self.weight_total();
+        PICKS.with(|picks| {
+            let picks = &mut *picks.borrow_mut();
+            picks.clear();
+            for _ in 0..draws {
+                let i = self.pick_tree(total, rng);
+                if !picks.contains(&i) {
+                    picks.push(i);
+                }
             }
-        }
-        // Unreachable for positive weights (the subtractions telescope
-        // to `(u - 1) * total <= 0`); kept as a safe landing for an
-        // all-zero-weight mixture.
-        self.trees.last().unwrap().path(&self.graph, s, t)
+            for tree in picks.iter().filter_map(|&i| self.trees.get(i)) {
+                let id = tree.with_walk(&self.graph, s, t, |walk| {
+                    store.intern_parts(walk.vertices(), walk.edges())
+                });
+                push_new(out, id);
+            }
+        });
     }
 
     fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
@@ -494,6 +554,39 @@ mod tests {
                 "path {i}: sampled {got:.3}, mixture says {expect:.3}"
             );
         }
+    }
+
+    #[test]
+    fn sample_into_draws_like_sample_path_on_uneven_weights() {
+        // `build` and `frt_ensemble` mix uniformly; skewed, short-summing
+        // weights with a zero entry exercise the renormalized CDF scan.
+        let g = generators::grid(3, 4);
+        let mut r = RaeckeRouting::frt_ensemble(&g, 5, 3);
+        r.weights = vec![0.05, 0.4, 0.0, 0.3, 0.125];
+        let (mut want_store, mut got_store) = (PathStore::new(), PathStore::new());
+        let mut want_rng = StdRng::seed_from_u64(17);
+        let mut got_rng = StdRng::seed_from_u64(17);
+        for (s, t) in [(0u32, 11u32), (3, 8), (5, 6), (0, 11)] {
+            for draws in [1, 4, 9, 30] {
+                let mut want: Vec<PathId> = Vec::new();
+                for _ in 0..draws {
+                    let id = want_store.intern(&r.sample_path(s, t, &mut want_rng));
+                    push_new(&mut want, id);
+                }
+                let mut got = Vec::new();
+                r.sample_into(s, t, draws, &mut got_rng, &mut got_store, &mut got);
+                assert_eq!(got, want, "({s}, {t}) x{draws}");
+            }
+        }
+        assert_eq!(got_store.len(), want_store.len());
+        for id in want_store.ids() {
+            assert_eq!(got_store.vertices(id), want_store.vertices(id));
+        }
+        assert_eq!(
+            got_rng.gen::<u64>(),
+            want_rng.gen::<u64>(),
+            "same RNG state"
+        );
     }
 
     #[test]

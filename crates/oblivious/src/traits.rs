@@ -11,7 +11,7 @@
 use rand::{Rng, RngCore};
 use ssor_flow::Demand;
 use ssor_graph::obs::StageProfile;
-use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, Path, VertexId};
+use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, Path, PathId, PathStore, VertexId};
 
 /// An oblivious routing over a fixed graph.
 ///
@@ -35,6 +35,35 @@ pub trait ObliviousRouting {
         written(self, s, t)
             .sample_open(rng.gen::<f64>())
             .expect("R(s, t) is never empty")
+    }
+
+    /// Draws `draws` paths from `R(s, t)` with replacement, interns each
+    /// into `store`, and appends to `out` the id of every draw not
+    /// already in it, in first-draw order — the set semantics of
+    /// Definition 5.2, one call per pair.
+    ///
+    /// The result (arena included) and the RNG state afterwards are
+    /// exactly those of `draws` calls of
+    /// [`sample_path`](Self::sample_path), each interned and pushed
+    /// unless present. The default is that loop; a template whose draws
+    /// repeat cheaply (a tree mixture draws a tree, not a path)
+    /// overrides it to assemble each distinct draw once.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `s == t` or vertices are out of range.
+    fn sample_into(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        draws: usize,
+        rng: &mut dyn RngCore,
+        store: &mut PathStore,
+        out: &mut Vec<PathId>,
+    ) {
+        for _ in 0..draws {
+            push_new(out, store.intern(&self.sample_path(s, t, rng)));
+        }
     }
 
     /// Pushes `R(s, t)` onto `out`'s (empty) open run as `(path,
@@ -118,6 +147,14 @@ pub trait ObliviousRouting {
     /// template time went.
     fn build_profile(&self) -> Option<&StageProfile> {
         None
+    }
+}
+
+/// Pushes `id` onto a pair's draws unless it is already there; the one
+/// dedup behind every [`ObliviousRouting::sample_into`].
+pub(crate) fn push_new(out: &mut Vec<PathId>, id: PathId) {
+    if !out.contains(&id) {
+        out.push(id);
     }
 }
 
