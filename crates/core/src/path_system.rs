@@ -163,6 +163,21 @@ impl PathSystem {
         self.per_pair.values().map(Vec::len).sum()
     }
 
+    /// Heap bytes of the system: its arena's [`PathStore::heap_bytes`]
+    /// plus the pair index, one `(pair, id list)` entry per covered pair
+    /// and one [`PathId`] per candidate. The B-tree's node overhead and
+    /// spare capacity are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let entry = size_of::<((VertexId, VertexId), Vec<PathId>)>();
+        let index: usize = self
+            .per_pair
+            .values()
+            .map(|ids| entry + ids.len() * size_of::<PathId>())
+            .sum();
+        self.store.heap_bytes() + index
+    }
+
     /// Whether every pair's candidate count is at most
     /// `alpha + cut_bound(s, t)` for a caller-supplied cut function —
     /// checks `(α + cut_G)`-sparsity per Definition 2.1.
@@ -308,6 +323,18 @@ mod tests {
         ps.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
         ps.insert(Path::from_vertices(&g, &[1, 2]).unwrap());
         (g, ps)
+    }
+
+    #[test]
+    fn heap_bytes_adds_the_pair_index_to_the_arena() {
+        let (_, ps) = ring_system();
+        // Arena: 10 vertex and 7 edge ids, 3 spans (12 B), 3 hashes
+        // (8 B) and 16 dedup slots. Index: 2 pairs, each an 8-byte key
+        // and a list header (24 B on 64-bit targets), plus 3 ids.
+        let arena = 10 * 4 + 7 * 4 + 3 * 12 + 3 * 8 + 16 * 4;
+        let header = std::mem::size_of::<Vec<PathId>>();
+        assert_eq!(ps.store().heap_bytes(), arena);
+        assert_eq!(ps.heap_bytes(), arena + 2 * (8 + header) + 3 * 4);
     }
 
     #[test]

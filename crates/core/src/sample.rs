@@ -10,9 +10,10 @@
 //! Both draw a pair's paths in one [`PathSystem::insert_draws`] call, the
 //! draw loop the engine's parallel sampler shares: the template's
 //! [`ObliviousRouting::sample_into`] interns each distinct draw straight
-//! into the arena (a tree mixture walks each distinct tree once), with
-//! the RNG consumed exactly as `count` [`ObliviousRouting::sample_path`]
-//! calls would.
+//! into the arena (a tree mixture walks each distinct tree once; Valiant
+//! streams each draw's bit-fixing walk with no owned path; KSP runs Yen
+//! once per pair), with the RNG consumed exactly as `count`
+//! [`ObliviousRouting::sample_path`] calls would.
 
 use crate::path_system::PathSystem;
 use rand::Rng;

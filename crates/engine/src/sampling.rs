@@ -11,8 +11,10 @@
 //! A pair's `α` draws are one [`PathSystem::insert_draws`] call, the
 //! draw loop [`ssor_core::sample`] shares: the template's
 //! [`ObliviousRouting::sample_into`] interns each distinct draw straight
-//! into the chunk's arena (a tree mixture walks each distinct tree once)
-//! and consumes the pair's stream exactly as `α` `sample_path` calls.
+//! into the chunk's arena (a tree mixture walks each distinct tree once;
+//! Valiant streams each draw's bit-fixing walk with no owned path; KSP
+//! runs Yen once per pair) and consumes the pair's stream exactly as `α`
+//! `sample_path` calls.
 //!
 //! The streams intentionally differ from the sequential
 //! [`ssor_core::sample::alpha_sample`] (which threads one RNG through all

@@ -157,6 +157,12 @@ impl RouteTable {
             + self.cdf.len() * size_of::<f64>()
     }
 
+    /// Heap bytes of the whole table: [`flat_bytes`](Self::flat_bytes)
+    /// plus its arena's [`PathStore::heap_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        self.flat_bytes() + self.store.heap_bytes()
+    }
+
     /// The dense pair index of `(s, t)`, if the table has it: binary
     /// search over the source's target range. Infallible by
     /// construction — every access is a checked `.get` — because this
@@ -368,6 +374,18 @@ mod tests {
         // A second path on the pair adds one id and one CDF entry.
         let (two, _, _) = two_path_table();
         assert_eq!(two.flat_bytes(), one + 4 + 8);
+    }
+
+    #[test]
+    fn heap_bytes_adds_the_arena_to_the_flat_state() {
+        let (table, _, _) = two_path_table();
+        // Flat: 5 source offsets, 1 target, 1 range (8 B), 2 path ids and
+        // 2 CDF entries (8 B). Arena: 6 vertex and 4 edge ids, 2 spans
+        // (12 B), 2 hashes (8 B) and 16 dedup slots.
+        let flat = 5 * 4 + 4 + 8 + 2 * 4 + 2 * 8;
+        let arena = 6 * 4 + 4 * 4 + 2 * 12 + 2 * 8 + 16 * 4;
+        assert_eq!(table.flat_bytes(), flat);
+        assert_eq!(table.heap_bytes(), flat + arena);
     }
 
     #[test]

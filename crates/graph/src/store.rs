@@ -302,12 +302,49 @@ impl PathStore {
     pub fn ids(&self) -> impl Iterator<Item = PathId> + '_ {
         (0..self.spans.len() as u32).map(PathId)
     }
+
+    /// Heap bytes of the arena, counted from the lengths of its flat
+    /// arrays: the vertex and edge ids, one span and one hash per path,
+    /// and the dedup table's slots. Spare capacity is not counted. The
+    /// arena share of `PathSystem::heap_bytes` and
+    /// [`RouteTable::heap_bytes`](crate::RouteTable::heap_bytes).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.verts.len() * size_of::<VertexId>()
+            + self.edges.len() * size_of::<EdgeId>()
+            + self.spans.len() * size_of::<Span>()
+            + self.hashes.len() * size_of::<u64>()
+            + self.slots.len() * size_of::<u32>()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+
+    #[test]
+    fn heap_bytes_counts_every_array() {
+        let g = generators::ring(6);
+        let mut store = PathStore::new();
+        assert_eq!(store.heap_bytes(), 0);
+        let walks: [&[VertexId]; 2] = [&[0, 1, 2, 3], &[0, 5, 4, 3]];
+        let paths: Vec<Path> = walks
+            .iter()
+            .filter_map(|vs| Path::from_vertices(&g, vs))
+            .collect();
+        for p in &paths {
+            store.intern(p);
+        }
+        // 8 vertex ids and 6 edge ids (4 B each), 2 spans (12 B), 2
+        // hashes (8 B), and the first table of 16 slots (4 B).
+        let two = 8 * 4 + 6 * 4 + 2 * 12 + 2 * 8 + 16 * 4;
+        assert_eq!(store.heap_bytes(), two);
+        for p in &paths {
+            store.intern(p);
+        }
+        assert_eq!(store.heap_bytes(), two, "repeats add nothing");
+    }
 
     #[test]
     fn interning_roundtrips_and_dedups() {

@@ -3,11 +3,11 @@
 //! used by the traffic-engineering literature (SMORE `[KYY+18]`) and by
 //! experiments E4/E7.
 
-use crate::traits::ObliviousRouting;
+use crate::traits::{push_new, ObliviousRouting};
 use rand::{Rng, RngCore};
 use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
-use ssor_graph::{Distributions, EdgeId, Graph, Path, VertexId};
+use ssor_graph::{Distributions, EdgeId, Graph, Path, PathId, PathStore, VertexId};
 
 /// One BFS tree per vertex, fanned out over rayon workers in
 /// source-index order (see [`bfs_trees_csr_batch`]); the shared
@@ -104,6 +104,29 @@ impl ObliviousRouting for KspRouting {
         let ps = k_shortest_paths(&self.graph, s, t, self.k, &|_| 1.0);
         let i = rng.gen_range(0..ps.len());
         ps.into_iter().nth(i).expect("index drawn from 0..len")
+    }
+
+    /// Yen once per pair, then one `gen_range(0..len)` per draw in draw
+    /// order, each pick interned (a repeat finds its first draw's id).
+    /// Yen takes no randomness, so the ids, the arena and the RNG state
+    /// are those of the per-draw loop, which reruns Yen on every draw.
+    fn sample_into(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        draws: usize,
+        rng: &mut dyn RngCore,
+        store: &mut PathStore,
+        out: &mut Vec<PathId>,
+    ) {
+        assert_ne!(s, t);
+        let ps = k_shortest_paths(&self.graph, s, t, self.k, &|_| 1.0);
+        for _ in 0..draws {
+            let p = ps
+                .get(rng.gen_range(0..ps.len()))
+                .expect("index drawn from 0..len");
+            push_new(out, store.intern(p));
+        }
     }
 
     fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {

@@ -45,9 +45,11 @@ pub trait ObliviousRouting {
     /// The result (arena included) and the RNG state afterwards are
     /// exactly those of `draws` calls of
     /// [`sample_path`](Self::sample_path), each interned and pushed
-    /// unless present. The default is that loop; a template whose draws
-    /// repeat cheaply (a tree mixture draws a tree, not a path)
-    /// overrides it to assemble each distinct draw once.
+    /// unless present. The default is that loop. A template overrides it
+    /// when it can skip the owned [`Path`] or repeated work per draw: a
+    /// tree mixture draws a tree, not a path, and walks each distinct
+    /// tree once; Valiant streams each draw's walk straight into
+    /// `store`; KSP computes its `k` paths once per pair.
     ///
     /// # Panics
     ///

@@ -6,26 +6,30 @@
 //! then `w -> t`. For any permutation demand the expected congestion of any
 //! edge is `O(1)`.
 //!
+//! A Valiant path is never built as a vertex list. Both legs stream hop
+//! by hop, in ascending bit order, into a per-thread [`ShortcutWalk`];
+//! each hop's edge comes from a `(vertex, bit)` table built once per
+//! routing. Sampling draws the intermediates, walks each one and interns
+//! the walk straight into the caller's arena, and the exact distribution
+//! pushes its `2^dim` walks the same way, so neither allocates per path.
+//!
 //! Deterministic bit-fixing alone is the classic negative example: on the
 //! bit-reversal or transpose permutations its congestion is `Θ(sqrt(n))`
-//! `[KKT91]`, which experiment E4 regenerates.
+//! `[KKT91]`, which experiment E4 regenerates. It is the same walk with
+//! `w = s`.
 
-use crate::traits::ObliviousRouting;
+use crate::traits::{push_new, ObliviousRouting};
 use rand::{Rng, RngCore};
+use std::cell::RefCell;
 
-use ssor_graph::{generators, Distributions, Graph, Path, VertexId};
+use ssor_graph::{
+    generators, Distributions, EdgeId, Graph, Path, PathId, PathStore, ShortcutWalk, VertexId,
+};
 
-/// Greedy bit-fixing vertex sequence from `s` to `t` (ascending bit order).
-fn bit_fix_vertices(s: VertexId, t: VertexId, dim: u32) -> Vec<VertexId> {
-    let mut verts = vec![s];
-    let mut cur = s;
-    for b in 0..dim {
-        if (cur ^ t) & (1 << b) != 0 {
-            cur ^= 1 << b;
-            verts.push(cur);
-        }
-    }
-    verts
+thread_local! {
+    /// The walk behind [`ValiantRouting::with_walk`], reused by every
+    /// Valiant path assembled on this thread.
+    static WALK: RefCell<ShortcutWalk> = RefCell::new(ShortcutWalk::new());
 }
 
 /// The Valiant–Brebner oblivious routing on the `dim`-dimensional
@@ -49,14 +53,33 @@ fn bit_fix_vertices(s: VertexId, t: VertexId, dim: u32) -> Vec<VertexId> {
 pub struct ValiantRouting {
     dim: u32,
     graph: Graph,
+    /// The edge from `v` across bit `b` at index `v * dim + b`: the
+    /// lowest-id edge between `v` and `v ^ (1 << b)`, the one
+    /// [`Path::from_vertices`] picks.
+    bit_edges: Vec<EdgeId>,
 }
 
 impl ValiantRouting {
     /// Creates the routing on a fresh `dim`-dimensional hypercube.
     pub fn new(dim: u32) -> Self {
+        let graph = generators::hypercube(dim);
+        let bit_edges = graph
+            .vertices()
+            .flat_map(|v| (0..dim).map(move |b| (v, v ^ (1 << b))))
+            .map(|(v, w)| {
+                graph
+                    .neighbors(v)
+                    .iter()
+                    .filter(|a| a.to == w)
+                    .map(|a| a.edge)
+                    .min()
+                    .expect("bit flips are hypercube edges")
+            })
+            .collect();
         ValiantRouting {
             dim,
-            graph: generators::hypercube(dim),
+            graph,
+            bit_edges,
         }
     }
 
@@ -67,11 +90,51 @@ impl ValiantRouting {
 
     /// The (simple) two-leg path through intermediate `w`.
     pub fn path_via(&self, s: VertexId, t: VertexId, w: VertexId) -> Path {
-        let mut verts = bit_fix_vertices(s, w, self.dim);
-        verts.extend_from_slice(&bit_fix_vertices(w, t, self.dim)[1..]);
-        Path::from_vertices(&self.graph, &verts)
-            .expect("bit-fixing steps are hypercube edges")
-            .shortcut()
+        self.with_walk(s, t, w, ShortcutWalk::to_path)
+    }
+
+    /// Streams the bit-fixing legs `s -> w` and `w -> t` into this
+    /// thread's walk and hands the shortcut result, whose slices are the
+    /// path [`path_via`](Self::path_via) returns, to `f`. `f` runs while
+    /// the walk is borrowed, so it must not assemble another Valiant
+    /// path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex is outside the hypercube.
+    pub(crate) fn with_walk<R>(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        w: VertexId,
+        f: impl FnOnce(&ShortcutWalk) -> R,
+    ) -> R {
+        // A bit at or above `dim` would index another vertex's row.
+        assert!(
+            (s | t | w) >> self.dim == 0,
+            "vertex outside the {}-cube",
+            self.dim
+        );
+        WALK.with(|walk| {
+            let walk = &mut *walk.borrow_mut();
+            walk.start(s);
+            let mut cur = s;
+            for target in [w, t] {
+                let mut diff = cur ^ target;
+                while diff != 0 {
+                    let b = diff.trailing_zeros();
+                    let e = self
+                        .bit_edges
+                        .get(cur as usize * self.dim as usize + b as usize)
+                        .copied()
+                        .expect("vertex ids were checked against dim");
+                    cur ^= 1 << b;
+                    walk.step(e, cur);
+                    diff &= diff - 1;
+                }
+            }
+            f(walk)
+        })
     }
 }
 
@@ -87,12 +150,38 @@ impl ObliviousRouting for ValiantRouting {
         self.path_via(s, t, w)
     }
 
+    /// One `gen_range(0..n)` intermediate per draw, in draw order, each
+    /// walked and its walk interned straight from the scratch: the ids,
+    /// the arena and the RNG state of the per-draw loop, without an owned
+    /// path per draw.
+    fn sample_into(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        draws: usize,
+        rng: &mut dyn RngCore,
+        store: &mut PathStore,
+        out: &mut Vec<PathId>,
+    ) {
+        assert_ne!(s, t, "no path needed for s == t");
+        let n = 1u32 << self.dim;
+        for _ in 0..draws {
+            let w = rng.gen_range(0..n);
+            let id = self.with_walk(s, t, w, |walk| {
+                store.intern_parts(walk.vertices(), walk.edges())
+            });
+            push_new(out, id);
+        }
+    }
+
     fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
         let n = 1u32 << self.dim;
         let w_prob = 1.0 / n as f64;
         for w in 0..n {
-            out.push(&self.path_via(s, t, w), w_prob);
+            self.with_walk(s, t, w, |walk| {
+                out.push_parts(walk.vertices(), walk.edges(), w_prob);
+            });
         }
         out.merge_open();
     }
@@ -103,29 +192,28 @@ impl ObliviousRouting for ValiantRouting {
 /// `Ω̃(sqrt(n))` lower bound of `[KKT91]` applies to.
 #[derive(Debug)]
 pub struct BitFixingRouting {
-    dim: u32,
-    graph: Graph,
+    /// Bit-fixing `s -> t` is Valiant's walk through intermediate `s`:
+    /// an empty first leg, then the ascending-bit leg, already simple.
+    valiant: ValiantRouting,
 }
 
 impl BitFixingRouting {
     /// Creates the routing on a fresh `dim`-dimensional hypercube.
     pub fn new(dim: u32) -> Self {
         BitFixingRouting {
-            dim,
-            graph: generators::hypercube(dim),
+            valiant: ValiantRouting::new(dim),
         }
     }
 
     /// The deterministic path for `(s, t)`.
     pub fn path(&self, s: VertexId, t: VertexId) -> Path {
-        Path::from_vertices(&self.graph, &bit_fix_vertices(s, t, self.dim))
-            .expect("bit-fixing steps are hypercube edges")
+        self.valiant.path_via(s, t, s)
     }
 }
 
 impl ObliviousRouting for BitFixingRouting {
     fn graph(&self) -> &Graph {
-        &self.graph
+        self.valiant.graph()
     }
 
     fn sample_path(&self, s: VertexId, t: VertexId, _rng: &mut dyn RngCore) -> Path {
@@ -135,7 +223,9 @@ impl ObliviousRouting for BitFixingRouting {
 
     fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {
         assert_ne!(s, t);
-        out.push(&self.path(s, t), 1.0);
+        self.valiant.with_walk(s, t, s, |walk| {
+            out.push_parts(walk.vertices(), walk.edges(), 1.0);
+        });
     }
 }
 
@@ -156,6 +246,14 @@ mod tests {
             assert_eq!(p.hop(), (s ^ t).count_ones() as usize);
             assert!(p.is_simple());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex outside the 3-cube")]
+    fn out_of_range_vertices_panic() {
+        // Without the check, bit 3 of target 8 would read vertex 1's
+        // bit-0 edge and return an invalid path.
+        ValiantRouting::new(3).path_via(0, 8, 0);
     }
 
     #[test]
