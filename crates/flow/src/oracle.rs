@@ -32,6 +32,24 @@
 //! Dijkstra work); block size and cutoff affect wall-clock only, never
 //! results.
 //!
+//! # Per-solve work
+//!
+//! A Frank–Wolfe solve asks about one pair list over and over; only the
+//! weights change. [`CandidateOracle`] therefore does its per-pair work
+//! once per pair list, not once per call: it resolves each pair's
+//! candidate slice when the list changes (one `BTreeMap` lookup per pair
+//! per solve) and remembers, per candidate slot, the id the path was
+//! interned under in the caller's arena. A repeated best response then
+//! costs no hash probe. The memo is sound for any caller: before a
+//! remembered id is returned, [`PathStore::is_copy_of`] checks that the
+//! store handed to *this* call holds the candidate's path under that id
+//! — true exactly when `intern_from` would return it — so an oracle
+//! shared by two solvers, or reused across warm re-solves, never returns
+//! an id from another arena. A failed check interns afresh. Arena
+//! contents, ids and costs are those of interning every answer anew.
+//! The ≥ 1024-pair parallel cost scan is unchanged; its answers are
+//! interned serially in pair order, as before.
+//!
 //! # Unreachable pairs
 //!
 //! `best_paths` reports pairs with no usable path as `None` instead of
@@ -65,9 +83,23 @@ pub trait PathOracle {
 ///
 /// Pairs without candidates (or with an empty candidate list) come back
 /// `None`; the solver treats their demand as stranded.
+///
+/// The oracle looks up a pair list's candidates once, when the list
+/// changes, and remembers where each candidate was interned; a
+/// remembered id is checked against the store each call is handed (see
+/// the module docs, *Per-solve work*), so reusing one oracle across
+/// solvers or arenas is sound.
 #[derive(Debug)]
 pub struct CandidateOracle<'a> {
     candidates: Candidates<'a>,
+    /// The pair list `runs` was resolved for.
+    pairs: Vec<(VertexId, VertexId)>,
+    /// Per pair, its candidate ids (empty without candidates) and the
+    /// index of its first slot in `interned`.
+    runs: Vec<(&'a [PathId], usize)>,
+    /// Per candidate slot, the caller-arena id it was last interned
+    /// under, if any.
+    interned: Vec<Option<PathId>>,
 }
 
 /// Below this many pairs the candidate scan stays serial: each pair only
@@ -78,7 +110,28 @@ const CANDIDATE_PAR_MIN_PAIRS: usize = 1024;
 impl<'a> CandidateOracle<'a> {
     /// Creates the oracle over a candidate view.
     pub fn new(candidates: Candidates<'a>) -> Self {
-        CandidateOracle { candidates }
+        CandidateOracle {
+            candidates,
+            pairs: Vec::new(),
+            runs: Vec::new(),
+            interned: Vec::new(),
+        }
+    }
+
+    /// Looks up the candidates of every pair in `pairs` and forgets the
+    /// interned ids of the previous pair list.
+    fn resolve(&mut self, pairs: &[(VertexId, VertexId)]) {
+        self.pairs.clear();
+        self.pairs.extend_from_slice(pairs);
+        self.runs.clear();
+        let mut slots = 0;
+        for &(s, t) in pairs {
+            let cands = self.candidates.ids(s, t).unwrap_or_default();
+            self.runs.push((cands, slots));
+            slots += cands.len();
+        }
+        self.interned.clear();
+        self.interned.resize(slots, None);
     }
 }
 
@@ -89,23 +142,37 @@ impl PathOracle for CandidateOracle<'_> {
         w: &[f64],
         store: &mut PathStore,
     ) -> Vec<Option<(PathId, f64)>> {
+        if self.pairs != pairs {
+            self.resolve(pairs);
+        }
         let ext = self.candidates.store();
-        // Parallel cost scan (pure, per-pair independent)...
-        let best = par_ordered_map(pairs, CANDIDATE_PAR_MIN_PAIRS, |&(s, t)| {
-            let cands = self.candidates.ids(s, t)?;
-            let mut best: Option<(PathId, f64)> = None;
-            for &id in cands {
+        // Parallel cost scan (pure, per-pair independent): the cheapest
+        // candidate's slot, id and cost...
+        let best = par_ordered_map(&self.runs, CANDIDATE_PAR_MIN_PAIRS, |&(cands, first)| {
+            let mut best: Option<(usize, PathId, f64)> = None;
+            for (slot, &id) in (first..).zip(cands) {
                 let cost = ext.weight(id, w);
-                if best.is_none_or(|(_, bc)| cost < bc) {
-                    best = Some((id, cost));
+                if best.is_none_or(|(_, _, bc)| cost < bc) {
+                    best = Some((slot, id, cost));
                 }
             }
             best
         });
         // ...then a serial, index-ordered intern so the solve's arena ids
         // never depend on the thread count.
+        let interned = &mut self.interned;
         best.into_iter()
-            .map(|found| found.map(|(id, cost)| (store.intern_from(ext, id), cost)))
+            .map(|found| {
+                found.map(|(slot, id, cost)| {
+                    let memo = &mut interned[slot];
+                    let mine = match *memo {
+                        Some(mine) if store.is_copy_of(mine, ext, id) => mine,
+                        _ => store.intern_from(ext, id),
+                    };
+                    *memo = Some(mine);
+                    (mine, cost)
+                })
+            })
             .collect()
     }
 }

@@ -26,8 +26,19 @@
 //!
 //! The cold convenience wrappers ([`min_congestion`],
 //! [`min_congestion_restricted`], [`min_congestion_unrestricted`],
-//! [`min_congestion_masked`]) construct a one-shot `Solver` internally —
-//! there is no second loop.
+//! [`min_congestion_masked`]) run the same solve as a fresh `Solver` —
+//! there is no second loop — but one-shot: they borrow the demand
+//! instead of cloning it into a `Solver`, and they skip the warm-state
+//! bookkeeping no one would read (copying every pair's final
+//! distribution into the carried state). A kept `Solver` does that
+//! bookkeeping on every [`Solver::resolve`], so its next solve can start
+//! from it.
+//!
+//! An oracle sees the same pair list on every iteration of a solve (a
+//! cold solve's initialization call asks about it too, unless a pair is
+//! stranded), which lets [`CandidateOracle`] resolve the pairs'
+//! candidates once per solve instead of once per call (see
+//! [`crate::oracle`]).
 //!
 //! Every run produces a *dual certificate*: for any nonnegative edge
 //! weights `w`,
@@ -480,6 +491,154 @@ fn frank_wolfe(
     (lower_bound, iterations, converged)
 }
 
+/// One solve of `demand` on a graph with `m` edges, warm-started from
+/// the `carried` per-pair distributions (empty for a cold solve), with
+/// every discovered path interned into `store`. Returns the solution and
+/// the final per-pair states, which only a warm [`Solver`] reads.
+///
+/// The one-shot entry points call this with an empty map and a fresh
+/// arena and drop the states; [`Solver::resolve`] calls it with its own
+/// and persists them — so the two are the same computation, bit for bit
+/// (see [`Solver::resolve`] for the stranding contract).
+fn solve(
+    g: &Graph,
+    m: usize,
+    demand: &Demand,
+    carried: &BTreeMap<(VertexId, VertexId), Vec<(PathId, f64)>>,
+    store: &mut PathStore,
+    oracle: &mut dyn PathOracle,
+    opts: &SolveOptions,
+) -> (MinCongSolution, Vec<PairState>) {
+    let mut acc = StatsAcc::new();
+    let pairs = demand.support();
+    if pairs.is_empty() {
+        return (trivial(0.0, Vec::new(), acc), Vec::new());
+    }
+    let scale = demand.size();
+    assert!(scale.is_finite(), "demand size must be finite, got {scale}");
+
+    // Build the per-pair states: carried distributions where we have
+    // them, oracle-initialized fresh states (no paths yet) for new pairs.
+    let mut states: Vec<PairState> = pairs
+        .iter()
+        .map(|&(s, t)| {
+            let run = carried.get(&(s, t)).map(Vec::as_slice).unwrap_or_default();
+            PairState {
+                pair: (s, t),
+                demand: demand.get(s, t) / scale,
+                ids: run.iter().map(|&(id, _)| id).collect(),
+                weights: run.iter().map(|&(_, w)| w).collect(),
+            }
+        })
+        .collect();
+    let fresh_pairs: Vec<(VertexId, VertexId)> = states
+        .iter()
+        .filter(|st| st.ids.is_empty())
+        .map(|st| st.pair)
+        .collect();
+    let cold = fresh_pairs.len() == states.len();
+    let mut ones_bound = 0.0;
+    if !fresh_pairs.is_empty() {
+        let ones = vec![1.0; m];
+        let first = acc.time_oracle(|| oracle.best_paths(&fresh_pairs, &ones, store));
+        let fresh = states.iter_mut().filter(|st| st.ids.is_empty());
+        for (st, found) in fresh.zip(&first) {
+            if let Some((id, _)) = *found {
+                st.ids.push(id);
+                st.weights.push(1.0);
+            }
+        }
+        if cold {
+            // Dual bound from the all-ones weights, over the pairs
+            // actually routed (in a cold solve every pair is fresh).
+            let num: f64 = states
+                .iter()
+                .zip(&first)
+                .filter_map(|(st, found)| found.map(|(_, c)| c * st.demand))
+                .sum();
+            ones_bound = num / m as f64;
+        }
+    }
+
+    // Drop the pairs the oracle could not route at all; their demand
+    // mass is reported as stranded rather than panicking mid-solve.
+    let mut stranded = 0.0;
+    let mut dropped_pairs: Vec<(VertexId, VertexId)> = Vec::new();
+    states.retain(|st| {
+        if st.ids.is_empty() {
+            stranded += demand.get(st.pair.0, st.pair.1);
+            dropped_pairs.push(st.pair);
+            false
+        } else {
+            true
+        }
+    });
+    if states.is_empty() {
+        // Everything stranded: the LP over the (empty) routed
+        // remainder is trivially solved.
+        return (trivial(stranded, dropped_pairs, acc), states);
+    }
+
+    // Re-accumulate the loads of the starting point (normalized).
+    let mut loads = EdgeLoads::zeros(m);
+    for st in &states {
+        for (&id, &w) in st.ids.iter().zip(st.weights.iter()) {
+            loads.add_path(store, id, w * st.demand);
+        }
+    }
+
+    // Both cold and warm solves start at the coarse smoothing stage.
+    // From a near-optimal warm point the line search immediately finds
+    // no coarse-stage progress, which cascades the smoothing down to
+    // the accuracy floor in O(log(1/eps)) cheap iterations and lets
+    // the sharp dual certificate stop the loop — starting sharp
+    // instead makes Frank–Wolfe crawl even from a warm point (the
+    // gradient pins to the single most-congested edge).
+    let (lower_bound, iterations, converged) = frank_wolfe(
+        m,
+        &mut states,
+        &mut loads,
+        store,
+        oracle,
+        opts,
+        0.5,
+        ones_bound,
+        &mut acc,
+    );
+
+    let routing = assemble_routing(&states, store);
+    let congestion = routing.congestion(g, demand);
+    let sol = MinCongSolution {
+        routing,
+        congestion,
+        lower_bound: lower_bound * scale,
+        iterations,
+        converged,
+        stranded,
+        dropped_pairs,
+        stats: acc.finish(iterations),
+    };
+    (sol, states)
+}
+
+/// The zero-work solution (empty demand, or everything stranded).
+fn trivial(
+    stranded: f64,
+    dropped_pairs: Vec<(VertexId, VertexId)>,
+    acc: StatsAcc,
+) -> MinCongSolution {
+    MinCongSolution {
+        routing: Routing::new(),
+        congestion: 0.0,
+        lower_bound: 0.0,
+        iterations: 0,
+        converged: true,
+        stranded,
+        dropped_pairs,
+        stats: acc.finish(0),
+    }
+}
+
 /// The min-congestion solver core, with warm-start state as data.
 ///
 /// A `Solver` owns the interned [`PathStore`] arena plus, per pair ever
@@ -616,7 +775,6 @@ impl Solver {
         oracle: &mut dyn PathOracle,
         opts: &SolveOptions,
     ) -> MinCongSolution {
-        let mut acc = StatsAcc::new();
         match delta {
             DemandDelta::Replace(d) => self.demand = d,
             DemandDelta::Scale(c) => self.demand = self.demand.scaled(c),
@@ -626,109 +784,15 @@ impl Solver {
                 }
             }
         }
-        let pairs = self.demand.support();
-        if pairs.is_empty() {
-            return self.finish_trivial(0.0, Vec::new(), acc);
-        }
-        let scale = self.demand.size();
-        assert!(scale.is_finite(), "demand size must be finite, got {scale}");
-
-        // Build the per-pair states: carried distributions where we have
-        // them, oracle-initialized fresh states for new pairs.
-        let mut states: Vec<PairState> = Vec::with_capacity(pairs.len());
-        let mut fresh: Vec<usize> = Vec::new();
-        for &(s, t) in &pairs {
-            let demand = self.demand.get(s, t) / scale;
-            match self.choices.get(&(s, t)) {
-                Some(run) if !run.is_empty() => states.push(PairState {
-                    pair: (s, t),
-                    demand,
-                    ids: run.iter().map(|&(id, _)| id).collect(),
-                    weights: run.iter().map(|&(_, w)| w).collect(),
-                }),
-                _ => {
-                    fresh.push(states.len());
-                    states.push(PairState {
-                        pair: (s, t),
-                        demand,
-                        ids: Vec::new(),
-                        weights: Vec::new(),
-                    });
-                }
-            }
-        }
-        let cold = fresh.len() == states.len();
-        let mut ones_bound = 0.0;
-        if !fresh.is_empty() {
-            let ones = vec![1.0; self.m];
-            let fresh_pairs: Vec<(VertexId, VertexId)> =
-                fresh.iter().map(|&i| states[i].pair).collect();
-            let store = &mut self.store;
-            let first = acc.time_oracle(|| oracle.best_paths(&fresh_pairs, &ones, store));
-            for (&i, found) in fresh.iter().zip(first.iter()) {
-                if let Some((id, _)) = found {
-                    states[i].ids.push(*id);
-                    states[i].weights.push(1.0);
-                }
-            }
-            if cold {
-                // Dual bound from the all-ones weights, over the pairs
-                // actually routed.
-                let num: f64 = fresh
-                    .iter()
-                    .zip(first.iter())
-                    .filter_map(|(&i, found)| found.map(|(_, c)| c * states[i].demand))
-                    .sum();
-                ones_bound = num / self.m as f64;
-            }
-        }
-
-        // Drop the pairs the oracle could not route at all; their demand
-        // mass is reported as stranded rather than panicking mid-solve.
-        let mut stranded = 0.0;
-        let mut dropped_pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        states.retain(|st| {
-            if st.ids.is_empty() {
-                stranded += self.demand.get(st.pair.0, st.pair.1);
-                dropped_pairs.push(st.pair);
-                false
-            } else {
-                true
-            }
-        });
-        if states.is_empty() {
-            // Everything stranded: the LP over the (empty) routed
-            // remainder is trivially solved.
-            return self.finish_trivial(stranded, dropped_pairs, acc);
-        }
-
-        // Re-accumulate the loads of the starting point (normalized).
-        let mut loads = EdgeLoads::zeros(self.m);
-        for st in &states {
-            for (&id, &w) in st.ids.iter().zip(st.weights.iter()) {
-                loads.add_path(&self.store, id, w * st.demand);
-            }
-        }
-
-        // Both cold and warm solves start at the coarse smoothing stage.
-        // From a near-optimal warm point the line search immediately finds
-        // no coarse-stage progress, which cascades the smoothing down to
-        // the accuracy floor in O(log(1/eps)) cheap iterations and lets
-        // the sharp dual certificate stop the loop — starting sharp
-        // instead makes Frank–Wolfe crawl even from a warm point (the
-        // gradient pins to the single most-congested edge).
-        let (lower_bound, iterations, converged) = frank_wolfe(
+        let (sol, states) = solve(
+            g,
             self.m,
-            &mut states,
-            &mut loads,
+            &self.demand,
+            &self.choices,
             &mut self.store,
             oracle,
             opts,
-            0.5,
-            ones_bound,
-            &mut acc,
         );
-
         // Persist the updated distributions (pruning negligible weights
         // so state does not grow without bound across a long stream).
         for st in &states {
@@ -736,48 +800,12 @@ impl Solver {
             let kept = run.filter(|&(_, w)| w > WEIGHT_PRUNE).collect();
             self.choices.insert(st.pair, kept);
         }
-
-        let routing = assemble_routing(&states, &self.store);
-        let congestion = routing.congestion(g, &self.demand);
-        self.congestion = congestion;
-        self.lower_bound = lower_bound * scale;
-        self.iterations = iterations;
-        self.converged = converged;
-        self.stranded = stranded;
-        MinCongSolution {
-            routing,
-            congestion,
-            lower_bound: self.lower_bound,
-            iterations,
-            converged,
-            stranded,
-            dropped_pairs,
-            stats: acc.finish(iterations),
-        }
-    }
-
-    /// The zero-work solution (empty demand, or everything stranded).
-    fn finish_trivial(
-        &mut self,
-        stranded: f64,
-        dropped_pairs: Vec<(VertexId, VertexId)>,
-        acc: StatsAcc,
-    ) -> MinCongSolution {
-        self.congestion = 0.0;
-        self.lower_bound = 0.0;
-        self.iterations = 0;
-        self.converged = true;
-        self.stranded = stranded;
-        MinCongSolution {
-            routing: Routing::new(),
-            congestion: 0.0,
-            lower_bound: 0.0,
-            iterations: 0,
-            converged: true,
-            stranded,
-            dropped_pairs,
-            stats: acc.finish(0),
-        }
+        self.congestion = sol.congestion;
+        self.lower_bound = sol.lower_bound;
+        self.iterations = sol.iterations;
+        self.converged = sol.converged;
+        self.stranded = sol.stranded;
+        sol
     }
 
     /// Drops every carried path that crosses one of the `dead` edges,
@@ -824,7 +852,8 @@ impl Solver {
 
 /// Solves `min max_e load_e` over routings whose per-pair paths come from
 /// `oracle`, routing the full demand `d` on graph `g` — the one-shot
-/// (cold) form of [`Solver::resolve`].
+/// (cold) form of [`Solver::resolve`], bit for bit, on a fresh arena. It
+/// borrows `d` and keeps no warm state.
 ///
 /// Returns the empty solution with congestion 0 for an empty demand.
 ///
@@ -847,7 +876,8 @@ pub fn min_congestion(
     oracle: &mut dyn PathOracle,
     opts: &SolveOptions,
 ) -> MinCongSolution {
-    Solver::new(g).resolve(g, DemandDelta::Replace(d.clone()), oracle, opts)
+    let mut store = PathStore::new();
+    solve(g, g.m(), d, &BTreeMap::new(), &mut store, oracle, opts).0
 }
 
 /// Stage-4 rate adaptation: `cong_R(P, d)` over the candidate sets

@@ -4,13 +4,13 @@
 use proptest::prelude::*;
 use ssor_flow::integral_opt::{integral_opt_exhaustive, integral_opt_restricted};
 use ssor_flow::lp::exact_restricted_congestion;
-use ssor_flow::oracle::{AllPathsOracle, PathOracle};
+use ssor_flow::oracle::{AllPathsOracle, CandidateOracle, PathOracle};
 use ssor_flow::rounding::round_routing;
 use ssor_flow::solver::{
-    min_congestion, min_congestion_restricted, min_congestion_unrestricted, MinCongSolution,
-    SolveOptions,
+    min_congestion, min_congestion_restricted, min_congestion_unrestricted, DemandDelta,
+    MinCongSolution, SolveOptions, Solver,
 };
-use ssor_flow::{CandidateSet, Demand, Routing};
+use ssor_flow::{CandidateSet, Candidates, Demand, Routing};
 use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{dijkstra_tree_csr, dijkstra_tree_csr_view};
 use ssor_graph::{generators, Graph, Path, PathId, PathStore, VertexId};
@@ -390,6 +390,180 @@ proptest! {
             prop_assert_eq!(routing_bits(&got, &d), routing_bits(&want, &d));
         }
     }
+}
+
+/// The candidate oracle with no state between calls: a `BTreeMap`
+/// lookup per pair and an `intern_from` per best response, on every
+/// call. `CandidateOracle` resolves its pair list once per solve and
+/// remembers where it interned each candidate; none of that may show
+/// next to this.
+struct PlainCandidates<'a>(Candidates<'a>);
+
+impl PathOracle for PlainCandidates<'_> {
+    fn best_paths(
+        &mut self,
+        pairs: &[(VertexId, VertexId)],
+        w: &[f64],
+        store: &mut PathStore,
+    ) -> Vec<Option<(PathId, f64)>> {
+        let ext = self.0.store();
+        pairs
+            .iter()
+            .map(|&(s, t)| {
+                let mut best: Option<(PathId, f64)> = None;
+                for &id in self.0.ids(s, t)? {
+                    let cost = ext.weight(id, w);
+                    if best.is_none_or(|(_, bc)| cost < bc) {
+                        best = Some((id, cost));
+                    }
+                }
+                best.map(|(id, cost)| (store.intern_from(ext, id), cost))
+            })
+            .collect()
+    }
+}
+
+/// Whether two solves agree bit for bit: bounds, iteration count,
+/// convergence, stranded mass and pairs, and the routing on `d`.
+fn same_solution(
+    got: &MinCongSolution,
+    want: &MinCongSolution,
+    d: &Demand,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.congestion.to_bits(), want.congestion.to_bits());
+    prop_assert_eq!(got.lower_bound.to_bits(), want.lower_bound.to_bits());
+    prop_assert_eq!(got.iterations, want.iterations);
+    prop_assert_eq!(got.converged, want.converged);
+    prop_assert_eq!(got.stranded.to_bits(), want.stranded.to_bits());
+    prop_assert_eq!(&got.dropped_pairs, &want.dropped_pairs);
+    prop_assert_eq!(routing_bits(got, d), routing_bits(want, d));
+    Ok(())
+}
+
+/// Up to `k` hop-shortest candidates for every pair any of `ds` demands,
+/// except the pairs `skip` picks (by a scramble of the pair and the
+/// seed): their demand is stranded, so a solve's first oracle call and
+/// its loop ask about different pair lists.
+fn some_candidates(g: &Graph, ds: &[Demand], k: usize, skip: u64) -> CandidateSet {
+    let mut cands = CandidateSet::new();
+    for (s, t) in ds.iter().flat_map(|d| d.support()) {
+        let h = (u64::from(s) << 32 | u64::from(t)) ^ skip;
+        if h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 == 0 {
+            continue;
+        }
+        for path in k_shortest_paths(g, s, t, k, &|_| 1.0) {
+            cands.insert(&path);
+        }
+    }
+    cands
+}
+
+/// The steps of the reuse cases: `(solver, demand)` indices. Solver 1
+/// routes demand 1 first, so its arena numbers paths differently from
+/// solver 0's when both later route demand 0 and demand 2 — a cold solve
+/// of the same pairs right after the other solver's, the case where a
+/// shared oracle's remembered ids point into the wrong arena.
+const SHARED_ORACLE_STEPS: [(usize, usize); 6] = [(1, 1), (0, 0), (1, 0), (0, 2), (1, 2), (0, 0)];
+
+/// One warm solver's demand sequence: new pairs, pairs leaving and
+/// coming back (`Set` to zero and back), a wholesale `Replace`, and a
+/// `Scale`.
+fn warm_deltas(ds: &[Demand]) -> Vec<DemandDelta> {
+    let set = |d: &Demand, scale: f64| -> Vec<((VertexId, VertexId), f64)> {
+        d.iter().map(|(pair, w)| (pair, w * scale)).collect()
+    };
+    vec![
+        DemandDelta::Replace(ds[0].clone()),
+        DemandDelta::Set([set(&ds[0], 0.0), set(&ds[1], 1.0)].concat()),
+        DemandDelta::Replace(ds[2].clone()),
+        DemandDelta::Set(set(&ds[0], 1.0)),
+        DemandDelta::Scale(2.0),
+        DemandDelta::Replace(ds[1].clone()),
+    ]
+}
+
+/// Runs `SHARED_ORACLE_STEPS` with one `CandidateOracle` for both
+/// solvers and `warm_deltas` on one warm solver, each step against the
+/// same step with a fresh [`PlainCandidates`].
+fn check_reuse_against_plain(
+    g: &Graph,
+    ds: &[Demand],
+    view: Candidates<'_>,
+    opts: &SolveOptions,
+) -> Result<(), TestCaseError> {
+    let mut shared = CandidateOracle::new(view);
+    let mut solvers = [Solver::new(g), Solver::new(g)];
+    let mut plain = [Solver::new(g), Solver::new(g)];
+    for (i, j) in SHARED_ORACLE_STEPS {
+        let d = &ds[j];
+        let got = solvers[i].resolve(g, DemandDelta::Replace(d.clone()), &mut shared, opts);
+        let mut oracle = PlainCandidates(view);
+        let want = plain[i].resolve(g, DemandDelta::Replace(d.clone()), &mut oracle, opts);
+        same_solution(&got, &want, d)?;
+    }
+    let mut oracle = CandidateOracle::new(view);
+    let (mut warm, mut plain) = (Solver::new(g), Solver::new(g));
+    for delta in warm_deltas(ds) {
+        let got = warm.resolve(g, delta.clone(), &mut oracle, opts);
+        let want = plain.resolve(g, delta, &mut PlainCandidates(view), opts);
+        same_solution(&got, &want, warm.demand())?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The restricted solve against the stateless candidate oracle, bit
+    // for bit: one-shot solves with stranded pairs, then one oracle
+    // shared by two solvers, then one warm solver across changing pair
+    // sets.
+    #[test]
+    fn restricted_solve_matches_plain_candidate_oracle(
+        (g, ds, k, skip) in multigraph().prop_flat_map(|g| {
+            let n = g.n();
+            (
+                Just(g),
+                proptest::collection::vec(demand_on(n), 3..4),
+                1usize..4,
+                any::<u64>(),
+            )
+        }),
+    ) {
+        let cands = some_candidates(&g, &ds, k, skip);
+        let view = cands.as_candidates();
+        let opts = SolveOptions { eps: 0.05, max_iters: 150 };
+        for d in &ds {
+            let got = min_congestion_restricted(&g, d, view, &opts);
+            let want = min_congestion(&g, d, &mut PlainCandidates(view), &opts);
+            same_solution(&got, &want, d)?;
+        }
+        check_reuse_against_plain(&g, &ds, view, &opts)?;
+    }
+}
+
+/// The reuse cases on a fixed instance where they bite: every pair has
+/// candidates, and demands 0 and 1 share no pair, so solver 1's arena
+/// holds demand 1's paths under the ids solver 0 gives demand 0's.
+#[test]
+fn shared_candidate_oracle_never_leaks_ids_across_arenas() {
+    let g = generators::grid(3, 4);
+    let mut cands = CandidateSet::new();
+    for s in g.vertices() {
+        for t in g.vertices().filter(|&t| t != s) {
+            for path in k_shortest_paths(&g, s, t, 3, &|_| 1.0) {
+                cands.insert(&path);
+            }
+        }
+    }
+    let ds = [
+        Demand::from_pairs(&[(0, 11), (3, 8), (4, 7), (1, 10)]),
+        Demand::from_pairs(&[(11, 0), (2, 9), (5, 6)]),
+        Demand::from_pairs(&[(0, 11), (2, 9), (6, 5), (8, 3)]),
+    ];
+    let opts = SolveOptions::with_eps(0.02);
+    check_reuse_against_plain(&g, &ds, cands.as_candidates(), &opts)
+        .expect("shared and warm oracles match the plain one");
 }
 
 proptest! {

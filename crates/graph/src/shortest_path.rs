@@ -31,7 +31,7 @@
 use crate::csr::{Adjacency, Csr, EdgeView, FullTopology};
 use crate::graph::{EdgeId, Graph, VertexId};
 use crate::path::Path;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -134,31 +134,33 @@ pub fn hop_distance(g: &Graph, s: VertexId, t: VertexId) -> usize {
     }
 }
 
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    vertex: VertexId,
+/// A Dijkstra heap entry packed into one integer: the distance's
+/// [`f64::total_cmp`] order key in the high 64 bits, the vertex in the
+/// low ones. Integer order on the key is exactly the `(dist, vertex)`
+/// order the core pops in — `total_cmp`, not `partial_cmp`, so a NaN
+/// distance has a fixed place instead of making the order depend on
+/// push order — and each heap comparison is a single integer compare.
+fn heap_key(dist: f64, vertex: VertexId) -> Reverse<u128> {
+    let bits = dist.to_bits();
+    // Negative values (sign bit set) reverse their order with every
+    // bit flipped; the rest move above them with the sign bit set.
+    let order = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    Reverse(u128::from(order) << 64 | u128::from(vertex))
 }
 
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance; tie-break on vertex id for determinism.
-        // `total_cmp`, not `partial_cmp().unwrap_or(Equal)`: treating a
-        // NaN distance as equal to everything makes the heap order (and
-        // thus the tree) depend on push order instead of on values.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
+/// The distance and vertex [`heap_key`] packed, bit for bit.
+fn heap_entry(Reverse(key): Reverse<u128>) -> (f64, VertexId) {
+    let order = (key >> 64) as u64;
+    let bits = if order >> 63 == 1 {
+        order & !(1 << 63)
+    } else {
+        !order
+    };
+    (f64::from_bits(bits), key as VertexId)
 }
 
 /// Reusable scratch for the Dijkstra core: distances, parents, the heap
@@ -173,7 +175,7 @@ impl Ord for HeapEntry {
 pub struct DijkstraWorkspace {
     dist: Vec<f64>,
     parent: Vec<Option<(VertexId, EdgeId)>>,
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Reverse<u128>>,
     stop: Vec<bool>,
 }
 
@@ -269,11 +271,8 @@ fn dijkstra_in<A, L, V>(
             return;
         }
     }
-    ws.heap.push(HeapEntry {
-        dist: 0.0,
-        vertex: s,
-    });
-    while let Some(HeapEntry { dist: d, vertex: v }) = ws.heap.pop() {
+    ws.heap.push(heap_key(0.0, s));
+    while let Some((d, v)) = ws.heap.pop().map(heap_entry) {
         if d > ws.dist[v as usize] {
             continue;
         }
@@ -299,10 +298,7 @@ fn dijkstra_in<A, L, V>(
             if nd < *best {
                 *best = nd;
                 ws.parent[a.to as usize] = Some((v, a.edge));
-                ws.heap.push(HeapEntry {
-                    dist: nd,
-                    vertex: a.to,
-                });
+                ws.heap.push(heap_key(nd, a.to));
             }
         }
     }

@@ -156,6 +156,21 @@ impl PathStore {
         self.intern_hashed(h, other.source(id), other.vertices(id), other.edges(id))
     }
 
+    /// Whether `id` is a path of this arena equal to path `other_id` of
+    /// `other` — exactly when [`intern_from`](Self::intern_from) would
+    /// return `id` for it, since the arena holds each path once. Lets a
+    /// caller that remembers where it interned a path skip the hash
+    /// probe, yet never trust an id from another arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other_id` is not in `other`.
+    pub fn is_copy_of(&self, id: PathId, other: &PathStore, other_id: PathId) -> bool {
+        id.index() < self.len()
+            && self.edges(id) == other.edges(other_id)
+            && self.source(id) == other.source(other_id)
+    }
+
     /// [`intern_parts`](Self::intern_parts) past the hash: probe for `h`,
     /// and append the path under the next id if it is new.
     fn intern_hashed(
@@ -384,6 +399,35 @@ mod tests {
         assert_eq!(dst.find(a.0, a.1), Some(ja));
         assert_eq!(dst.intern_parts(a.0, a.1), ja);
         assert_eq!(dst.len(), 2);
+    }
+
+    #[test]
+    fn is_copy_of_holds_exactly_where_intern_from_lands() {
+        let mut src = PathStore::new();
+        let ia = src.intern_parts(&[0, 1, 2, 3], &[0, 1, 2]);
+        let ib = src.intern_parts(&[0, 5, 4, 3], &[5, 4, 3]);
+        // One edge walked from either end: equal edges, other source.
+        let (fwd, back) = (
+            src.intern_parts(&[0, 1], &[0]),
+            src.intern_parts(&[1, 0], &[0]),
+        );
+        let mut dst = PathStore::new();
+        assert!(
+            !dst.is_copy_of(ia, &src, ia),
+            "an empty arena holds nothing"
+        );
+        let (jb, ja, jf) = (
+            dst.intern_from(&src, ib),
+            dst.intern_from(&src, ia),
+            dst.intern_from(&src, fwd),
+        );
+        assert!(dst.is_copy_of(ja, &src, ia) && dst.is_copy_of(jb, &src, ib));
+        assert!(!dst.is_copy_of(ja, &src, ib), "another path under the id");
+        assert!(dst.is_copy_of(jf, &src, fwd) && !dst.is_copy_of(jf, &src, back));
+        assert!(
+            !dst.is_copy_of(back, &src, back),
+            "an id past the arena's end"
+        );
     }
 
     #[test]

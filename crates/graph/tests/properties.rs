@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use ssor_graph::maxflow::min_cut_value;
 use ssor_graph::shortest_path::{
-    bfs_path, bfs_tree, bfs_trees_csr_batch, dijkstra_path, dijkstra_tree_csr,
-    dijkstra_trees_csr_batch, hop_distance,
+    bfs_path, bfs_tree, bfs_trees_csr_batch, dijkstra_path, dijkstra_targets_csr, dijkstra_tree,
+    dijkstra_tree_csr, dijkstra_tree_csr_view, dijkstra_trees_csr_batch, hop_distance,
+    DijkstraWorkspace, SpTree,
 };
 use ssor_graph::{
     generators, CsrLaplacian, EdgeId, EdgeLoads, Graph, Path, PathStore, ShortcutWalk, VertexId,
@@ -95,6 +96,174 @@ fn random_walk_edges(
         cur = a.to;
     }
     (edges, cur)
+}
+
+/// A textbook Dijkstra, sharing no code with the library's heap core:
+/// settle the unsettled reached vertex least in `(dist, vertex)` order
+/// (`total_cmp` on the distance) by an O(n) scan, then relax its arcs in
+/// adjacency order with a strict `<`. Edges outside `usable` are skipped.
+/// The library core must settle in this order, so its distances and
+/// parents equal these bit for bit.
+fn textbook_dijkstra(g: &Graph, s: VertexId, w: &[f64], usable: &[bool]) -> SpTree {
+    let n = g.n();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut parent = vec![None; n];
+    let mut settled = vec![false; n];
+    dist[s as usize] = 0.0;
+    loop {
+        let next = (0..n)
+            .filter(|&v| !settled[v] && dist[v].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]).then(a.cmp(&b)));
+        let Some(v) = next else { break };
+        settled[v] = true;
+        for a in g.neighbors(v as VertexId) {
+            if !usable[a.edge as usize] {
+                continue;
+            }
+            let nd = dist[v] + w[a.edge as usize];
+            if nd < dist[a.to as usize] {
+                dist[a.to as usize] = nd;
+                parent[a.to as usize] = Some((v as VertexId, a.edge));
+            }
+        }
+    }
+    SpTree {
+        source: s,
+        dist,
+        parent,
+    }
+}
+
+/// The reference tree's path to `t` as `(vertices, edges)`, empty when
+/// `t` is unreachable.
+fn tree_path_parts(tree: &SpTree, t: VertexId) -> (Vec<VertexId>, Vec<EdgeId>) {
+    if tree.dist[t as usize].is_infinite() {
+        return (vec![], vec![]);
+    }
+    let (mut vs, mut es) = (vec![t], vec![]);
+    let mut cur = t;
+    while let Some((p, e)) = tree.parent[cur as usize] {
+        vs.push(p);
+        es.push(e);
+        cur = p;
+    }
+    vs.reverse();
+    es.reverse();
+    (vs, es)
+}
+
+/// Checks every Dijkstra entry point against [`textbook_dijkstra`] from
+/// every source of `g`: full trees over the graph and its CSR, the
+/// masked tree, and target-bounded sweeps (masked and not) sharing one
+/// workspace — distances by bits, parents and paths exactly.
+fn check_dijkstra_against_textbook(
+    g: &Graph,
+    w: &[f64],
+    mask: &[bool],
+) -> Result<(), TestCaseError> {
+    let csr = g.csr();
+    let all = vec![true; g.m()];
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut ws = DijkstraWorkspace::new();
+    let (mut vs, mut es) = (vec![], vec![]);
+    for s in g.vertices() {
+        let open = textbook_dijkstra(g, s, w, &all);
+        let masked = textbook_dijkstra(g, s, w, mask);
+        let len = |e: EdgeId| w[e as usize];
+        for tree in [dijkstra_tree(g, s, &len), dijkstra_tree_csr(&csr, s, &len)] {
+            prop_assert_eq!(bits(&tree.dist), bits(&open.dist), "dist from {}", s);
+            prop_assert_eq!(&tree.parent, &open.parent, "parents from {}", s);
+        }
+        let tree = dijkstra_tree_csr_view(&csr, s, &len, &mask.to_vec());
+        prop_assert_eq!(
+            bits(&tree.dist),
+            bits(&masked.dist),
+            "masked dist from {}",
+            s
+        );
+        prop_assert_eq!(&tree.parent, &masked.parent, "masked parents from {}", s);
+        // Every other vertex as a target, highest first: the sweep stops
+        // at the last one settled.
+        let targets: Vec<VertexId> = (0..g.n() as VertexId).rev().filter(|&t| t != s).collect();
+        for (reference, view) in [(&open, None), (&masked, Some(mask))] {
+            dijkstra_targets_csr(&csr, s, &targets, w, view, &mut ws);
+            for &t in &targets {
+                prop_assert_eq!(ws.dist(t).to_bits(), reference.dist[t as usize].to_bits());
+                let reached = ws.path_parts(t, &mut vs, &mut es);
+                let (want_vs, want_es) = tree_path_parts(reference, t);
+                prop_assert_eq!(reached, !want_vs.is_empty());
+                prop_assert_eq!(&vs, &want_vs, "path {} -> {}", s, t);
+                prop_assert_eq!(&es, &want_es, "path {} -> {}", s, t);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A Dijkstra edge length: exact `0.0`, a small integer (sums tie), or
+/// a continuous value.
+fn dijkstra_length() -> impl Strategy<Value = f64> {
+    (0u32..3, 1u32..3, 1e-3f64..10.0).prop_map(|(kind, k, x)| match kind {
+        0 => 0.0,
+        1 => k as f64,
+        _ => x,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The heap core pops in the textbook `(dist, vertex)` order on
+    /// random multigraphs (parallel edges included) with all-equal,
+    /// zero-weight and mixed lengths, masked and not.
+    #[test]
+    fn dijkstra_matches_textbook_selection_order(
+        (g, lens, mask) in connected_multigraph().prop_flat_map(|g| {
+            let m = g.m();
+            (
+                Just(g),
+                proptest::collection::vec(dijkstra_length(), m..m + 1),
+                proptest::collection::vec(any::<bool>(), m..m + 1),
+            )
+        }),
+        equal in any::<bool>(),
+    ) {
+        let lens = if equal { vec![1.0; g.m()] } else { lens };
+        check_dijkstra_against_textbook(&g, &lens, &mask)?;
+    }
+}
+
+/// Fixed tie-heavy instances for the same check: a ring and a grid with
+/// all-equal lengths, a zero-length cycle, and a bundle of parallel
+/// edges between every consecutive pair of a path.
+#[test]
+fn dijkstra_matches_textbook_on_tie_heavy_graphs() {
+    let mut parallel = Graph::new(5);
+    for v in 0..4 {
+        for _ in 0..3 {
+            parallel.add_edge(v, v + 1);
+        }
+    }
+    let cases: Vec<(Graph, Vec<f64>)> = vec![
+        (generators::ring(8), vec![1.0; 8]),
+        (
+            generators::grid(3, 4),
+            vec![1.0; generators::grid(3, 4).m()],
+        ),
+        (generators::ring(6), vec![0.0; 6]),
+        (parallel.clone(), vec![2.0; parallel.m()]),
+        (
+            parallel.clone(),
+            (0..parallel.m()).map(|e| (e % 3) as f64).collect(),
+        ),
+    ];
+    for (g, w) in &cases {
+        let alive = vec![true; g.m()];
+        let alternate: Vec<bool> = (0..g.m()).map(|e| e % 4 != 1).collect();
+        for mask in [&alive, &alternate] {
+            check_dijkstra_against_textbook(g, w, mask).expect("matches the textbook order");
+        }
+    }
 }
 
 proptest! {

@@ -196,30 +196,38 @@ impl EcmpRouting {
         }
         counts
     }
-}
 
-impl ObliviousRouting for EcmpRouting {
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
-        assert_ne!(s, t);
-        // Walk backwards from t, choosing predecessors proportionally to
-        // their path counts from s.
+    /// One draw from `R(s, t)`: walks backwards from `t`, choosing each
+    /// predecessor on the shortest-path DAG with probability proportional
+    /// to its path count from `s` (`counts`, from `count_from(s)`), one
+    /// `gen::<f64>()` per hop. Leaves the path, from `s`, in `walk`.
+    fn draw(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        counts: &[u128],
+        rng: &mut dyn RngCore,
+        walk: &mut DagWalk,
+    ) {
         let dist = &self.trees[s as usize].dist;
-        let counts = self.count_from(s);
-        let mut rev_vertices = vec![t];
-        let mut rev_edges: Vec<EdgeId> = Vec::new();
+        let DagWalk {
+            preds,
+            vertices,
+            edges,
+        } = walk;
+        vertices.clear();
+        edges.clear();
+        vertices.push(t);
         let mut cur = t;
         while cur != s {
-            let preds: Vec<(VertexId, EdgeId, u128)> = self
-                .graph
-                .neighbors(cur)
-                .iter()
-                .filter(|a| dist[a.to as usize] + 1.0 == dist[cur as usize])
-                .map(|a| (a.to, a.edge, counts[a.to as usize]))
-                .collect();
+            preds.clear();
+            preds.extend(
+                self.graph
+                    .neighbors(cur)
+                    .iter()
+                    .filter(|a| dist[a.to as usize] + 1.0 == dist[cur as usize])
+                    .map(|a| (a.to, a.edge, counts[a.to as usize])),
+            );
             let total: u128 = preds.iter().map(|&(_, _, c)| c).sum();
             let mut x = (rng.gen::<f64>() * total as f64) as u128;
             let mut chosen = preds.len() - 1;
@@ -231,13 +239,56 @@ impl ObliviousRouting for EcmpRouting {
                 x -= c;
             }
             let (pv, pe, _) = preds[chosen];
-            rev_vertices.push(pv);
-            rev_edges.push(pe);
+            vertices.push(pv);
+            edges.push(pe);
             cur = pv;
         }
-        rev_vertices.reverse();
-        rev_edges.reverse();
-        Path::from_edges(&self.graph, s, &rev_edges).expect("DAG walk is a valid path")
+        vertices.reverse();
+        edges.reverse();
+    }
+}
+
+/// Scratch of one ECMP draw: the current vertex's weighted predecessors
+/// and the path walked so far.
+#[derive(Default)]
+struct DagWalk {
+    preds: Vec<(VertexId, EdgeId, u128)>,
+    vertices: Vec<VertexId>,
+    edges: Vec<EdgeId>,
+}
+
+impl ObliviousRouting for EcmpRouting {
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    fn sample_path(&self, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
+        assert_ne!(s, t);
+        let mut walk = DagWalk::default();
+        self.draw(s, t, &self.count_from(s), rng, &mut walk);
+        Path::from_edges(&self.graph, s, &walk.edges).expect("DAG walk is a valid path")
+    }
+
+    /// The path counts from `s` once per pair, then one predecessor walk
+    /// per draw, each interned straight from the walk's buffers. The
+    /// counts take no randomness, so the ids, the arena and the RNG state
+    /// are those of the per-draw loop, which recounts on every draw.
+    fn sample_into(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        draws: usize,
+        rng: &mut dyn RngCore,
+        store: &mut PathStore,
+        out: &mut Vec<PathId>,
+    ) {
+        assert_ne!(s, t);
+        let counts = self.count_from(s);
+        let mut walk = DagWalk::default();
+        for _ in 0..draws {
+            self.draw(s, t, &counts, rng, &mut walk);
+            push_new(out, store.intern_parts(&walk.vertices, &walk.edges));
+        }
     }
 
     fn write_distribution(&self, s: VertexId, t: VertexId, out: &mut Distributions) {

@@ -49,7 +49,8 @@ pub trait ObliviousRouting {
     /// when it can skip the owned [`Path`] or repeated work per draw: a
     /// tree mixture draws a tree, not a path, and walks each distinct
     /// tree once; Valiant streams each draw's walk straight into
-    /// `store`; KSP computes its `k` paths once per pair.
+    /// `store`; KSP computes its `k` paths once per pair, and ECMP its
+    /// shortest-path counts.
     ///
     /// # Panics
     ///

@@ -8,26 +8,30 @@
 //! order, the same arena, and the same RNG state afterwards.
 //!
 //! The reference is the template's own `sample_path`, except for
-//! Valiant, whose `sample_path` shares the streamed walk with its
-//! override: there it is the plain construction, greedy bit-fixing
-//! vertex lists joined, mapped to edges by [`Path::from_vertices`] and
-//! shortcut, and `sample_path` is checked against it too, as are Valiant's
-//! exact distribution and deterministic bit-fixing. The overrides
-//! are checked on random connected graphs (an FRT ensemble of more than
-//! 64 trees, a multiplicative-weights mixture, KSP) and on hypercubes
-//! up to `n = 128` (Valiant); the provided default on ECMP. Pair lists
-//! repeat pairs and vary the draw count per pair, so draws also dedup
-//! against paths a pair already holds.
+//! Valiant and ECMP, whose `sample_path` shares its walk with the
+//! override. For Valiant it is the plain construction, greedy
+//! bit-fixing vertex lists joined, mapped to edges by
+//! [`Path::from_vertices`] and shortcut, and Valiant's exact
+//! distribution and deterministic bit-fixing are checked too. For ECMP
+//! it is the per-draw walk written out here: BFS distances and path
+//! counts from `s` recomputed on every draw, then the predecessor walk
+//! back from `t`. `sample_path` is checked against both references. The
+//! overrides are checked on random connected graphs (an FRT ensemble of
+//! more than 64 trees, a multiplicative-weights mixture, KSP, ECMP) and
+//! on hypercubes up to `n = 128` (Valiant); the provided default on the
+//! random-walk template. Pair lists repeat pairs and vary the draw count
+//! per pair, so draws also dedup against paths a pair already holds.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use ssor::core::sample::all_pairs;
 use ssor::core::PathSystem;
-use ssor::graph::{generators, Distributions, Graph, Path, PathId, PathStore, VertexId};
+use ssor::graph::shortest_path::bfs_tree;
+use ssor::graph::{generators, Distributions, EdgeId, Graph, Path, PathId, PathStore, VertexId};
 use ssor::oblivious::{
     BitFixingRouting, EcmpRouting, KspRouting, ObliviousRouting, RaeckeOptions, RaeckeRouting,
-    ValiantRouting,
+    RandomWalkRouting, ValiantRouting,
 };
 
 /// One reference draw from `R(s, t)`.
@@ -222,6 +226,50 @@ fn valiant_via(g: &Graph, dim: u32, s: VertexId, t: VertexId, w: VertexId) -> Pa
         .shortcut()
 }
 
+/// One ECMP draw the plain way: BFS distances and the number of
+/// shortest paths from `s` to every vertex (saturating), then a walk
+/// back from `t` that picks each shortest-path predecessor `p` with
+/// probability `count(p) / total`, one `gen::<f64>()` per hop, the last
+/// predecessor taking any rounding remainder.
+fn ecmp_reference(g: &Graph, s: VertexId, t: VertexId, rng: &mut dyn RngCore) -> Path {
+    let dist = bfs_tree(g, s).dist;
+    let mut order: Vec<VertexId> = g.vertices().collect();
+    order.sort_by(|&a, &b| dist[a as usize].total_cmp(&dist[b as usize]));
+    let mut count = vec![0u128; g.n()];
+    count[s as usize] = 1;
+    for &v in &order {
+        for a in g.neighbors(v) {
+            if dist[a.to as usize] == dist[v as usize] + 1.0 {
+                count[a.to as usize] = count[a.to as usize].saturating_add(count[v as usize]);
+            }
+        }
+    }
+    let mut edges: Vec<EdgeId> = vec![];
+    let mut cur = t;
+    while cur != s {
+        let preds: Vec<(VertexId, EdgeId)> = g
+            .neighbors(cur)
+            .iter()
+            .filter(|a| dist[a.to as usize] + 1.0 == dist[cur as usize])
+            .map(|a| (a.to, a.edge))
+            .collect();
+        let total: u128 = preds.iter().map(|&(p, _)| count[p as usize]).sum();
+        let mut x = (rng.gen::<f64>() * total as f64) as u128;
+        let mut pick = preds[preds.len() - 1];
+        for &(p, e) in &preds {
+            if x < count[p as usize] {
+                pick = (p, e);
+                break;
+            }
+            x -= count[p as usize];
+        }
+        edges.push(pick.1);
+        cur = pick.0;
+    }
+    edges.reverse();
+    Path::from_edges(g, s, &edges).expect("a walk down the shortest-path DAG")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -277,18 +325,42 @@ proptest! {
         check_against("valiant", &valiant, reference, &jobs(n, draws), seed)?;
     }
 
+    /// ECMP counts the shortest paths from `s` once per pair, not once
+    /// per draw; its draws, `sample_path` included, match the plain
+    /// per-draw walk. Multigraphs give vertices parallel predecessor
+    /// edges.
+    #[test]
+    fn ecmp_draws_match_the_per_draw_walk(
+        n in 4usize..11,
+        p in 0.2f64..0.7,
+        extra in 0usize..6,
+        draws in 1usize..13,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = generators::erdos_renyi(n, p, &mut rng);
+        for _ in 0..extra {
+            let (u, v) = g.endpoints(rng.gen_range(0..g.m()) as EdgeId);
+            g.add_edge(u, v);
+        }
+        let ecmp = EcmpRouting::new(&g);
+        let reference: Draw<'_> = &|s, t, rng| ecmp_reference(&g, s, t, rng);
+        check_against("ecmp", &ecmp, reference, &jobs(n, draws), seed)?;
+    }
+
     /// A randomized template without an override takes the provided
     /// per-draw default.
     #[test]
     fn default_draw_is_the_sample_path_loop(
         n in 4usize..11,
         p in 0.2f64..0.7,
+        walks in 1usize..9,
         draws in 1usize..9,
         seed in any::<u64>(),
     ) {
         let g = generators::erdos_renyi(n, p, &mut StdRng::seed_from_u64(seed));
-        let ecmp = EcmpRouting::new(&g);
-        check_equivalent("ecmp", &ecmp, &jobs(n, draws), seed)?;
+        let random_walk = RandomWalkRouting::new(&g, walks, 4 * n, seed);
+        check_equivalent("random walk", &random_walk, &jobs(n, draws), seed)?;
     }
 }
 
