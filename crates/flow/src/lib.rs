@@ -15,8 +15,9 @@
 //! * [`solver`] — the one staged-smoothing Frank–Wolfe min-congestion
 //!   core with dual certificates: cold one-shot entry points
 //!   ([`min_congestion_restricted`], [`min_congestion_unrestricted`],
-//!   [`min_congestion_masked`]) and the stateful [`Solver`] whose carried
-//!   per-pair distributions warm-start every [`Solver::resolve`];
+//!   [`min_congestion_masked`]) and the stateful [`Solver`], whose warm
+//!   state is one `Distributions` of raw per-pair weights that
+//!   warm-starts every [`Solver::resolve`];
 //! * [`oracle`] — the pluggable best-response layer the solver consumes:
 //!   candidate sets (Stage-4 rate adaptation) or all simple paths,
 //!   optionally failure-masked, with a rayon-parallel per-source Dijkstra

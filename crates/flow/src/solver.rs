@@ -28,11 +28,10 @@
 //! [`min_congestion_restricted`], [`min_congestion_unrestricted`],
 //! [`min_congestion_masked`]) run the same solve as a fresh `Solver` —
 //! there is no second loop — but one-shot: they borrow the demand
-//! instead of cloning it into a `Solver`, and they skip the warm-state
-//! bookkeeping no one would read (copying every pair's final
-//! distribution into the carried state). A kept `Solver` does that
-//! bookkeeping on every [`Solver::resolve`], so its next solve can start
-//! from it.
+//! instead of cloning it into a `Solver`, and their fresh arena moves
+//! into the returned routing. A kept `Solver` clones that arena back
+//! into its warm state on every [`Solver::resolve`], so its next solve
+//! can start from it.
 //!
 //! An oracle sees the same pair list on every iteration of a solve (a
 //! cold solve's initialization call asks about it too, unless a pair is
@@ -65,11 +64,12 @@
 //!
 //! Internally the solver works on the workspace's shared representation
 //! layer: edge loads accumulate in a dense [`EdgeLoads`], and every
-//! discovered path is interned into the solver's [`PathStore`] so path
+//! discovered path is interned into the solve's [`PathStore`] arena (a
+//! kept `Solver`'s warm [`Distributions`] arena, or a fresh one) so path
 //! identity is a `Copy`-able [`PathId`] comparison instead of an
-//! edge-vector scan. The returned [`Routing`] receives its paths by
-//! re-interning them into its own `Distributions` arena; no owned `Path`
-//! is built on the way out.
+//! edge-vector scan. The returned [`Routing`] adopts that arena through
+//! [`Distributions::from_runs`]: no path is re-interned and no owned
+//! `Path` is built on the way out.
 //!
 //! # Examples
 //!
@@ -99,10 +99,7 @@ use crate::demand::Demand;
 use crate::oracle::{AllPathsOracle, CandidateOracle, PathOracle};
 use crate::routing::Routing;
 use ssor_graph::obs::{StageProfile, Stopwatch};
-use ssor_graph::{
-    normalize_run, Distributions, EdgeId, EdgeLoads, Graph, PathId, PathStore, VertexId,
-};
-use std::collections::BTreeMap;
+use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, PathId, PathStore, VertexId};
 
 /// Per-pair weights at or below this fraction of the pair's probability
 /// mass are dropped when a routing is materialized. Each pair's weights
@@ -251,27 +248,20 @@ pub struct MinCongSolution {
     pub stats: SolverStats,
 }
 
-/// Multiplicative gap `congestion / lower_bound` with the degenerate
-/// conventions shared by [`MinCongSolution::gap`] and [`Solver::gap`]:
-/// `1.0` when both are zero (trivially optimal), `inf` when only the
-/// bound is.
-fn gap_of(congestion: f64, lower_bound: f64) -> f64 {
-    if lower_bound <= 0.0 {
-        if congestion <= 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        congestion / lower_bound
-    }
-}
-
 impl MinCongSolution {
     /// Multiplicative optimality gap `congestion / lower_bound`
-    /// (`1.0` means provably optimal; `inf` if the bound is zero).
+    /// (`1.0` means provably optimal, also when both are zero; `inf` if
+    /// only the bound is zero).
     pub fn gap(&self) -> f64 {
-        gap_of(self.congestion, self.lower_bound)
+        if self.lower_bound <= 0.0 {
+            if self.congestion <= 0.0 {
+                1.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            self.congestion / self.lower_bound
+        }
     }
 }
 
@@ -289,8 +279,8 @@ pub enum DemandDelta {
 }
 
 /// Per-pair convex combination over discovered paths (interned in the
-/// solver's shared [`PathStore`]; membership is an id scan, never an
-/// edge-vector comparison).
+/// solve's arena; membership is an id scan, never an edge-vector
+/// comparison).
 struct PairState {
     pair: (VertexId, VertexId),
     /// The pair's demand, normalized by the total demand size.
@@ -309,22 +299,19 @@ impl PairState {
             self.ids.len() - 1
         }
     }
+
+    /// The raw run with weights at or below [`WEIGHT_PRUNE`] dropped.
+    fn kept(&self) -> impl Iterator<Item = (PathId, f64)> + '_ {
+        let run = self.ids.iter().copied().zip(self.weights.iter().copied());
+        run.filter(|&(_, w)| w > WEIGHT_PRUNE)
+    }
 }
 
-/// Copies the per-pair convex combinations into a [`Routing`] (paths
-/// re-interned from the solver's arena), dropping weights at or below
-/// [`WEIGHT_PRUNE`].
-fn assemble_routing(states: &[PairState], store: &PathStore) -> Routing {
-    let mut dists = Distributions::new();
-    for st in states {
-        for (&id, &w) in st.ids.iter().zip(st.weights.iter()) {
-            if w > WEIGHT_PRUNE {
-                dists.push_parts(store.vertices(id), store.edges(id), w);
-            }
-        }
-        dists.commit(st.pair.0, st.pair.1);
-    }
-    Routing::from(dists)
+/// The solution routing over the solve's arena: every state's
+/// [`kept`](PairState::kept) run, normalized.
+fn routing_of(store: PathStore, states: &[PairState]) -> Routing {
+    let runs = states.iter().map(|st| (st.pair, st.kept()));
+    Routing::from(Distributions::from_runs(store, runs))
 }
 
 /// The workspace's one staged-smoothing Frank–Wolfe loop.
@@ -492,27 +479,28 @@ fn frank_wolfe(
 }
 
 /// One solve of `demand` on a graph with `m` edges, warm-started from
-/// the `carried` per-pair distributions (empty for a cold solve), with
-/// every discovered path interned into `store`. Returns the solution and
-/// the final per-pair states, which only a warm [`Solver`] reads.
+/// the `carried` per-pair runs (none for a cold solve). Every discovered
+/// path is interned into `carried`'s arena, which the solution's routing
+/// adopts. Returns the solution and the final per-pair states, which
+/// only a warm [`Solver`] reads.
 ///
-/// The one-shot entry points call this with an empty map and a fresh
-/// arena and drop the states; [`Solver::resolve`] calls it with its own
-/// and persists them — so the two are the same computation, bit for bit
+/// The one-shot entry points call this with empty distributions and
+/// drop the states; [`Solver::resolve`] calls it with its warm state and
+/// persists them — so the two are the same computation, bit for bit
 /// (see [`Solver::resolve`] for the stranding contract).
 fn solve(
     g: &Graph,
     m: usize,
     demand: &Demand,
-    carried: &BTreeMap<(VertexId, VertexId), Vec<(PathId, f64)>>,
-    store: &mut PathStore,
+    carried: Distributions,
     oracle: &mut dyn PathOracle,
     opts: &SolveOptions,
 ) -> (MinCongSolution, Vec<PairState>) {
     let mut acc = StatsAcc::new();
     let pairs = demand.support();
     if pairs.is_empty() {
-        return (trivial(0.0, Vec::new(), acc), Vec::new());
+        let routing = routing_of(carried.into_store(), &[]);
+        return (trivial(routing, 0.0, Vec::new(), acc), Vec::new());
     }
     let scale = demand.size();
     assert!(scale.is_finite(), "demand size must be finite, got {scale}");
@@ -522,7 +510,7 @@ fn solve(
     let mut states: Vec<PairState> = pairs
         .iter()
         .map(|&(s, t)| {
-            let run = carried.get(&(s, t)).map(Vec::as_slice).unwrap_or_default();
+            let run = carried.get(s, t).unwrap_or_default();
             PairState {
                 pair: (s, t),
                 demand: demand.get(s, t) / scale,
@@ -531,6 +519,7 @@ fn solve(
             }
         })
         .collect();
+    let mut store = carried.into_store();
     let fresh_pairs: Vec<(VertexId, VertexId)> = states
         .iter()
         .filter(|st| st.ids.is_empty())
@@ -540,7 +529,7 @@ fn solve(
     let mut ones_bound = 0.0;
     if !fresh_pairs.is_empty() {
         let ones = vec![1.0; m];
-        let first = acc.time_oracle(|| oracle.best_paths(&fresh_pairs, &ones, store));
+        let first = acc.time_oracle(|| oracle.best_paths(&fresh_pairs, &ones, &mut store));
         let fresh = states.iter_mut().filter(|st| st.ids.is_empty());
         for (st, found) in fresh.zip(&first) {
             if let Some((id, _)) = *found {
@@ -576,14 +565,15 @@ fn solve(
     if states.is_empty() {
         // Everything stranded: the LP over the (empty) routed
         // remainder is trivially solved.
-        return (trivial(stranded, dropped_pairs, acc), states);
+        let routing = routing_of(store, &states);
+        return (trivial(routing, stranded, dropped_pairs, acc), states);
     }
 
     // Re-accumulate the loads of the starting point (normalized).
     let mut loads = EdgeLoads::zeros(m);
     for st in &states {
         for (&id, &w) in st.ids.iter().zip(st.weights.iter()) {
-            loads.add_path(store, id, w * st.demand);
+            loads.add_path(&store, id, w * st.demand);
         }
     }
 
@@ -598,7 +588,7 @@ fn solve(
         m,
         &mut states,
         &mut loads,
-        store,
+        &mut store,
         oracle,
         opts,
         0.5,
@@ -606,7 +596,7 @@ fn solve(
         &mut acc,
     );
 
-    let routing = assemble_routing(&states, store);
+    let routing = routing_of(store, &states);
     let congestion = routing.congestion(g, demand);
     let sol = MinCongSolution {
         routing,
@@ -623,12 +613,13 @@ fn solve(
 
 /// The zero-work solution (empty demand, or everything stranded).
 fn trivial(
+    routing: Routing,
     stranded: f64,
     dropped_pairs: Vec<(VertexId, VertexId)>,
     acc: StatsAcc,
 ) -> MinCongSolution {
     MinCongSolution {
-        routing: Routing::new(),
+        routing,
         congestion: 0.0,
         lower_bound: 0.0,
         iterations: 0,
@@ -641,14 +632,17 @@ fn trivial(
 
 /// The min-congestion solver core, with warm-start state as data.
 ///
-/// A `Solver` owns the interned [`PathStore`] arena plus, per pair ever
-/// routed, the convex combination over that pair's discovered paths
-/// (weights summing to 1). A fresh `Solver` solves cold (min-hop
-/// initialization); keeping it alive across [`Solver::resolve`] calls
-/// warm-starts every subsequent solve from the previous optimum — the
-/// demand-stream and failure-sweep runners in `ssor-engine` rely on
-/// this. Pairs that leave the demand keep their distribution: a pair
-/// that returns (bursty ON/OFF traffic) warm-starts too.
+/// A `Solver`'s warm state is one [`Distributions`]: the arena of every
+/// path it discovered plus, per pair ever routed, that pair's raw
+/// Frank–Wolfe weights (pruned at [`WEIGHT_PRUNE`], summing to about 1,
+/// committed through [`Distributions::from_raw_runs`] so not a bit
+/// moves). A fresh `Solver` solves cold (min-hop initialization);
+/// keeping it alive across [`Solver::resolve`] calls warm-starts every
+/// subsequent solve from the previous optimum — the demand-stream and
+/// failure-sweep runners in `ssor-engine` rely on this. Pairs that leave
+/// the demand keep their run: a pair that returns (bursty ON/OFF
+/// traffic) warm-starts too. Every resolve rebuilds the runs, so the
+/// state holds one run per pair, however many resolves it has seen.
 ///
 /// Link failures compose with warm starts through
 /// [`Solver::invalidate_edges`]: paths crossing dead edges are dropped
@@ -656,16 +650,9 @@ fn trivial(
 /// survivors) before the next [`Solver::resolve`].
 #[derive(Debug, Clone)]
 pub struct Solver {
-    store: PathStore,
-    /// Per-pair `(path id, weight)` runs; weights sum to 1 per pair.
-    choices: BTreeMap<(VertexId, VertexId), Vec<(PathId, f64)>>,
+    warm: Distributions,
     demand: Demand,
     m: usize,
-    congestion: f64,
-    lower_bound: f64,
-    iterations: usize,
-    converged: bool,
-    stranded: f64,
 }
 
 impl Solver {
@@ -673,15 +660,9 @@ impl Solver {
     /// yet). The first [`Solver::resolve`] is a cold solve.
     pub fn new(g: &Graph) -> Solver {
         Solver {
-            store: PathStore::new(),
-            choices: BTreeMap::new(),
+            warm: Distributions::new(),
             demand: Demand::new(),
             m: g.m(),
-            congestion: 0.0,
-            lower_bound: 0.0,
-            iterations: 0,
-            converged: true,
-            stranded: 0.0,
         }
     }
 
@@ -701,39 +682,6 @@ impl Solver {
     /// The demand of the last solve.
     pub fn demand(&self) -> &Demand {
         &self.demand
-    }
-
-    /// Congestion achieved by the last solve.
-    pub fn congestion(&self) -> f64 {
-        self.congestion
-    }
-
-    /// Certified dual lower bound of the last solve.
-    pub fn lower_bound(&self) -> f64 {
-        self.lower_bound
-    }
-
-    /// Frank–Wolfe iterations the last solve took.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Whether the last solve certified its target gap (see
-    /// [`MinCongSolution::converged`]).
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Demand mass the last solve dropped as unroutable (see
-    /// [`MinCongSolution::stranded`]).
-    pub fn stranded(&self) -> f64 {
-        self.stranded
-    }
-
-    /// Multiplicative optimality gap of the last solve (see
-    /// [`MinCongSolution::gap`]).
-    pub fn gap(&self) -> f64 {
-        gap_of(self.congestion, self.lower_bound)
     }
 
     /// Applies `delta` to the demand and re-solves, warm-starting from
@@ -760,8 +708,8 @@ impl Solver {
     /// fresh `Solver` and [`min_congestion`] are the same computation,
     /// bit for bit.
     ///
-    /// Returns the full per-step solution (routing materialized at the
-    /// boundary, like the one-shot entry points).
+    /// Returns the full per-step solution; its routing holds a clone of
+    /// the warm arena.
     ///
     /// # Panics
     ///
@@ -784,27 +732,20 @@ impl Solver {
                 }
             }
         }
-        let (sol, states) = solve(
-            g,
-            self.m,
-            &self.demand,
-            &self.choices,
-            &mut self.store,
-            oracle,
-            opts,
-        );
-        // Persist the updated distributions (pruning negligible weights
-        // so state does not grow without bound across a long stream).
-        for st in &states {
-            let run = st.ids.iter().zip(&st.weights).map(|(&id, &w)| (id, w));
-            let kept = run.filter(|&(_, w)| w > WEIGHT_PRUNE).collect();
-            self.choices.insert(st.pair, kept);
-        }
-        self.congestion = sol.congestion;
-        self.lower_bound = sol.lower_bound;
-        self.iterations = sol.iterations;
-        self.converged = sol.converged;
-        self.stranded = sol.stranded;
+        // Runs of pairs outside the demand (whose entries are positive)
+        // stay as they are; the solve replaces the rest.
+        let carried = std::mem::take(&mut self.warm);
+        let idle: Vec<_> = carried
+            .iter()
+            .filter(|&((s, t), _)| self.demand.get(s, t) == 0.0)
+            .map(|(pair, run)| (pair, run.to_vec()))
+            .collect();
+        let (sol, states) = solve(g, self.m, &self.demand, carried, oracle, opts);
+        // Persist the final weights raw, pruned (so state does not grow
+        // without bound across a long stream).
+        let kept = states.iter().map(|st| (st.pair, st.kept().collect()));
+        let store = sol.routing.store().clone();
+        self.warm = Distributions::from_raw_runs(store, idle.into_iter().chain(kept));
         sol
     }
 
@@ -816,37 +757,31 @@ impl Solver {
     /// Returns the number of dropped paths. The demand is untouched —
     /// restrict it separately if pairs lost coverage in the oracle too.
     pub fn invalidate_edges(&mut self, dead: &[EdgeId]) -> usize {
-        let store = &self.store;
+        let carried = std::mem::take(&mut self.warm);
+        let store = carried.store();
         let mut removed = 0usize;
-        self.choices.retain(|&(s, t), run| {
-            let before = run.len();
-            run.retain(|&(id, _)| !dead.iter().any(|&e| store.contains_edge(id, e)));
-            removed += before - run.len();
-            if run.is_empty() {
-                return false;
-            }
-            // Carried weights all exceed `WEIGHT_PRUNE`: the total is positive.
-            normalize_run(store, run, s, t);
-            true
-        });
+        let survivors: Vec<_> = carried
+            .iter()
+            .filter_map(|(pair, run)| {
+                let alive =
+                    |&(id, _): &(PathId, f64)| !dead.iter().any(|&e| store.contains_edge(id, e));
+                let kept: Vec<_> = run.iter().copied().filter(alive).collect();
+                removed += run.len() - kept.len();
+                (!kept.is_empty()).then_some((pair, kept))
+            })
+            .collect();
+        // Carried weights all exceed `WEIGHT_PRUNE`: every total is positive.
+        self.warm = Distributions::from_runs(carried.into_store(), survivors);
         removed
     }
 
-    /// Copies the current per-pair distributions (demanded pairs only)
-    /// into a [`Routing`].
+    /// The current per-pair distributions of the demanded pairs,
+    /// normalized, over a clone of the warm arena.
     pub fn routing(&self) -> Routing {
-        let mut dists = Distributions::new();
-        for (s, t) in self.demand.support() {
-            if let Some(run) = self.choices.get(&(s, t)) {
-                for &(id, w) in run {
-                    dists.push_parts(self.store.vertices(id), self.store.edges(id), w);
-                }
-                if !dists.open().is_empty() {
-                    dists.commit(s, t);
-                }
-            }
-        }
-        Routing::from(dists)
+        let support = self.demand.support().into_iter();
+        let runs =
+            support.filter_map(|(s, t)| Some(((s, t), self.warm.get(s, t)?.iter().copied())));
+        Routing::from(Distributions::from_runs(self.warm.store().clone(), runs))
     }
 }
 
@@ -876,8 +811,7 @@ pub fn min_congestion(
     oracle: &mut dyn PathOracle,
     opts: &SolveOptions,
 ) -> MinCongSolution {
-    let mut store = PathStore::new();
-    solve(g, g.m(), d, &BTreeMap::new(), &mut store, oracle, opts).0
+    solve(g, g.m(), d, Distributions::new(), oracle, opts).0
 }
 
 /// Stage-4 rate adaptation: `cong_R(P, d)` over the candidate sets
@@ -1191,11 +1125,16 @@ mod tests {
         let g = generators::grid(3, 3);
         let d = Demand::from_pairs(&[(0, 8), (2, 6), (1, 7)]);
         let mut oracle = AllPathsOracle::new(&g);
-        let warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
+        let warm = Solver::new(&g).resolve(
+            &g,
+            DemandDelta::Replace(d.clone()),
+            &mut oracle,
+            &warm_opts(),
+        );
         let cold = min_congestion_unrestricted(&g, &d, &warm_opts());
-        assert_eq!(warm.congestion().to_bits(), cold.congestion.to_bits());
-        assert_eq!(warm.lower_bound().to_bits(), cold.lower_bound.to_bits());
-        assert_eq!(warm.iterations(), cold.iterations);
+        assert_eq!(warm.congestion.to_bits(), cold.congestion.to_bits());
+        assert_eq!(warm.lower_bound.to_bits(), cold.lower_bound.to_bits());
+        assert_eq!(warm.iterations, cold.iterations);
     }
 
     #[test]
@@ -1203,8 +1142,14 @@ mod tests {
         let g = generators::grid(4, 4);
         let mut d = Demand::from_pairs(&[(0, 15), (3, 12), (5, 10), (1, 14)]);
         let mut oracle = AllPathsOracle::new(&g);
-        let mut warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
-        let cold_iters = warm.iterations();
+        let mut warm = Solver::new(&g);
+        let first = warm.resolve(
+            &g,
+            DemandDelta::Replace(d.clone()),
+            &mut oracle,
+            &warm_opts(),
+        );
+        let cold_iters = first.iterations;
         // Mild drift: +5% on one pair.
         d.set(0, 15, 1.05);
         let sol = warm.resolve(
@@ -1229,10 +1174,12 @@ mod tests {
         let g = generators::ring(6);
         let d = Demand::from_pairs(&[(0, 3)]);
         let mut oracle = AllPathsOracle::new(&g);
-        let mut warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
-        let c1 = warm.congestion();
-        warm.resolve(&g, DemandDelta::Scale(3.0), &mut oracle, &warm_opts());
-        assert!((warm.congestion() - 3.0 * c1).abs() < 1e-9 * (1.0 + 3.0 * c1));
+        let mut warm = Solver::new(&g);
+        let c1 = warm
+            .resolve(&g, DemandDelta::Replace(d), &mut oracle, &warm_opts())
+            .congestion;
+        let scaled = warm.resolve(&g, DemandDelta::Scale(3.0), &mut oracle, &warm_opts());
+        assert!((scaled.congestion - 3.0 * c1).abs() < 1e-9 * (1.0 + 3.0 * c1));
     }
 
     #[test]
@@ -1242,14 +1189,14 @@ mod tests {
         let mut oracle = AllPathsOracle::new(&g);
         let mut warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
         // Add a pair, drop the old one.
-        warm.resolve(
+        let moved = warm.resolve(
             &g,
             DemandDelta::Set(vec![((0, 4), 0.0), ((1, 5), 2.0)]),
             &mut oracle,
             &warm_opts(),
         );
         assert_eq!(warm.demand().support(), vec![(1, 5)]);
-        assert!(warm.congestion() > 0.0);
+        assert!(moved.congestion > 0.0);
         // Emptying the demand gives the trivial solution but keeps state.
         let empty = warm.resolve(
             &g,
@@ -1277,8 +1224,14 @@ mod tests {
         cands.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3)]);
         let mut oracle = CandidateOracle::new(cands.as_candidates());
-        let mut warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
-        assert!((warm.congestion() - 0.5).abs() < 0.05, "splits both ways");
+        let mut warm = Solver::new(&g);
+        let first = warm.resolve(
+            &g,
+            DemandDelta::Replace(d.clone()),
+            &mut oracle,
+            &warm_opts(),
+        );
+        assert!((first.congestion - 0.5).abs() < 0.05, "splits both ways");
         // Kill edge (1, 2): the clockwise path dies, all mass shifts.
         let removed = warm.invalidate_edges(&[1]);
         assert_eq!(removed, 1);
@@ -1332,8 +1285,14 @@ mod tests {
         cands.insert(&Path::from_vertices(&g, &[1, 2, 3, 4]).unwrap());
         let d = Demand::from_pairs(&[(0, 3), (1, 4)]);
         let mut oracle = CandidateOracle::new(cands.as_candidates());
-        let mut warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
-        assert_eq!(warm.stranded(), 0.0);
+        let mut warm = Solver::new(&g);
+        let first = warm.resolve(
+            &g,
+            DemandDelta::Replace(d.clone()),
+            &mut oracle,
+            &warm_opts(),
+        );
+        assert_eq!(first.stranded, 0.0);
         // Edge (1, 2) dies: both carried paths cross it.
         warm.invalidate_edges(&[1]);
         let mut survivors = CandidateSet::new();
@@ -1343,5 +1302,214 @@ mod tests {
         assert_eq!(sol.stranded, 1.0, "(1, 4) has no surviving candidates");
         assert_eq!(sol.dropped_pairs, vec![(1, 4)]);
         assert!((sol.congestion - 1.0).abs() < 1e-9, "(0, 3) reroutes");
+    }
+
+    // ------------------------------------------------------------------
+    // The warm chain, pinned bit for bit.
+    // ------------------------------------------------------------------
+
+    /// FNV-1a over a routing's pairs, path edge sequences and weight
+    /// bits, in pair order — path ids left out.
+    fn routing_fingerprint(r: &Routing) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for ((s, t), run) in r.distributions().iter() {
+            eat(u64::from(s) << 32 | u64::from(t));
+            for &(id, w) in run {
+                r.store().edges(id).iter().for_each(|&e| eat(u64::from(e)));
+                eat(w.to_bits());
+            }
+        }
+        h
+    }
+
+    /// The chain's pairs on `grid(4, 4)`.
+    const CHAIN_PAIRS: [(VertexId, VertexId); 6] =
+        [(0, 15), (3, 12), (5, 10), (1, 14), (2, 13), (4, 11)];
+
+    /// Up to 3 hop-shortest candidates per chain pair, skipping paths
+    /// through `dead`.
+    fn chain_candidates(g: &Graph, dead: &[EdgeId]) -> CandidateSet {
+        let mut cands = CandidateSet::new();
+        for (s, t) in CHAIN_PAIRS {
+            for path in ssor_graph::ksp::k_shortest_paths(g, s, t, 3, &|_| 1.0) {
+                if !dead.iter().any(|e| path.edges().contains(e)) {
+                    cands.insert(&path);
+                }
+            }
+        }
+        cands
+    }
+
+    /// `Replace`, `Scale`, `Set` (pair (0, 15) leaves and a new pair
+    /// joins), `Set` ((0, 15) returns), `invalidate_edges(dead)`, then
+    /// `Replace` against `after`. Per solve: congestion and lower-bound
+    /// bits, iterations, stranded bits and the routing's fingerprint;
+    /// plus the number of invalidated paths.
+    fn warm_chain(
+        g: &Graph,
+        before: &mut dyn PathOracle,
+        after: &mut dyn PathOracle,
+        dead: &[EdgeId],
+    ) -> Vec<u64> {
+        fn record(out: &mut Vec<u64>, sol: &MinCongSolution) {
+            out.extend([
+                sol.congestion.to_bits(),
+                sol.lower_bound.to_bits(),
+                sol.iterations as u64,
+                sol.stranded.to_bits(),
+                routing_fingerprint(&sol.routing),
+            ]);
+        }
+        let opts = warm_opts();
+        let mut d0 = Demand::new();
+        for (&(s, t), w) in CHAIN_PAIRS.iter().zip([1.0, 2.0, 0.5, 1.5]) {
+            d0.set(s, t, w);
+        }
+        let mut d1 = Demand::new();
+        for (&(s, t), w) in CHAIN_PAIRS.iter().skip(1).zip([1.0, 1.25, 3.0, 0.75, 2.0]) {
+            d1.set(s, t, w);
+        }
+        let mut warm = Solver::new(g);
+        let mut out = Vec::new();
+        let deltas = [
+            DemandDelta::Replace(d0),
+            DemandDelta::Scale(1.3),
+            DemandDelta::Set(vec![((0, 15), 0.0), ((2, 13), 2.0)]),
+            DemandDelta::Set(vec![((0, 15), 1.0)]),
+        ];
+        for delta in deltas {
+            record(&mut out, &warm.resolve(g, delta, before, &opts));
+        }
+        out.push(warm.invalidate_edges(dead) as u64);
+        record(
+            &mut out,
+            &warm.resolve(g, DemandDelta::Replace(d1), after, &opts),
+        );
+        out
+    }
+
+    /// Edges (0, 4) and (5, 6) of `grid(4, 4)`.
+    const CHAIN_DEAD: [EdgeId; 2] = [1, 9];
+
+    /// [`warm_chain`] on k-shortest candidates: five solves of
+    /// `[congestion, lower bound, iterations, stranded, routing]` with
+    /// the invalidated-path count before the last. A change to how the
+    /// warm state is stored must keep every bit.
+    const CANDIDATE_CHAIN: [u64; 26] = [
+        0x40085cd9ee97f27c,
+        0x4007feb402670daf,
+        3,
+        0,
+        0xb178c373b24e3ef2,
+        0x400f70906898a806,
+        0x400ed3a05efd40eb,
+        2,
+        0,
+        0xd26f2f753b7abcfa,
+        0x40058de8d95b0a0f,
+        0x40048dbbb20ff720,
+        25,
+        0,
+        0x0cfa8743f8f70977,
+        0x400d1575a1f61eee,
+        0x400c077a3e6890e2,
+        3,
+        0,
+        0x78181537f0060701,
+        4,
+        0x401002ef76f3ad45,
+        0x400f8d4bd93377b7,
+        4,
+        0,
+        0x70db0ae9a7b16c82,
+    ];
+
+    /// [`warm_chain`] on all paths (masked after the failure), laid out
+    /// like [`CANDIDATE_CHAIN`].
+    const ALL_PATHS_CHAIN: [u64; 26] = [
+        0x3ff402384073f988,
+        0x3ff35b28bfef2134,
+        92,
+        0,
+        0x67bc8d242b8d53ef,
+        0x3ffa02e2ba305dfe,
+        0x3ff8f3998d0b1bd8,
+        1,
+        0,
+        0x67bc8d242b8d53ef,
+        0x3ffceeb10d9ce529,
+        0x3ffb95f04f15730b,
+        78,
+        0,
+        0xb6c8cf342879a833,
+        0x40006d99a1ad3bf8,
+        0x3fff514c7dd9bd2c,
+        30,
+        0,
+        0x2b6f854627b4bac0,
+        46,
+        0x400558965cbd05f8,
+        0x4004562ec5c0643b,
+        23,
+        0,
+        0xe4cf396161d4f58b,
+    ];
+
+    #[test]
+    fn warm_chain_is_pinned_and_its_state_stays_bounded() {
+        let g = generators::grid(4, 4);
+        let cands = chain_candidates(&g, &[]);
+        let survivors = chain_candidates(&g, &CHAIN_DEAD);
+        let got = warm_chain(
+            &g,
+            &mut CandidateOracle::new(cands.as_candidates()),
+            &mut CandidateOracle::new(survivors.as_candidates()),
+            &CHAIN_DEAD,
+        );
+        assert_eq!(got, CANDIDATE_CHAIN);
+        let mut sub = g.sub_topology();
+        for e in CHAIN_DEAD {
+            sub.fail_edge(e);
+        }
+        let got = warm_chain(
+            &g,
+            &mut AllPathsOracle::new(&g),
+            &mut AllPathsOracle::masked(&g, &sub.usable_edges()),
+            &CHAIN_DEAD,
+        );
+        assert_eq!(got, ALL_PATHS_CHAIN);
+
+        // 100 resolves alternating between two overlapping demands: one
+        // run per pair ever demanded, never more entries than candidates.
+        let view = cands.as_candidates();
+        let mut oracle = CandidateOracle::new(view);
+        let mut warm = Solver::new(&g);
+        let mut seen = std::collections::BTreeSet::new();
+        for step in 0..100 {
+            let (first, count) = if step % 2 == 0 { (0, 3) } else { (2, 4) };
+            let mut d = Demand::new();
+            for (i, &(s, t)) in CHAIN_PAIRS.iter().skip(first).take(count).enumerate() {
+                d.set(s, t, 1.0 + ((step + i) % 3) as f64);
+                seen.insert((s, t));
+            }
+            warm.resolve(&g, DemandDelta::Replace(d), &mut oracle, &warm_opts());
+            let candidates: usize = seen
+                .iter()
+                .map(|&(s, t)| view.ids(s, t).map_or(0, <[_]>::len))
+                .sum();
+            let entries: usize = warm.warm.iter().map(|(_, run)| run.len()).sum();
+            let runs: Vec<_> = warm.warm.iter().map(|(pair, _)| pair).collect();
+            assert_eq!(runs, Vec::from_iter(seen.iter().copied()), "step {step}");
+            assert!(
+                entries <= candidates,
+                "step {step}: {entries} > {candidates}"
+            );
+            assert!(warm.warm.store().len() <= candidates, "step {step}");
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! [`Distributions`] and [`RouteTable`](crate::RouteTable)s are frozen
 //! from one. The open run stays readable raw, so
 //! `ObliviousRouting::path_distribution` passes template weights through
-//! bit-for-bit.
+//! bit-for-bit, and [`Distributions::from_raw_runs`] commits runs that
+//! pass the same validation without the divide — how `ssor_flow::Solver`
+//! carries its unnormalized Frank–Wolfe weights.
 
 use crate::graph::{EdgeId, VertexId};
 use crate::path::Path;
@@ -15,8 +17,8 @@ use crate::store::{PathId, PathStore};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// Normalized per-pair path distributions sharing one [`PathStore`]
-/// (see the module docs).
+/// Per-pair path distributions sharing one [`PathStore`], normalized
+/// unless committed raw (see the module docs).
 ///
 /// # Examples
 ///
@@ -66,13 +68,36 @@ impl Distributions {
         store: PathStore,
         runs: impl IntoIterator<Item = ((VertexId, VertexId), R)>,
     ) -> Self {
+        Distributions::adopt(store, runs, Distributions::commit)
+    }
+
+    /// [`from_runs`](Self::from_runs) without the divide: each run is
+    /// validated exactly like [`commit`](Self::commit) (zero entries
+    /// dropped) and stored bit for bit. Every run is committed once, so
+    /// the result holds no unreferenced entries.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_runs`](Self::from_runs).
+    pub fn from_raw_runs<R: IntoIterator<Item = (PathId, f64)>>(
+        store: PathStore,
+        runs: impl IntoIterator<Item = ((VertexId, VertexId), R)>,
+    ) -> Self {
+        Distributions::adopt(store, runs, Distributions::commit_raw)
+    }
+
+    fn adopt<R: IntoIterator<Item = (PathId, f64)>>(
+        store: PathStore,
+        runs: impl IntoIterator<Item = ((VertexId, VertexId), R)>,
+        commit: fn(&mut Self, VertexId, VertexId),
+    ) -> Self {
         let mut d = Distributions {
             store,
             ..Distributions::default()
         };
         for ((s, t), run) in runs {
             d.open.extend(run);
-            d.commit(s, t);
+            commit(&mut d, s, t);
         }
         d
     }
@@ -80,6 +105,12 @@ impl Distributions {
     /// The arena every [`PathId`] here refers into.
     pub fn store(&self) -> &PathStore {
         &self.store
+    }
+
+    /// Gives up the runs and keeps the arena, so it can grow and be
+    /// adopted again.
+    pub fn into_store(self) -> PathStore {
+        self.store
     }
 
     /// Number of committed pairs.
@@ -92,7 +123,7 @@ impl Distributions {
         self.runs.is_empty()
     }
 
-    /// The normalized run of `(s, t)`, if committed.
+    /// The committed run of `(s, t)`, if any.
     pub fn get(&self, s: VertexId, t: VertexId) -> Option<&[(PathId, f64)]> {
         let &(start, len) = self.runs.get(&(s, t))?;
         self.entries.get(start as usize..(start + len) as usize)
@@ -154,6 +185,18 @@ impl Distributions {
     /// commits it as `R(s, t)`, replacing any previous run of the pair.
     pub fn commit(&mut self, s: VertexId, t: VertexId) {
         self.normalize_open(s, t);
+        self.append_open(s, t);
+    }
+
+    /// [`commit`](Self::commit) without the divide (see
+    /// [`from_raw_runs`](Self::from_raw_runs)).
+    fn commit_raw(&mut self, s: VertexId, t: VertexId) {
+        validate_run(&self.store, &mut self.open, s, t);
+        self.append_open(s, t);
+    }
+
+    /// Moves the open run into `entries` as `R(s, t)`.
+    fn append_open(&mut self, s: VertexId, t: VertexId) {
         let start = self.entries.len() as u32;
         let len = self.open.len() as u32;
         self.entries.append(&mut self.open);
@@ -195,6 +238,16 @@ pub fn normalize_run(
     s: VertexId,
     t: VertexId,
 ) -> f64 {
+    let total = validate_run(store, run, s, t);
+    for (_, w) in run.iter_mut() {
+        *w /= total;
+    }
+    total
+}
+
+/// [`normalize_run`] up to the divide: validates the run, drops its zero
+/// entries and returns its left-to-right total.
+fn validate_run(store: &PathStore, run: &mut Vec<(PathId, f64)>, s: VertexId, t: VertexId) -> f64 {
     assert!(!run.is_empty(), "distribution needs at least one path");
     for &(_, w) in run.iter() {
         assert!(
@@ -209,10 +262,9 @@ pub fn normalize_run(
         "path weights must sum to a finite total, got {total}"
     );
     run.retain(|&(_, w)| w > 0.0);
-    for (id, w) in run.iter_mut() {
-        assert_eq!(store.source(*id), s, "path source mismatch");
-        assert_eq!(store.target(*id), t, "path target mismatch");
-        *w /= total;
+    for &(id, _) in run.iter() {
+        assert_eq!(store.source(id), s, "path source mismatch");
+        assert_eq!(store.target(id), t, "path target mismatch");
     }
     total
 }
@@ -299,6 +351,86 @@ mod tests {
         assert_eq!(d.store().len(), 2, "nothing interned again");
         assert_eq!(d.get(0, 2), Some([(b, 0.25), (a, 0.75)].as_slice()));
         assert!(d.open().is_empty());
+    }
+
+    #[test]
+    fn raw_runs_keep_their_weights_bit_for_bit() {
+        let (cw, ccw) = ring_paths();
+        let mut store = PathStore::new();
+        let (a, b) = (store.intern(&cw), store.intern(&ccw));
+        let (wa, wb) = (0.1 + 0.2, 1e-300);
+        let d = Distributions::from_raw_runs(store, [((0, 2), [(a, wa), (b, wb)])]);
+        let bits = |run: &[(PathId, f64)]| run.iter().map(|&(_, w)| w.to_bits()).collect();
+        assert_eq!(
+            d.get(0, 2).map(bits),
+            Some(vec![wa.to_bits(), wb.to_bits()])
+        );
+        let d = Distributions::from_raw_runs(d.into_store(), [((0, 2), [(a, 0.0), (b, 0.7)])]);
+        assert_eq!(
+            d.get(0, 2),
+            Some([(b, 0.7)].as_slice()),
+            "zeros dropped, as by commit"
+        );
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("must panic");
+        let text = err.downcast_ref::<String>().cloned();
+        text.or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn raw_runs_are_rejected_like_commit() {
+        let cases: [(&[f64], VertexId, &str); 6] = [
+            (&[f64::NAN], 2, "finite and nonnegative"),
+            (&[f64::INFINITY], 2, "finite and nonnegative"),
+            (&[-1.0, 2.0], 2, "finite and nonnegative"),
+            (&[0.0, 0.0], 2, "not all be zero"),
+            (&[], 2, "at least one path"),
+            (&[1.0], 3, "path target mismatch"),
+        ];
+        for (ws, t, want) in cases {
+            let raw = panic_message(|| {
+                let mut store = PathStore::new();
+                let id = store.intern(&ring_paths().0);
+                Distributions::from_raw_runs(store, [((0, t), ws.iter().map(|&w| (id, w)))]);
+            });
+            let committed = panic_message(|| {
+                let mut d = Distributions::new();
+                ws.iter().for_each(|&w| d.push(&ring_paths().0, w));
+                d.commit(0, t);
+            });
+            assert!(raw.contains(want), "{ws:?}: {raw}");
+            assert_eq!(raw, committed, "{ws:?}");
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_state_has_no_dead_entries() {
+        let (cw, ccw) = ring_paths();
+        let mut d = Distributions::new();
+        d.push(&cw, 1.0);
+        d.commit(0, 2);
+        d.push(&ccw, 1.0);
+        d.commit(0, 2);
+        assert_eq!(
+            d.entries.len(),
+            2,
+            "re-committing leaves the old run behind"
+        );
+        let runs: Vec<_> = d.iter().map(|(pair, run)| (pair, run.to_vec())).collect();
+        let rebuilt = Distributions::from_raw_runs(d.into_store(), runs);
+        assert_eq!(rebuilt.entries.len(), 1);
+        assert_eq!(rebuilt.store().len(), 2, "the arena is adopted as is");
+        let paths = |run: &[(PathId, f64)]| {
+            let store = rebuilt.store();
+            run.iter()
+                .map(|&(id, w)| (store.materialize(id), w))
+                .collect()
+        };
+        assert_eq!(rebuilt.get(0, 2).map(paths), Some(vec![(ccw, 1.0)]));
     }
 
     #[test]
