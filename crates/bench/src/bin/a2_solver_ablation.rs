@@ -56,7 +56,7 @@ fn main() {
         let sol = min_congestion_restricted(
             valiant.graph(),
             &d,
-            ps.candidates(),
+            &ps,
             &SolveOptions {
                 eps,
                 max_iters: 20_000,
@@ -95,12 +95,11 @@ fn main() {
     let small = ValiantRouting::new(3);
     let ds = Demand::hypercube_complement(3);
     let pss = alpha_sample(&small, &ds.support(), 3, &mut rng);
-    let exact =
-        exact_restricted_congestion(small.graph(), &ds, pss.candidates()).expect("feasible LP");
+    let exact = exact_restricted_congestion(small.graph(), &ds, &pss).expect("feasible LP");
     let fw = min_congestion_restricted(
         small.graph(),
         &ds,
-        pss.candidates(),
+        &pss,
         &SolveOptions {
             eps: 0.01,
             max_iters: 20_000,

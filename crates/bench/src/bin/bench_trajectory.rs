@@ -178,7 +178,7 @@ fn solver_group(smoke: bool) -> Vec<Bench<'static>> {
             Box::new({
                 let (valiant, d, ps, opts) = (valiant, d, ps, opts.clone());
                 move || {
-                    min_congestion_restricted(valiant.graph(), &d, ps.candidates(), &opts);
+                    min_congestion_restricted(valiant.graph(), &d, &ps, &opts);
                 }
             }),
         ),

@@ -95,7 +95,7 @@ fn main() {
         let measured = if adv.demand.is_empty() {
             0.0
         } else {
-            let sol = min_congestion_restricted(&g, &adv.demand, ps.candidates(), &opts);
+            let sol = min_congestion_restricted(&g, &adv.demand, &ps, &opts);
             // The certification below is only meaningful if the whole
             // adversarial demand was actually routed — stranded mass
             // would silently deflate the measured congestion.

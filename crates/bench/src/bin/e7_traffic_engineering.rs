@@ -138,7 +138,7 @@ fn main() {
     // gravity support is every ordered pair, so the stale routing has a
     // split for every pair of the next snapshot.
     println!("\n-- staleness drill: rates from snapshot t-1 applied to snapshot t (α = 4) --");
-    let cands = prepared.paths().candidates();
+    let cands = prepared.paths();
     let pens: Vec<f64> = snapshots
         .windows(2)
         .map(|w| {

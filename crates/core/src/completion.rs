@@ -8,12 +8,11 @@
 //! demand, solve Stage 4 on each scale's sub-system and keep whichever
 //! scale minimizes `congestion + dilation`.
 
-use crate::path_system::PathSystem;
 use crate::sample::alpha_sample;
 use rand::Rng;
 use ssor_flow::solver::{min_congestion_restricted, SolveOptions};
 use ssor_flow::{Demand, Routing};
-use ssor_graph::{Graph, VertexId};
+use ssor_graph::{Graph, PathSystem, VertexId};
 use ssor_oblivious::{HopConstrainedRouting, HopOptions};
 
 /// How the hop scales grow between levels.
@@ -116,7 +115,7 @@ impl CompletionTimeRouter {
         for &h in &scales {
             let hop_routing = HopConstrainedRouting::build(g, h, &opts.hop, rng);
             let ps = alpha_sample(&hop_routing, pairs, opts.alpha, rng);
-            union = union.union(&ps);
+            union.append(ps.clone());
             per_scale.push(ps);
         }
         CompletionTimeRouter {
@@ -149,7 +148,7 @@ impl CompletionTimeRouter {
         assert!(!d.is_empty(), "empty demand has nothing to route");
         let mut best: Option<CompletionRoute> = None;
         for (i, ps) in self.per_scale.iter().enumerate() {
-            let sol = min_congestion_restricted(&self.graph, d, ps.candidates(), opts);
+            let sol = min_congestion_restricted(&self.graph, d, ps, opts);
             // A scale that strands demand would win the objective
             // precisely because it fails to route traffic — enforce the
             // documented coverage contract instead.

@@ -12,8 +12,7 @@
 //! Experiment E4 compares it against random `α`-samples and against the
 //! `Ω̃(sqrt(n))` single-path barrier.
 
-use crate::path_system::PathSystem;
-use ssor_graph::VertexId;
+use ssor_graph::{PathSystem, VertexId};
 use ssor_oblivious::ObliviousRouting;
 
 /// Options for [`derandomized_sample`].

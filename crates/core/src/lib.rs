@@ -13,7 +13,8 @@
 //!
 //! Crate layout, mapped to the paper:
 //!
-//! * [`PathSystem`] — Definition 2.1;
+//! * [`PathSystem`] — Definition 2.1 (defined in `ssor-graph`, next to
+//!   the arena it interns into, and re-exported here);
 //! * [`sample`] — Definition 5.2: [`sample::alpha_sample`] and
 //!   [`sample::alpha_cut_sample`];
 //! * [`SemiObliviousRouter`] — Stages 4–5 (rate adaptation via the
@@ -53,7 +54,6 @@
 pub mod chernoff;
 pub mod completion;
 pub mod derandomize;
-mod path_system;
 #[cfg(test)]
 mod reduction;
 mod router;
@@ -61,5 +61,5 @@ pub mod sample;
 pub mod special;
 pub mod weak;
 
-pub use path_system::PathSystem;
 pub use router::{CompetitiveReport, RouterError, SemiObliviousRouter};
+pub use ssor_graph::PathSystem;

@@ -11,10 +11,9 @@
 //! constructions coincide — the reduction is *executable*, not just
 //! prose.
 
-use crate::path_system::PathSystem;
 use crate::sample::alpha_cut_sample;
 use rand::{Rng, RngCore};
-use ssor_graph::{Distributions, EdgeId, Graph, Path, VertexId};
+use ssor_graph::{Distributions, EdgeId, Graph, Path, PathSystem, VertexId};
 use ssor_oblivious::ObliviousRouting;
 
 /// The auxiliary graph `G2` of Corollary 6.2, restricted to the pairs of

@@ -7,14 +7,13 @@
 //! reports competitive ratios against the offline optimum and against the
 //! base oblivious routing (Stage 5).
 
-use crate::path_system::PathSystem;
 use rand::Rng;
 use ssor_flow::rounding::{round_routing, RoundingOutcome};
 use ssor_flow::solver::{
     min_congestion_restricted, min_congestion_unrestricted, MinCongSolution, SolveOptions,
 };
 use ssor_flow::Demand;
-use ssor_graph::{Graph, VertexId};
+use ssor_graph::{Graph, PathSystem, VertexId};
 use std::sync::Arc;
 
 /// A semi-oblivious routing ready to serve demands: a graph plus a path
@@ -170,7 +169,7 @@ impl SemiObliviousRouter {
     /// drills) restrict the demand first and use the solver's stranded
     /// reporting instead.
     pub fn route_fractional(&self, d: &Demand, opts: &SolveOptions) -> MinCongSolution {
-        let sol = min_congestion_restricted(&self.graph, d, self.paths.candidates(), opts);
+        let sol = min_congestion_restricted(&self.graph, d, &self.paths, opts);
         assert!(
             sol.stranded == 0.0,
             "path system does not cover the demand: {} mass stranded on pairs {:?}",

@@ -15,10 +15,9 @@
 //! once per pair), with the RNG consumed exactly as `count`
 //! [`ObliviousRouting::sample_path`] calls would.
 
-use crate::path_system::PathSystem;
 use rand::Rng;
 use ssor_graph::maxflow::min_cut_value;
-use ssor_graph::{Graph, VertexId};
+use ssor_graph::{Graph, PathSystem, VertexId};
 use ssor_oblivious::ObliviousRouting;
 use std::collections::HashMap;
 
@@ -53,7 +52,9 @@ pub fn alpha_sample<O: ObliviousRouting + ?Sized, R: Rng>(
     let mut ps = PathSystem::new();
     for &(s, t) in pairs {
         assert_ne!(s, t, "pairs must have distinct endpoints");
-        ps.insert_draws(routing, s, t, alpha, rng);
+        ps.insert_draws(s, t, |store, ids| {
+            routing.sample_into(s, t, alpha, rng, store, ids);
+        });
     }
     ps
 }
@@ -83,7 +84,9 @@ pub fn alpha_cut_sample<O: ObliviousRouting + ?Sized, R: Rng>(
             .entry(key)
             .or_insert_with(|| min_cut_value(graph, s, t));
         assert!(cut >= 1, "graph disconnected between {s} and {t}");
-        ps.insert_draws(routing, s, t, alpha + cut as usize, rng);
+        ps.insert_draws(s, t, |store, ids| {
+            routing.sample_into(s, t, alpha + cut as usize, rng, store, ids);
+        });
     }
     ps
 }

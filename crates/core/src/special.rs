@@ -8,11 +8,10 @@
 //!   competitive router (routes half the demand) into a fully competitive
 //!   one at a `O(log m)` factor.
 
-use crate::path_system::PathSystem;
 use crate::weak::{weak_route, SampleMultiset, WeakRouteResult};
 use ssor_flow::{Demand, Routing};
 use ssor_graph::maxflow::min_cut_value;
-use ssor_graph::{Distributions, Graph, VertexId};
+use ssor_graph::{Distributions, Graph, PathSystem, VertexId};
 use std::collections::HashMap;
 
 /// Memoizing wrapper around Dinic for `cnt_G(s, t) = α + cut_G(s, t)`.

@@ -580,12 +580,12 @@ impl Pipeline {
         let mut warm_sol = Solver::new(g);
         let mut records = Vec::with_capacity(steps);
         for (step, d) in demands.into_iter().enumerate() {
-            let mut oracle = CandidateOracle::new(prepared.paths().candidates());
+            let mut oracle = CandidateOracle::new(prepared.paths());
             let sol =
                 warm_sol.resolve(g, DemandDelta::Replace(d.clone()), &mut oracle, &self.solve);
-            let cold = self.compute_opt.then(|| {
-                min_congestion_restricted(g, &d, prepared.paths().candidates(), &self.solve)
-            });
+            let cold = self
+                .compute_opt
+                .then(|| min_congestion_restricted(g, &d, prepared.paths(), &self.solve));
             let vs_cold = cold.as_ref().map(|c| {
                 if c.congestion > 0.0 {
                     sol.congestion / c.congestion
@@ -711,7 +711,7 @@ impl Pipeline {
         let base_warm: Vec<Solver> = demands
             .iter()
             .map(|(_, d)| {
-                let mut oracle = CandidateOracle::new(prepared.paths().candidates());
+                let mut oracle = CandidateOracle::new(prepared.paths());
                 Solver::solve(g, d, &mut oracle, &self.solve)
             })
             .collect();
@@ -753,7 +753,7 @@ impl Pipeline {
                 } else {
                     let mut warm = warm0.clone();
                     warm.invalidate_edges(&dead);
-                    let mut oracle = CandidateOracle::new(survivors.candidates());
+                    let mut oracle = CandidateOracle::new(&survivors);
                     let sol = warm.resolve(
                         g,
                         DemandDelta::Replace(covered.clone()),
@@ -764,8 +764,7 @@ impl Pipeline {
                     // The cold restricted baseline is a quality oracle
                     // like the stream's — skipped under `without_opt`.
                     let cold = self.compute_opt.then(|| {
-                        min_congestion_restricted(g, &covered, survivors.candidates(), &self.solve)
-                            .congestion
+                        min_congestion_restricted(g, &covered, &survivors, &self.solve).congestion
                     });
                     (Some(sol.congestion), sol.iterations, cold)
                 };

@@ -111,7 +111,9 @@ pub fn par_alpha_sample<O: ObliviousRouting + Sync + ?Sized>(
             for &(s, t) in *chunk {
                 assert_ne!(s, t, "pairs must have distinct endpoints");
                 let mut rng = StdRng::seed_from_u64(pair_seed(seed, alpha, s, t));
-                ps.insert_draws(template, s, t, alpha, &mut rng);
+                ps.insert_draws(s, t, |store, ids| {
+                    template.sample_into(s, t, alpha, &mut rng, store, ids);
+                });
             }
             ps
         })
@@ -119,9 +121,8 @@ pub fn par_alpha_sample<O: ObliviousRouting + Sync + ?Sized>(
     // Merge in chunk order by appending arenas: the first partial is the
     // base and each later path moves by its stored hash, never hashed
     // again. Each pair's draws happen inside exactly one chunk, so the
-    // arena is every pair's distinct draws in pair-list order — the same
-    // at any thread count, and for sorted pairs id for id what absorbing
-    // pair by pair gives.
+    // arena is every pair's distinct draws in pair-list order: id for id
+    // what one serial pass over the pairs gives, at any thread count.
     let mut out = PathSystem::new();
     for p in partials {
         out.append(p);

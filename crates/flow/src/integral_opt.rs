@@ -119,16 +119,16 @@ pub fn integral_opt_restricted(
 }
 
 /// Exact `opt_{G,Z}(d)` over *all* simple paths of hop length at most
-/// `max_hop`, via exhaustive enumeration plus [`integral_opt_restricted`].
+/// `hop_limit`, via exhaustive enumeration plus [`integral_opt_restricted`].
 /// Only for tiny graphs.
 pub fn integral_opt_exhaustive(
     g: &Graph,
     d: &Demand,
-    max_hop: usize,
+    hop_limit: usize,
 ) -> Option<(u64, IntegralRouting)> {
     let mut candidates: BTreeMap<(VertexId, VertexId), Vec<Path>> = BTreeMap::new();
     for (s, t) in d.support() {
-        let paths = all_simple_paths(g, s, t, max_hop);
+        let paths = all_simple_paths(g, s, t, hop_limit);
         if paths.is_empty() {
             return None;
         }

@@ -19,12 +19,11 @@
 //!   state is one `Distributions` of raw per-pair weights that
 //!   warm-starts every [`Solver::resolve`];
 //! * [`oracle`] — the pluggable best-response layer the solver consumes:
-//!   candidate sets (Stage-4 rate adaptation) or all simple paths,
-//!   optionally failure-masked, with a rayon-parallel per-source Dijkstra
-//!   fan-out that is bit-identical at any thread count;
-//! * [`Candidates`] / [`CandidateSet`] — the interned candidate-path view
-//!   the restricted solver consumes (a `PathStore` arena plus per-pair
-//!   `PathId` lists);
+//!   the candidates of a `ssor_graph::PathSystem` (Stage-4 rate
+//!   adaptation, read straight off its arena and per-pair id lists) or
+//!   all simple paths, optionally failure-masked, with a rayon-parallel
+//!   per-source Dijkstra fan-out that is bit-identical at any thread
+//!   count;
 //! * [`lp`] — a small dense two-phase simplex used to cross-validate the
 //!   Frank–Wolfe solver exactly;
 //! * [`rounding`] — the Lemma 6.3 randomized rounding plus local search;
@@ -46,7 +45,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod candidates;
 pub mod decompose;
 mod demand;
 pub mod integral_opt;
@@ -56,7 +54,6 @@ pub mod rounding;
 mod routing;
 pub mod solver;
 
-pub use candidates::{CandidateSet, Candidates};
 pub use demand::Demand;
 pub use oracle::{AllPathsOracle, CandidateOracle, PathOracle};
 pub use routing::{IntegralRouting, Routing};

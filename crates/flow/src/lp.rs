@@ -9,7 +9,7 @@
 //! `b >= 0` (negate rows to normalize).
 
 use crate::demand::Demand;
-use ssor_graph::Graph;
+use ssor_graph::{Graph, PathSystem};
 
 /// Outcome of an LP solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,7 +192,7 @@ fn pivot(
     basis[row] = col;
 }
 
-/// Exact minimum congestion over a candidate path system, via simplex.
+/// Exact minimum congestion over the path system `paths`, via simplex.
 ///
 /// Builds the LP `min λ` s.t. per-pair flow conservation and per-edge
 /// `load <= λ`. Returns the optimal congestion, or `None` for an empty
@@ -201,25 +201,20 @@ fn pivot(
 /// # Panics
 ///
 /// Panics if some demanded pair has no candidate paths.
-pub fn exact_restricted_congestion(
-    g: &Graph,
-    d: &Demand,
-    candidates: crate::Candidates<'_>,
-) -> Option<f64> {
+pub fn exact_restricted_congestion(g: &Graph, d: &Demand, paths: &PathSystem) -> Option<f64> {
     let pairs = d.support();
     if pairs.is_empty() {
         return Some(0.0);
     }
-    let store = candidates.store();
+    let store = paths.store();
     // Variables: x_{pair,path} for each candidate, then lambda, then one
     // slack per edge.
     let mut var_paths: Vec<(usize, ssor_graph::PathId)> = Vec::new(); // (pair index, path)
     let mut pair_offsets = Vec::with_capacity(pairs.len());
     for (pi, &(s, t)) in pairs.iter().enumerate() {
-        let cands = candidates
-            .ids(s, t)
+        let cands = paths
+            .path_ids(s, t)
             .unwrap_or_else(|| panic!("no candidates for ({s}, {t})"));
-        assert!(!cands.is_empty());
         pair_offsets.push(var_paths.len());
         for &p in cands {
             var_paths.push((pi, p));
@@ -324,21 +319,21 @@ mod tests {
     #[test]
     fn exact_congestion_on_ring_split() {
         let g = generators::ring(6);
-        let mut cands = crate::CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
-        cands.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        cands.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3)]);
-        let opt = exact_restricted_congestion(&g, &d, cands.as_candidates()).unwrap();
+        let opt = exact_restricted_congestion(&g, &d, &cands).unwrap();
         assert!((opt - 0.5).abs() < 1e-7, "opt = {opt}");
     }
 
     #[test]
     fn exact_congestion_single_path() {
         let g = generators::ring(5);
-        let mut cands = crate::CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2]).unwrap());
         let d = Demand::from_pairs(&[(0, 2)]).scaled(4.0);
-        let opt = exact_restricted_congestion(&g, &d, cands.as_candidates()).unwrap();
+        let opt = exact_restricted_congestion(&g, &d, &cands).unwrap();
         assert!((opt - 4.0).abs() < 1e-7);
     }
 
@@ -351,7 +346,7 @@ mod tests {
         for trial in 0..8 {
             let g = generators::erdos_renyi(8, 0.45, &mut rng);
             // Random candidate sets from shortest + random simple paths.
-            let mut cands = crate::CandidateSet::new();
+            let mut cands = PathSystem::new();
             let mut d = Demand::new();
             for _ in 0..4 {
                 let s = rng.gen_range(0..8) as u32;
@@ -364,18 +359,18 @@ mod tests {
                     continue;
                 }
                 d.set(s, t, rng.gen_range(1..4) as f64);
-                for p in &all {
+                for p in all {
                     cands.insert(p);
                 }
             }
             if d.is_empty() {
                 continue;
             }
-            let exact = exact_restricted_congestion(&g, &d, cands.as_candidates()).unwrap();
+            let exact = exact_restricted_congestion(&g, &d, &cands).unwrap();
             let fw = min_congestion_restricted(
                 &g,
                 &d,
-                cands.as_candidates(),
+                &cands,
                 &SolveOptions {
                     eps: 0.01,
                     max_iters: 4000,

@@ -60,9 +60,8 @@
 //! at initialization, and reports their demand mass as *stranded* (see
 //! `MinCongSolution::stranded`).
 
-use crate::candidates::Candidates;
 use ssor_graph::shortest_path::{dijkstra_targets_csr, DijkstraWorkspace};
-use ssor_graph::{par_ordered_map, Csr, EdgeId, Graph, PathId, PathStore, VertexId};
+use ssor_graph::{par_ordered_map, Csr, EdgeId, Graph, PathId, PathStore, PathSystem, VertexId};
 
 /// Oracle answering "cheapest usable path per pair" under edge weights.
 pub trait PathOracle {
@@ -79,10 +78,11 @@ pub trait PathOracle {
     ) -> Vec<Option<(PathId, f64)>>;
 }
 
-/// Oracle over an explicit candidate set per pair (the path system).
+/// Oracle over the candidates of a [`PathSystem`]: each pair's best
+/// response is its cheapest candidate.
 ///
-/// Pairs without candidates (or with an empty candidate list) come back
-/// `None`; the solver treats their demand as stranded.
+/// Pairs without candidates come back `None`; the solver treats their
+/// demand as stranded.
 ///
 /// The oracle looks up a pair list's candidates once, when the list
 /// changes, and remembers where each candidate was interned; a
@@ -91,7 +91,7 @@ pub trait PathOracle {
 /// solvers or arenas is sound.
 #[derive(Debug)]
 pub struct CandidateOracle<'a> {
-    candidates: Candidates<'a>,
+    paths: &'a PathSystem,
     /// The pair list `runs` was resolved for.
     pairs: Vec<(VertexId, VertexId)>,
     /// Per pair, its candidate ids (empty without candidates) and the
@@ -108,10 +108,10 @@ pub struct CandidateOracle<'a> {
 const CANDIDATE_PAR_MIN_PAIRS: usize = 1024;
 
 impl<'a> CandidateOracle<'a> {
-    /// Creates the oracle over a candidate view.
-    pub fn new(candidates: Candidates<'a>) -> Self {
+    /// Creates the oracle over `paths`' candidates.
+    pub fn new(paths: &'a PathSystem) -> Self {
         CandidateOracle {
-            candidates,
+            paths,
             pairs: Vec::new(),
             runs: Vec::new(),
             interned: Vec::new(),
@@ -126,7 +126,7 @@ impl<'a> CandidateOracle<'a> {
         self.runs.clear();
         let mut slots = 0;
         for &(s, t) in pairs {
-            let cands = self.candidates.ids(s, t).unwrap_or_default();
+            let cands = self.paths.path_ids(s, t).unwrap_or_default();
             self.runs.push((cands, slots));
             slots += cands.len();
         }
@@ -145,7 +145,7 @@ impl PathOracle for CandidateOracle<'_> {
         if self.pairs != pairs {
             self.resolve(pairs);
         }
-        let ext = self.candidates.store();
+        let ext = self.paths.store();
         // Parallel cost scan (pure, per-pair independent): the cheapest
         // candidate's slot, id and cost...
         let best = par_ordered_map(&self.runs, CANDIDATE_PAR_MIN_PAIRS, |&(cands, first)| {
@@ -308,7 +308,6 @@ mod tests {
     // reference implementation. The tests here pin the oracle's own
     // small contracts.
     use super::*;
-    use crate::candidates::CandidateSet;
     use ssor_graph::{generators, Path};
 
     #[test]
@@ -327,9 +326,9 @@ mod tests {
     #[test]
     fn candidate_oracle_reports_missing_pairs_as_none() {
         let g = generators::ring(6);
-        let mut set = CandidateSet::new();
-        set.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
-        let mut oracle = CandidateOracle::new(set.as_candidates());
+        let mut set = PathSystem::new();
+        set.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        let mut oracle = CandidateOracle::new(&set);
         let mut store = PathStore::new();
         let got = oracle.best_paths(&[(0, 3), (1, 4)], &vec![1.0; g.m()], &mut store);
         assert!(got[0].is_some());
@@ -339,10 +338,10 @@ mod tests {
     #[test]
     fn candidate_oracle_picks_cheapest_candidate() {
         let g = generators::ring(6);
-        let mut set = CandidateSet::new();
-        set.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
-        set.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
-        let mut oracle = CandidateOracle::new(set.as_candidates());
+        let mut set = PathSystem::new();
+        set.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        set.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut oracle = CandidateOracle::new(&set);
         let mut store = PathStore::new();
         // Make the clockwise side expensive.
         let mut w = vec![1.0; g.m()];

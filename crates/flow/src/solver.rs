@@ -94,12 +94,13 @@
 //! assert!(again.iterations <= first.iterations);
 //! ```
 
-use crate::candidates::Candidates;
 use crate::demand::Demand;
 use crate::oracle::{AllPathsOracle, CandidateOracle, PathOracle};
 use crate::routing::Routing;
 use ssor_graph::obs::{StageProfile, Stopwatch};
-use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, PathId, PathStore, VertexId};
+use ssor_graph::{
+    Distributions, EdgeId, EdgeLoads, Graph, PathId, PathStore, PathSystem, VertexId,
+};
 
 /// Per-pair weights at or below this fraction of the pair's probability
 /// mass are dropped when a routing is materialized. Each pair's weights
@@ -634,9 +635,9 @@ fn trivial(
 ///
 /// A `Solver`'s warm state is one [`Distributions`]: the arena of every
 /// path it discovered plus, per pair ever routed, that pair's raw
-/// Frank–Wolfe weights (pruned at [`WEIGHT_PRUNE`], summing to about 1,
-/// committed through [`Distributions::from_raw_runs`] so not a bit
-/// moves). A fresh `Solver` solves cold (min-hop initialization);
+/// Frank–Wolfe weights (pruned at `WEIGHT_PRUNE`, 1e-15 of the pair's
+/// mass, summing to about 1, committed through
+/// [`Distributions::from_raw_runs`] so not a bit moves). A fresh `Solver` solves cold (min-hop initialization);
 /// keeping it alive across [`Solver::resolve`] calls warm-starts every
 /// subsequent solve from the previous optimum — the demand-stream and
 /// failure-sweep runners in `ssor-engine` rely on this. Pairs that leave
@@ -814,17 +815,16 @@ pub fn min_congestion(
     solve(g, g.m(), d, Distributions::new(), oracle, opts).0
 }
 
-/// Stage-4 rate adaptation: `cong_R(P, d)` over the candidate sets
-/// (Definition 5.1). `candidates` is the interned view a `PathSystem`
-/// exposes through its `candidates()` method. Demand pairs without
-/// candidates are reported as stranded.
+/// Stage-4 rate adaptation: `cong_R(P, d)` over the path system `paths`
+/// (Definition 5.1). Demand pairs without candidates are reported as
+/// stranded.
 pub fn min_congestion_restricted(
     g: &Graph,
     d: &Demand,
-    candidates: Candidates<'_>,
+    paths: &PathSystem,
     opts: &SolveOptions,
 ) -> MinCongSolution {
-    let mut oracle = CandidateOracle::new(candidates);
+    let mut oracle = CandidateOracle::new(paths);
     min_congestion(g, d, &mut oracle, opts)
 }
 
@@ -857,7 +857,6 @@ pub fn min_congestion_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::CandidateSet;
     use ssor_graph::{generators, Path};
 
     fn opts() -> SolveOptions {
@@ -911,21 +910,21 @@ mod tests {
     #[test]
     fn restricted_single_candidate_is_forced() {
         let g = generators::ring(6);
-        let mut cands = CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3)]);
-        let sol = min_congestion_restricted(&g, &d, cands.as_candidates(), &opts());
+        let sol = min_congestion_restricted(&g, &d, &cands, &opts());
         assert!((sol.congestion - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn restricted_two_candidates_split() {
         let g = generators::ring(6);
-        let mut cands = CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
-        cands.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        cands.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3)]);
-        let sol = min_congestion_restricted(&g, &d, cands.as_candidates(), &opts());
+        let sol = min_congestion_restricted(&g, &d, &cands, &opts());
         assert!(
             (sol.congestion - 0.5).abs() < 0.02,
             "congestion = {}",
@@ -1039,10 +1038,10 @@ mod tests {
     #[test]
     fn restricted_solve_strands_uncovered_pairs() {
         let g = generators::ring(6);
-        let mut cands = CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3), (1, 4)]);
-        let sol = min_congestion_restricted(&g, &d, cands.as_candidates(), &opts());
+        let sol = min_congestion_restricted(&g, &d, &cands, &opts());
         assert_eq!(sol.stranded, 1.0);
         assert_eq!(sol.dropped_pairs, vec![(1, 4)]);
         assert!((sol.congestion - 1.0).abs() < 1e-9);
@@ -1219,11 +1218,11 @@ mod tests {
     #[test]
     fn invalidate_edges_moves_mass_to_survivors() {
         let g = generators::ring(6);
-        let mut cands = CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
-        cands.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        cands.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3)]);
-        let mut oracle = CandidateOracle::new(cands.as_candidates());
+        let mut oracle = CandidateOracle::new(&cands);
         let mut warm = Solver::new(&g);
         let first = warm.resolve(
             &g,
@@ -1240,9 +1239,9 @@ mod tests {
         assert_eq!(dist.len(), 1);
         assert!((dist[0].1 - 1.0).abs() < 1e-12);
         // Re-solving against the surviving candidate set stays correct.
-        let mut survivors = CandidateSet::new();
-        survivors.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
-        let mut oracle2 = CandidateOracle::new(survivors.as_candidates());
+        let mut survivors = PathSystem::new();
+        survivors.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut oracle2 = CandidateOracle::new(&survivors);
         let sol = warm.resolve(
             &g,
             DemandDelta::Replace(d.clone()),
@@ -1253,24 +1252,24 @@ mod tests {
         let loads = sol.routing.edge_loads(&g, &d);
         assert_eq!(loads.get(1), 0.0, "dead edge carries nothing");
         // Matches a cold restricted solve on the survivors.
-        let cold = min_congestion_restricted(&g, &d, survivors.as_candidates(), &warm_opts());
+        let cold = min_congestion_restricted(&g, &d, &survivors, &warm_opts());
         assert!((sol.congestion - cold.congestion).abs() < 1e-9);
     }
 
     #[test]
     fn invalidate_all_paths_of_a_pair_forces_reinit() {
         let g = generators::ring(6);
-        let mut cands = CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
         let d = Demand::from_pairs(&[(0, 3)]);
-        let mut oracle = CandidateOracle::new(cands.as_candidates());
+        let mut oracle = CandidateOracle::new(&cands);
         let mut warm = Solver::solve(&g, &d, &mut oracle, &warm_opts());
         warm.invalidate_edges(&[0]);
         assert!(warm.routing().is_empty(), "no survivors for the pair");
         // Resolve with an oracle that still covers the pair re-initializes.
-        let mut fresh = CandidateSet::new();
-        fresh.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
-        let mut oracle2 = CandidateOracle::new(fresh.as_candidates());
+        let mut fresh = PathSystem::new();
+        fresh.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut oracle2 = CandidateOracle::new(&fresh);
         let sol = warm.resolve(&g, DemandDelta::Replace(d), &mut oracle2, &warm_opts());
         assert!((sol.congestion - 1.0).abs() < 1e-9);
     }
@@ -1280,11 +1279,11 @@ mod tests {
         // After a failure wipes a pair's candidates, re-solving against
         // the survivors strands that pair instead of panicking.
         let g = generators::ring(6);
-        let mut cands = CandidateSet::new();
-        cands.insert(&Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
-        cands.insert(&Path::from_vertices(&g, &[1, 2, 3, 4]).unwrap());
+        let mut cands = PathSystem::new();
+        cands.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap());
+        cands.insert(Path::from_vertices(&g, &[1, 2, 3, 4]).unwrap());
         let d = Demand::from_pairs(&[(0, 3), (1, 4)]);
-        let mut oracle = CandidateOracle::new(cands.as_candidates());
+        let mut oracle = CandidateOracle::new(&cands);
         let mut warm = Solver::new(&g);
         let first = warm.resolve(
             &g,
@@ -1295,9 +1294,9 @@ mod tests {
         assert_eq!(first.stranded, 0.0);
         // Edge (1, 2) dies: both carried paths cross it.
         warm.invalidate_edges(&[1]);
-        let mut survivors = CandidateSet::new();
-        survivors.insert(&Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
-        let mut oracle2 = CandidateOracle::new(survivors.as_candidates());
+        let mut survivors = PathSystem::new();
+        survivors.insert(Path::from_vertices(&g, &[0, 5, 4, 3]).unwrap());
+        let mut oracle2 = CandidateOracle::new(&survivors);
         let sol = warm.resolve(&g, DemandDelta::Replace(d), &mut oracle2, &warm_opts());
         assert_eq!(sol.stranded, 1.0, "(1, 4) has no surviving candidates");
         assert_eq!(sol.dropped_pairs, vec![(1, 4)]);
@@ -1333,12 +1332,12 @@ mod tests {
 
     /// Up to 3 hop-shortest candidates per chain pair, skipping paths
     /// through `dead`.
-    fn chain_candidates(g: &Graph, dead: &[EdgeId]) -> CandidateSet {
-        let mut cands = CandidateSet::new();
+    fn chain_candidates(g: &Graph, dead: &[EdgeId]) -> PathSystem {
+        let mut cands = PathSystem::new();
         for (s, t) in CHAIN_PAIRS {
             for path in ssor_graph::ksp::k_shortest_paths(g, s, t, 3, &|_| 1.0) {
                 if !dead.iter().any(|e| path.edges().contains(e)) {
-                    cands.insert(&path);
+                    cands.insert(path);
                 }
             }
         }
@@ -1467,8 +1466,8 @@ mod tests {
         let survivors = chain_candidates(&g, &CHAIN_DEAD);
         let got = warm_chain(
             &g,
-            &mut CandidateOracle::new(cands.as_candidates()),
-            &mut CandidateOracle::new(survivors.as_candidates()),
+            &mut CandidateOracle::new(&cands),
+            &mut CandidateOracle::new(&survivors),
             &CHAIN_DEAD,
         );
         assert_eq!(got, CANDIDATE_CHAIN);
@@ -1486,8 +1485,7 @@ mod tests {
 
         // 100 resolves alternating between two overlapping demands: one
         // run per pair ever demanded, never more entries than candidates.
-        let view = cands.as_candidates();
-        let mut oracle = CandidateOracle::new(view);
+        let mut oracle = CandidateOracle::new(&cands);
         let mut warm = Solver::new(&g);
         let mut seen = std::collections::BTreeSet::new();
         for step in 0..100 {
@@ -1500,7 +1498,7 @@ mod tests {
             warm.resolve(&g, DemandDelta::Replace(d), &mut oracle, &warm_opts());
             let candidates: usize = seen
                 .iter()
-                .map(|&(s, t)| view.ids(s, t).map_or(0, <[_]>::len))
+                .map(|&(s, t)| cands.path_ids(s, t).map_or(0, <[_]>::len))
                 .sum();
             let entries: usize = warm.warm.iter().map(|(_, run)| run.len()).sum();
             let runs: Vec<_> = warm.warm.iter().map(|(pair, _)| pair).collect();

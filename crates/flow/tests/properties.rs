@@ -10,10 +10,10 @@ use ssor_flow::solver::{
     min_congestion, min_congestion_restricted, min_congestion_unrestricted, DemandDelta,
     MinCongSolution, SolveOptions, Solver,
 };
-use ssor_flow::{CandidateSet, Candidates, Demand, Routing};
+use ssor_flow::{Demand, Routing};
 use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{dijkstra_tree_csr, dijkstra_tree_csr_view};
-use ssor_graph::{generators, Graph, Path, PathId, PathStore, VertexId};
+use ssor_graph::{generators, Graph, Path, PathId, PathStore, PathSystem, VertexId};
 use std::collections::BTreeMap;
 
 fn connected_graph() -> impl Strategy<Value = Graph> {
@@ -397,9 +397,9 @@ proptest! {
 /// call. `CandidateOracle` resolves its pair list once per solve and
 /// remembers where it interned each candidate; none of that may show
 /// next to this.
-struct PlainCandidates<'a>(Candidates<'a>);
+struct PlainOracle<'a>(&'a PathSystem);
 
-impl PathOracle for PlainCandidates<'_> {
+impl PathOracle for PlainOracle<'_> {
     fn best_paths(
         &mut self,
         pairs: &[(VertexId, VertexId)],
@@ -411,7 +411,7 @@ impl PathOracle for PlainCandidates<'_> {
             .iter()
             .map(|&(s, t)| {
                 let mut best: Option<(PathId, f64)> = None;
-                for &id in self.0.ids(s, t)? {
+                for &id in self.0.path_ids(s, t)? {
                     let cost = ext.weight(id, w);
                     if best.is_none_or(|(_, bc)| cost < bc) {
                         best = Some((id, cost));
@@ -444,15 +444,15 @@ fn same_solution(
 /// except the pairs `skip` picks (by a scramble of the pair and the
 /// seed): their demand is stranded, so a solve's first oracle call and
 /// its loop ask about different pair lists.
-fn some_candidates(g: &Graph, ds: &[Demand], k: usize, skip: u64) -> CandidateSet {
-    let mut cands = CandidateSet::new();
+fn some_candidates(g: &Graph, ds: &[Demand], k: usize, skip: u64) -> PathSystem {
+    let mut cands = PathSystem::new();
     for (s, t) in ds.iter().flat_map(|d| d.support()) {
         let h = (u64::from(s) << 32 | u64::from(t)) ^ skip;
         if h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 == 0 {
             continue;
         }
         for path in k_shortest_paths(g, s, t, k, &|_| 1.0) {
-            cands.insert(&path);
+            cands.insert(path);
         }
     }
     cands
@@ -484,28 +484,28 @@ fn warm_deltas(ds: &[Demand]) -> Vec<DemandDelta> {
 
 /// Runs `SHARED_ORACLE_STEPS` with one `CandidateOracle` for both
 /// solvers and `warm_deltas` on one warm solver, each step against the
-/// same step with a fresh [`PlainCandidates`].
+/// same step with a fresh [`PlainOracle`].
 fn check_reuse_against_plain(
     g: &Graph,
     ds: &[Demand],
-    view: Candidates<'_>,
+    paths: &PathSystem,
     opts: &SolveOptions,
 ) -> Result<(), TestCaseError> {
-    let mut shared = CandidateOracle::new(view);
+    let mut shared = CandidateOracle::new(paths);
     let mut solvers = [Solver::new(g), Solver::new(g)];
     let mut plain = [Solver::new(g), Solver::new(g)];
     for (i, j) in SHARED_ORACLE_STEPS {
         let d = &ds[j];
         let got = solvers[i].resolve(g, DemandDelta::Replace(d.clone()), &mut shared, opts);
-        let mut oracle = PlainCandidates(view);
+        let mut oracle = PlainOracle(paths);
         let want = plain[i].resolve(g, DemandDelta::Replace(d.clone()), &mut oracle, opts);
         same_solution(&got, &want, d)?;
     }
-    let mut oracle = CandidateOracle::new(view);
+    let mut oracle = CandidateOracle::new(paths);
     let (mut warm, mut plain) = (Solver::new(g), Solver::new(g));
     for delta in warm_deltas(ds) {
         let got = warm.resolve(g, delta.clone(), &mut oracle, opts);
-        let want = plain.resolve(g, delta, &mut PlainCandidates(view), opts);
+        let want = plain.resolve(g, delta, &mut PlainOracle(paths), opts);
         same_solution(&got, &want, warm.demand())?;
     }
     Ok(())
@@ -531,14 +531,13 @@ proptest! {
         }),
     ) {
         let cands = some_candidates(&g, &ds, k, skip);
-        let view = cands.as_candidates();
         let opts = SolveOptions { eps: 0.05, max_iters: 150 };
         for d in &ds {
-            let got = min_congestion_restricted(&g, d, view, &opts);
-            let want = min_congestion(&g, d, &mut PlainCandidates(view), &opts);
+            let got = min_congestion_restricted(&g, d, &cands, &opts);
+            let want = min_congestion(&g, d, &mut PlainOracle(&cands), &opts);
             same_solution(&got, &want, d)?;
         }
-        check_reuse_against_plain(&g, &ds, view, &opts)?;
+        check_reuse_against_plain(&g, &ds, &cands, &opts)?;
     }
 }
 
@@ -548,11 +547,11 @@ proptest! {
 #[test]
 fn shared_candidate_oracle_never_leaks_ids_across_arenas() {
     let g = generators::grid(3, 4);
-    let mut cands = CandidateSet::new();
+    let mut cands = PathSystem::new();
     for s in g.vertices() {
         for t in g.vertices().filter(|&t| t != s) {
             for path in k_shortest_paths(&g, s, t, 3, &|_| 1.0) {
-                cands.insert(&path);
+                cands.insert(path);
             }
         }
     }
@@ -562,7 +561,7 @@ fn shared_candidate_oracle_never_leaks_ids_across_arenas() {
         Demand::from_pairs(&[(0, 11), (2, 9), (6, 5), (8, 3)]),
     ];
     let opts = SolveOptions::with_eps(0.02);
-    check_reuse_against_plain(&g, &ds, cands.as_candidates(), &opts)
+    check_reuse_against_plain(&g, &ds, &cands, &opts)
         .expect("shared and warm oracles match the plain one");
 }
 
@@ -638,7 +637,7 @@ fn extreme_demand_scales_stay_certified_and_linear() {
 /// vertices, an integral demand of at most three unit packets, and up to
 /// three hop-shortest candidate paths per demanded pair — small enough
 /// for the exact solvers (branch and bound, dense simplex).
-fn tiny_instance() -> impl Strategy<Value = (Graph, Demand, CandidateSet)> {
+fn tiny_instance() -> impl Strategy<Value = (Graph, Demand, PathSystem)> {
     (4usize..=6, 0.2f64..0.7, any::<u64>(), 1usize..=3)
         .prop_flat_map(|(n, p, seed, k)| {
             let pairs = proptest::collection::vec((0..n as VertexId, 0..n as VertexId), 1..4);
@@ -650,14 +649,14 @@ fn tiny_instance() -> impl Strategy<Value = (Graph, Demand, CandidateSet)> {
             let mut rng = StdRng::seed_from_u64(seed);
             let g = generators::erdos_renyi(n, p, &mut rng);
             let mut d = Demand::new();
-            let mut cands = CandidateSet::new();
+            let mut cands = PathSystem::new();
             for (s, t) in pairs {
                 if s == t {
                     continue;
                 }
                 d.add(s, t, 1.0);
                 for path in k_shortest_paths(&g, s, t, k, &|_| 1.0) {
-                    cands.insert(&path);
+                    cands.insert(path);
                 }
             }
             (g, d, cands)
@@ -682,11 +681,11 @@ proptest! {
         use rand::SeedableRng;
         prop_assume!(!d.is_empty());
         let opts = SolveOptions::with_eps(0.01);
-        let frac = min_congestion_restricted(&g, &d, cands.as_candidates(), &opts);
+        let frac = min_congestion_restricted(&g, &d, &cands, &opts);
         let lists: BTreeMap<(VertexId, VertexId), Vec<Path>> = d
             .support()
             .into_iter()
-            .map(|(s, t)| ((s, t), cands.as_candidates().materialize(s, t).unwrap()))
+            .map(|(s, t)| ((s, t), cands.paths(s, t).unwrap()))
             .collect();
         let (int_opt, witness) =
             integral_opt_restricted(&g, &d, &lists).expect("every pair has candidates");
@@ -721,8 +720,8 @@ proptest! {
     ) {
         prop_assume!(!d.is_empty());
         let sol =
-            min_congestion_restricted(&g, &d, cands.as_candidates(), &SolveOptions::with_eps(eps));
-        let exact = exact_restricted_congestion(&g, &d, cands.as_candidates())
+            min_congestion_restricted(&g, &d, &cands, &SolveOptions::with_eps(eps));
+        let exact = exact_restricted_congestion(&g, &d, &cands)
             .expect("feasible restricted LP");
         let tol = 1e-9 * exact;
         prop_assert!(

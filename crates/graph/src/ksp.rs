@@ -131,9 +131,9 @@ pub fn k_shortest_paths(
     result
 }
 
-/// All simple `(s, t)`-paths with at most `max_hop` hops, by DFS. Exponential
+/// All simple `(s, t)`-paths with at most `hop_limit` hops, by DFS. Exponential
 /// in general; intended only for tiny test graphs (exact integral optimum).
-pub fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId, max_hop: usize) -> Vec<Path> {
+pub fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId, hop_limit: usize) -> Vec<Path> {
     let mut out = Vec::new();
     let mut verts = vec![s];
     let mut edges: Vec<EdgeId> = Vec::new();
@@ -143,7 +143,7 @@ pub fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId, max_hop: usize) -> 
     fn dfs(
         g: &Graph,
         t: VertexId,
-        max_hop: usize,
+        hop_limit: usize,
         verts: &mut Vec<VertexId>,
         edges: &mut Vec<EdgeId>,
         on_path: &mut Vec<bool>,
@@ -154,7 +154,7 @@ pub fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId, max_hop: usize) -> 
             out.push(Path::from_edges_unchecked(verts.clone(), edges.clone()));
             return;
         }
-        if edges.len() == max_hop {
+        if edges.len() == hop_limit {
             return;
         }
         for a in g.neighbors(cur) {
@@ -162,7 +162,7 @@ pub fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId, max_hop: usize) -> 
                 on_path[a.to as usize] = true;
                 verts.push(a.to);
                 edges.push(a.edge);
-                dfs(g, t, max_hop, verts, edges, on_path, out);
+                dfs(g, t, hop_limit, verts, edges, on_path, out);
                 edges.pop();
                 verts.pop();
                 on_path[a.to as usize] = false;
@@ -173,7 +173,7 @@ pub fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId, max_hop: usize) -> 
     dfs(
         g,
         t,
-        max_hop,
+        hop_limit,
         &mut verts,
         &mut edges,
         &mut on_path,

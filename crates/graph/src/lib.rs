@@ -13,6 +13,9 @@
 //!   [`Path::shortcut`] to reduce walks to simple paths;
 //! * [`PathStore`] / [`PathId`] — the interning arena the whole stack
 //!   shares paths through (`Path` stays the owned boundary type);
+//! * [`PathSystem`] — the path system `P = {P(s, t)}` of Definition 2.1:
+//!   an arena plus per-pair candidate ids, which samplers build and the
+//!   restricted solvers read;
 //! * [`Distributions`] — the one representation of per-pair path
 //!   distributions `R(s, t)`, with the single weight normalizer
 //!   [`normalize_run`];
@@ -62,6 +65,7 @@ pub mod maxflow;
 pub mod obs;
 mod par;
 mod path;
+mod path_system;
 mod route_table;
 pub mod shortest_path;
 mod store;
@@ -74,6 +78,7 @@ pub use laplacian::{CsrLaplacian, LaplacianSolve, Preconditioner};
 pub use load::EdgeLoads;
 pub use par::{derive_seed, par_ordered_map};
 pub use path::{all_distinct, Path, ShortcutWalk};
+pub use path_system::PathSystem;
 pub use route_table::RouteTable;
 pub use store::{PathId, PathStore};
 pub use subtopology::SubTopology;

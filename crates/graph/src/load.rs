@@ -62,7 +62,7 @@ impl EdgeLoads {
 
     /// The load on edge `e`.
     pub fn get(&self, e: EdgeId) -> f64 {
-        // A solver accumulator must not silently absorb an out-of-range
+        // A solver accumulator must not silently swallow an out-of-range
         // edge id — masking it with a default would corrupt congestion
         // totals; the contract taint from same-named serving-plane
         // lookups is a name collision, not a real call.

@@ -1,10 +1,9 @@
 //! Path systems (Definition 2.1): the combinatorial object a semi-oblivious
 //! routing *is*.
 
-use rand::RngCore;
-use ssor_flow::Candidates;
-use ssor_graph::{Graph, Path, PathId, PathStore, VertexId};
-use ssor_oblivious::ObliviousRouting;
+use crate::graph::{EdgeId, Graph, VertexId};
+use crate::path::Path;
+use crate::store::{PathId, PathStore};
 use std::collections::BTreeMap;
 
 /// A path system `P = {P(s, t)}`: a set of simple `(s, t)`-paths per vertex
@@ -17,13 +16,13 @@ use std::collections::BTreeMap;
 /// duplicate check in [`PathSystem::insert`] is a hash lookup plus an id
 /// scan — never an edge-vector comparison. Owned [`Path`]s appear only at
 /// the boundary ([`PathSystem::paths`] materializes; use
-/// [`PathSystem::path_ids`] + [`PathSystem::store`] in hot paths).
+/// [`PathSystem::path_ids`] + [`PathSystem::store`] in hot paths, as the
+/// restricted solvers do).
 ///
 /// # Examples
 ///
 /// ```
-/// use ssor_core::PathSystem;
-/// use ssor_graph::{generators, Path};
+/// use ssor_graph::{generators, Path, PathSystem};
 ///
 /// let g = generators::ring(6);
 /// let mut ps = PathSystem::new();
@@ -65,32 +64,25 @@ impl PathSystem {
         push_new(self.per_pair.entry(key).or_default(), id)
     }
 
-    /// Adds `draws` paths drawn from `routing`'s `R(s, t)` to `P(s, t)`,
-    /// through one [`ObliviousRouting::sample_into`] call: the pair map is
-    /// touched once per pair, not once per draw, and the template interns
-    /// each distinct draw straight into the arena. The system, arena ids
-    /// included, and the RNG state afterwards are those of `draws`
-    /// [`insert`](Self::insert)s of
-    /// [`sample_path`](ObliviousRouting::sample_path) draws.
+    /// Adds a batch of draws from `R(s, t)` to `P(s, t)`: `draw` interns
+    /// each draw into the system's arena and pushes its id onto the pair's
+    /// candidate list unless already listed — the contract of an oblivious
+    /// template's `sample_into`, which is what every sampler passes here.
+    /// The pair map is touched once per batch, not once per draw.
     ///
     /// # Panics
     ///
-    /// Panics, like [`insert`](Self::insert), if a drawn path is not
+    /// Panics, like [`insert`](Self::insert), if a new candidate is not
     /// simple or has zero hops, and if its endpoints are not `(s, t)`.
-    pub fn insert_draws<O: ObliviousRouting + ?Sized>(
+    pub fn insert_draws(
         &mut self,
-        routing: &O,
         s: VertexId,
         t: VertexId,
-        draws: usize,
-        rng: &mut dyn RngCore,
+        draw: impl FnOnce(&mut PathStore, &mut Vec<PathId>),
     ) {
-        if draws == 0 {
-            return;
-        }
         let ids = self.per_pair.entry((s, t)).or_default();
         let known = ids.len();
-        routing.sample_into(s, t, draws, rng, &mut self.store, ids);
+        draw(&mut self.store, ids);
         let store = &self.store;
         for &id in ids.iter().skip(known) {
             assert!(
@@ -102,6 +94,10 @@ impl PathSystem {
                 (store.source(id), store.target(id)) == (s, t),
                 "a draw from R({s}, {t}) must run from {s} to {t}"
             );
+        }
+        if ids.is_empty() {
+            // A pair is listed only while it has a candidate.
+            self.per_pair.remove(&(s, t));
         }
     }
 
@@ -130,12 +126,6 @@ impl PathSystem {
     /// The arena the candidate ids resolve against.
     pub fn store(&self) -> &PathStore {
         &self.store
-    }
-
-    /// The borrowed `(store, per-pair ids)` view the Stage-4 solvers
-    /// consume (see [`ssor_flow::Candidates`]).
-    pub fn candidates(&self) -> Candidates<'_> {
-        Candidates::new(&self.store, &self.per_pair)
     }
 
     /// Pairs with at least one candidate path.
@@ -191,23 +181,11 @@ impl PathSystem {
             .all(|(&(s, t), ps)| ps.len() <= alpha + cut_bound(s, t))
     }
 
-    /// Absorbs every path of `other` into `self` (deduplicating), copying
-    /// the raw vertex/edge data between arenas without materializing
-    /// [`Path`] objects or hashing a path again.
-    pub fn absorb(&mut self, other: &PathSystem) {
-        for (&key, ids) in &other.per_pair {
-            let entry = self.per_pair.entry(key).or_default();
-            for &oid in ids {
-                push_new(entry, self.store.intern_from(&other.store, oid));
-            }
-        }
-    }
-
-    /// [`absorb`](Self::absorb) by value, with `other`'s arena moved over
-    /// in its own id order instead of its pair order: an empty `self`
-    /// becomes `other` outright, and otherwise each path is interned from
-    /// its stored hash, never hashed again. The system is the one
-    /// `absorb` builds; only the arena's id order can differ.
+    /// Adds every path of `other` to `self` (deduplicating), moving
+    /// `other`'s arena over in its own id order: an empty `self` becomes
+    /// `other` outright, and otherwise each path is interned from its
+    /// stored hash, never hashed again. Each pair keeps its own candidates
+    /// first, then `other`'s new ones in `other`'s order.
     pub fn append(&mut self, other: PathSystem) {
         if self.store.is_empty() {
             *self = other;
@@ -226,19 +204,11 @@ impl PathSystem {
         }
     }
 
-    /// Union of two path systems (used by the Section 7 completion-time
-    /// construction, which unions per-hop-scale samples).
-    pub fn union(&self, other: &PathSystem) -> PathSystem {
-        let mut out = self.clone();
-        out.absorb(other);
-        out
-    }
-
     /// Removes all paths crossing edge `e` (used for failure experiments),
     /// returning the number of removed paths. Pairs may become empty and
     /// are then dropped entirely. The arena is append-only, so removal
     /// drops ids without reclaiming the underlying path data.
-    pub fn remove_paths_through(&mut self, e: ssor_graph::EdgeId) -> usize {
+    pub fn remove_paths_through(&mut self, e: EdgeId) -> usize {
         let store = &self.store;
         let mut removed = 0;
         self.per_pair.retain(|_, ids| {
@@ -267,15 +237,6 @@ impl PathSystem {
             });
             (!valid).then_some((s, t))
         })
-    }
-
-    /// Maximum hop length over all stored paths (global dilation bound).
-    pub fn max_hop(&self) -> usize {
-        self.per_pair
-            .values()
-            .flat_map(|ids| ids.iter().map(|&id| self.store.hop(id)))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -314,7 +275,7 @@ impl PartialEq for PathSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssor_graph::generators;
+    use crate::generators;
 
     fn ring_system() -> (Graph, PathSystem) {
         let g = generators::ring(6);
@@ -338,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn append_is_absorb_in_arena_order() {
+    fn append_moves_other_in_arena_order() {
         let (g, ps) = ring_system();
         let mut other = PathSystem::new();
         let walks: [&[VertexId]; 3] = [&[4, 5], &[2, 1], &[0, 1, 2, 3]];
@@ -346,11 +307,16 @@ mod tests {
             other.insert(p);
         }
         assert_eq!(other.len(), 3);
-        let mut absorbed = ps.clone();
-        absorbed.absorb(&other);
+        let mut inserted = ps.clone();
+        for p in other
+            .pairs()
+            .flat_map(|(s, t)| other.paths(s, t).unwrap_or_default())
+        {
+            inserted.insert(p);
+        }
         let mut appended = ps.clone();
         appended.append(other.clone());
-        assert_eq!(appended, absorbed);
+        assert_eq!(appended, inserted);
         assert_eq!(appended.store().len(), 5, "the shared path is not copied");
         // `other`'s arena order (4 → 5 first), not its pair order.
         let ids: Vec<_> = appended.store().ids().collect();
@@ -388,13 +354,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "simple")]
+    fn insert_draws_rejects_non_simple_draws() {
+        let g = generators::ring(4);
+        let walk = Path::from_vertices(&g, &[0, 1, 0, 1]).unwrap();
+        PathSystem::new().insert_draws(0, 1, |store, ids| ids.push(store.intern(&walk)));
+    }
+
+    #[test]
+    #[should_panic(expected = "must run from 0 to 3")]
+    fn insert_draws_rejects_draws_with_other_endpoints() {
+        let g = generators::ring(6);
+        let off = Path::from_vertices(&g, &[0, 1, 2]).unwrap();
+        PathSystem::new().insert_draws(0, 3, |store, ids| ids.push(store.intern(&off)));
+    }
+
+    #[test]
+    fn insert_draws_covers_a_pair_only_once_it_lists_a_draw() {
+        let g = generators::ring(6);
+        let path = Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap();
+        let mut ps = PathSystem::new();
+        ps.insert_draws(0, 3, |_, _| {});
+        assert!(!ps.covers_pair(0, 3));
+        ps.insert_draws(0, 3, |store, ids| ids.push(store.intern(&path)));
+        assert_eq!(ps.paths(0, 3), Some(vec![path]));
+    }
+
+    #[test]
     fn union_merges_and_dedups() {
-        let (g, ps) = ring_system();
+        let (g, mut ps) = ring_system();
         let mut other = PathSystem::new();
         other.insert(Path::from_vertices(&g, &[0, 1, 2, 3]).unwrap()); // dup
         other.insert(Path::from_vertices(&g, &[2, 3]).unwrap()); // new
-        let u = ps.union(&other);
-        assert_eq!(u.total_paths(), 4);
+        ps.append(other);
+        assert_eq!(ps.total_paths(), 4);
     }
 
     #[test]
@@ -421,7 +414,7 @@ mod tests {
     fn validity() {
         let (g, ps) = ring_system();
         assert!(ps.is_valid(&g));
-        assert_eq!(ps.max_hop(), 3);
+        assert_eq!(ps.first_invalid_pair(&g), None);
     }
 
     #[test]
@@ -438,13 +431,5 @@ mod tests {
         let mut different = other.clone();
         different.insert(Path::from_vertices(&g, &[2, 3]).unwrap());
         assert_ne!(ps, different);
-    }
-
-    #[test]
-    fn candidates_view_matches_contents() {
-        let (_, ps) = ring_system();
-        let view = ps.candidates();
-        assert_eq!(view.ids(0, 3).unwrap().len(), 2);
-        assert_eq!(view.materialize(1, 2).unwrap(), ps.paths(1, 2).unwrap());
     }
 }

@@ -286,8 +286,7 @@ mod tests {
         if res.demand.is_empty() {
             return; // degenerate tiny instance
         }
-        let sol =
-            min_congestion_restricted(&g, &res.demand, ps.candidates(), &SolveOptions::default());
+        let sol = min_congestion_restricted(&g, &res.demand, &ps, &SolveOptions::default());
         assert!(
             sol.congestion + 1e-6 >= res.congestion_lower_bound,
             "LP congestion {} below certified bound {}",

@@ -48,12 +48,7 @@ fn main() {
     println!("certified: every candidate path of the demand crosses the pinned middles\n");
 
     // Stage 4 on the trapped demand.
-    let sol = min_congestion_restricted(
-        &g,
-        &adv.demand,
-        paths.candidates(),
-        &SolveOptions::with_eps(0.02),
-    );
+    let sol = min_congestion_restricted(&g, &adv.demand, &paths, &SolveOptions::with_eps(0.02));
     let opt = optimal_witness(&g, &meta, &adv.demand);
     println!(
         "semi-oblivious congestion : {:.3} (certified ≥ {:.3})",

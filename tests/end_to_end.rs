@@ -93,7 +93,7 @@ fn restricted_never_beats_unrestricted() {
     let d = Demand::random_permutation(16, &mut rng);
     let ps = sample::alpha_sample(&raecke, &d.support(), 4, &mut rng);
     let opts = SolveOptions::with_eps(0.05);
-    let restricted = min_congestion_restricted(&g, &d, ps.candidates(), &opts);
+    let restricted = min_congestion_restricted(&g, &d, &ps, &opts);
     let unrestricted = min_congestion_unrestricted(&g, &d, &opts);
     assert!(restricted.congestion + 1e-9 >= unrestricted.lower_bound);
 }
@@ -112,8 +112,8 @@ fn demand_sum_composition() {
     pairs.extend(d2.support());
     let ps = sample::alpha_sample(&valiant, &pairs, 4, &mut rng);
 
-    let r1 = min_congestion_restricted(&g, &d1, ps.candidates(), &opts);
-    let r2 = min_congestion_restricted(&g, &d2, ps.candidates(), &opts);
+    let r1 = min_congestion_restricted(&g, &d1, &ps, &opts);
+    let r2 = min_congestion_restricted(&g, &d2, &ps, &opts);
     let merged = ssor::flow::Routing::demand_weighted_merge(&r1.routing, &d1, &r2.routing, &d2);
     let sum = d1.plus(&d2);
     let cong = merged.congestion(&g, &sum);

@@ -51,7 +51,7 @@ fn diversity_survives_single_edge_failure() {
             let sol = min_congestion_restricted(
                 valiant.graph(),
                 &covered,
-                ps.candidates(),
+                &ps,
                 &SolveOptions::with_eps(0.1),
             );
             assert!(sol.congestion <= 4.0 * d.size() / valiant.graph().m() as f64 * 8.0 + 8.0);

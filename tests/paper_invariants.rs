@@ -95,10 +95,11 @@ proptest! {
         prop_assume!(!d.is_empty());
         let small = sample::alpha_sample(&valiant, &d.support(), 1, &mut rng);
         let extra = sample::alpha_sample(&valiant, &d.support(), 4, &mut rng);
-        let big: PathSystem = small.union(&extra);
+        let mut big: PathSystem = small.clone();
+        big.append(extra);
         let opts = SolveOptions { eps: 0.03, max_iters: 2500 };
-        let c_small = min_congestion_restricted(valiant.graph(), &d, small.candidates(), &opts);
-        let c_big = min_congestion_restricted(valiant.graph(), &d, big.candidates(), &opts);
+        let c_small = min_congestion_restricted(valiant.graph(), &d, &small, &opts);
+        let c_big = min_congestion_restricted(valiant.graph(), &d, &big, &opts);
         // Allow the solver's certified gap on both sides.
         prop_assert!(
             c_big.congestion <= c_small.congestion * 1.08 + 1e-6,

@@ -82,7 +82,9 @@ fn batched(
     let mut ps = PathSystem::new();
     let mut rng = StdRng::seed_from_u64(seed);
     for &((s, t), draws) in jobs {
-        ps.insert_draws(template, s, t, draws, &mut rng);
+        ps.insert_draws(s, t, |store, ids| {
+            template.sample_into(s, t, draws, &mut rng, store, ids);
+        });
     }
     (ps, rng)
 }
