@@ -19,12 +19,12 @@ use ssor_bench::{banner, fx, geomean, Table};
 use ssor_core::{sample, SemiObliviousRouter};
 use ssor_flow::solver::min_congestion_unrestricted;
 use ssor_flow::{Demand, SolveOptions};
+use ssor_graph::obs::Stopwatch;
 use ssor_graph::{generators, Graph};
 use ssor_oblivious::{
     ElectricalRouting, ObliviousRouting, RaeckeOptions, RaeckeRouting, RandomWalkRouting,
     ShortestPathRouting, VlbRouting,
 };
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Row {
@@ -62,7 +62,7 @@ fn build_schemes(g: &Graph) -> Vec<(&'static str, Box<dyn ObliviousRouting>, f64
     let timed = |name: &'static str,
                  build: &mut dyn FnMut() -> Box<dyn ObliviousRouting>,
                  out: &mut Vec<(&'static str, Box<dyn ObliviousRouting>, f64)>| {
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         let routing = build();
         out.push((name, routing, t0.elapsed().as_secs_f64() * 1e3));
     };

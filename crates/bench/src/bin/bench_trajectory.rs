@@ -29,6 +29,7 @@ use ssor_flow::solver::{
 };
 use ssor_flow::{Demand, SolveOptions};
 use ssor_graph::generators;
+use ssor_graph::obs::Stopwatch;
 use ssor_oblivious::frt::{FrtTree, Metric};
 use ssor_oblivious::{
     ElectricalRouting, ObliviousRouting, RaeckeOptions, RaeckeRouting, RandomWalkRouting,
@@ -39,7 +40,6 @@ use ssor_serve::{
 };
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct BenchRow {
@@ -69,7 +69,7 @@ fn run_group(group: &str, mode: &str, rounds: usize, mut benches: Vec<Bench<'_>>
     let mut times: Vec<Vec<u64>> = vec![Vec::with_capacity(rounds); benches.len()];
     for _ in 0..rounds {
         for (i, (_, f)) in benches.iter_mut().enumerate() {
-            let t0 = Instant::now();
+            let t0 = Stopwatch::start();
             f();
             times[i].push(t0.elapsed().as_nanos() as u64);
         }
@@ -338,7 +338,7 @@ fn run_serve_group(smoke: bool) {
             plane.answer_batch(&reqs); // warmup
             let mut ts: Vec<u64> = (0..rounds)
                 .map(|_| {
-                    let t0 = Instant::now();
+                    let t0 = Stopwatch::start();
                     plane.answer_batch(&reqs);
                     t0.elapsed().as_nanos() as u64
                 })
@@ -371,7 +371,7 @@ fn run_serve_group(smoke: bool) {
             answer_batch_on(&table, ALPHA, 1, &slice); // warmup
             let mut ts: Vec<u64> = (0..rounds)
                 .map(|_| {
-                    let t0 = Instant::now();
+                    let t0 = Stopwatch::start();
                     answer_batch_on(&table, ALPHA, 1, &slice);
                     t0.elapsed().as_nanos() as u64
                 })

@@ -191,6 +191,20 @@ mod tests {
         assert!(json.ends_with("\"ratio\":null}"));
     }
 
+    /// Every object key anywhere in `v`.
+    fn field_names(v: &Value, out: &mut Vec<String>) {
+        match v {
+            Value::Object(fields) => {
+                for (k, v) in fields {
+                    out.push(k.clone());
+                    field_names(v, out);
+                }
+            }
+            Value::Array(items) => items.iter().for_each(|v| field_names(v, out)),
+            _ => {}
+        }
+    }
+
     #[test]
     fn run_report_excludes_wall_clock_fields() {
         // A build with a cache flag and a non-empty stage profile, and a
@@ -206,6 +220,10 @@ mod tests {
         };
         let mut solver = ssor_flow::SolverStats::default();
         solver.profile.add("oracle", Duration::from_millis(1));
+        solver.stages.push(ssor_flow::solver::StageIters {
+            eps: 0.1,
+            iterations: 4,
+        });
         let record = EvalRecord {
             name: "d".into(),
             alpha: 2,
@@ -218,28 +236,71 @@ mod tests {
             converged: None,
             stats: Some(solver),
         };
+        let step = StreamStep {
+            step: 0,
+            size: 1.0,
+            congestion: 1.5,
+            lower_bound: 1.0,
+            iterations: 3,
+            converged: true,
+            cold_congestion: Some(1.5),
+            cold_iterations: Some(6),
+            vs_cold: Some(1.0),
+            makespan: Some(4),
+        };
+        let trial = FailureTrial {
+            trial: 0,
+            demand: "d".into(),
+            failed_edges: vec![1],
+            attempts: 0,
+            coverage: 1.0,
+            stranded: 0.0,
+            congestion: Some(2.0),
+            iterations: 7,
+            cold_congestion: Some(2.0),
+            opt_lower_bound: Some(1.0),
+            ratio: Some(2.0),
+        };
         let wall = Duration::from_secs(1);
+        // One record, step and trial each, so every object this file
+        // builds is reached.
         let reports = [
-            serde_json::to_string(&RunReport {
+            RunReport {
                 records: vec![record],
                 wall,
                 template: template(),
-            }),
-            serde_json::to_string(&StreamReport {
-                steps: Vec::new(),
+            }
+            .to_value(),
+            StreamReport {
+                steps: vec![step],
                 wall,
                 template: template(),
-            }),
-            serde_json::to_string(&FailureSweepReport {
-                trials: Vec::new(),
+            }
+            .to_value(),
+            FailureSweepReport {
+                trials: vec![trial],
                 wall,
                 template: template(),
-            }),
+            }
+            .to_value(),
         ];
-        for json in reports {
-            let json = json.unwrap();
+        let mut names = Vec::new();
+        for report in &reports {
+            let json = serde_json::to_string(report).unwrap();
             for key in ["wall", "template", "cached", "profile", "metric"] {
                 assert!(!json.contains(key), "{key} leaked into {json}");
+            }
+            field_names(report, &mut names);
+        }
+        for deep in ["eps", "cold_iterations", "failed_edges"] {
+            assert!(names.iter().any(|n| n == deep), "{deep} was not reached");
+        }
+        // Reports are a pure function of the spec, so no serialized field
+        // may even be named like a timing.
+        for name in &names {
+            let lower = name.to_lowercase();
+            for word in ["wall", "elapsed", "duration", "secs", "nanos", "timestamp"] {
+                assert!(!lower.contains(word), "field `{name}` looks like a timing");
             }
         }
     }

@@ -78,7 +78,7 @@ pub use laplacian::{CsrLaplacian, LaplacianSolve, Preconditioner};
 pub use load::EdgeLoads;
 pub use par::{derive_seed, par_ordered_map};
 pub use path::{all_distinct, Path, ShortcutWalk};
-pub use path_system::PathSystem;
+pub use path_system::{push_new, PathSystem};
 pub use route_table::RouteTable;
 pub use store::{PathId, PathStore};
 pub use subtopology::SubTopology;

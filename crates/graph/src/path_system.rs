@@ -242,7 +242,12 @@ impl PathSystem {
 
 /// Pushes `id` onto a pair's candidates unless it is already there (the
 /// set semantics of Definition 5.2); returns whether it was pushed.
-fn push_new(candidates: &mut Vec<PathId>, id: PathId) -> bool {
+///
+/// The one "append unless listed" rule: [`PathSystem`]'s inserts and
+/// every `ObliviousRouting::sample_into` draw go through it, so a pair's
+/// candidates keep first-draw order whichever side built them.
+#[inline]
+pub fn push_new(candidates: &mut Vec<PathId>, id: PathId) -> bool {
     let new = !candidates.contains(&id);
     if new {
         candidates.push(id);

@@ -34,6 +34,8 @@ use crate::path::Path;
 /// `0..store.len()`, in first-interning order).
 ///
 /// Ids from different stores are unrelated; never mix them.
+// The derived `PartialOrd` orders integers, not floats.
+#[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(u32);
 

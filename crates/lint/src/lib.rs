@@ -3,22 +3,26 @@
 //! Every guarantee this reproduction makes — competitive ratios from
 //! "few random paths" verified by *bit-identical* reports at any
 //! thread count, steal order, or shard count — rests on source-level
-//! invariants the compiler cannot see: all RNG streams derive from
-//! `ssor_graph::derive_seed`, parallel fan-out collects in input
-//! order, float comparisons use a total order, wall-clock reads never
-//! reach serialized bytes, no crate admits `unsafe`. Until this crate,
-//! those invariants lived in reviewers' heads and after-the-fact
-//! determinism tests; `ssor-lint` machine-checks them on every commit,
-//! *before* the build/test matrix spends its minutes.
+//! invariants. The ones rustc and clippy can see are theirs:
+//! `unsafe_code = "forbid"` in `[workspace.lints.rust]`, and the
+//! root `clippy.toml`'s `disallowed-methods` ban on `partial_cmp`,
+//! `Instant::now` and `SystemTime::now` (the one clock read is
+//! `ssor_graph::obs::Stopwatch`). An entropy-seeded RNG does not even
+//! compile: the vendored `rand` shim has no `thread_rng`, `random` or
+//! `from_entropy`. `ssor-lint` checks the rest, which no compiler
+//! lint expresses: parallel fan-out collects in input order
+//! ([`rules::par_collect`]), per-crate budgets for unwraps, indexing,
+//! panics and hash containers may only shrink ([`rules::ratchet`]),
+//! and declared hot entry points stay panic- and allocation-free
+//! through their whole call tree ([`rules::contract`]).
 //!
 //! The design is deliberately token-level, not AST-level: a
 //! dependency-free scanner ([`scanner`]) blanks comments and literals
 //! following the real lexical grammar, and the rules ([`rules`]) are
 //! substring scans over the remaining code. That trades type-aware
-//! precision (the `float_ord` rule cannot know an expression's type)
-//! for a checker that builds in under a second, has no dependency
-//! tree to audit, and whose diagnostics are byte-stable golden-test
-//! material. The escape hatch is per-line and greppable:
+//! precision for a checker that builds in under a second, has no
+//! dependency tree to audit, and whose diagnostics are byte-stable
+//! golden-test material. The escape hatch is per-line and greppable:
 //! `// lint: allow(rule)`.
 //!
 //! On top of the flat scan sits one structural layer: a lightweight
@@ -46,6 +50,6 @@ pub mod rules;
 pub mod runner;
 pub mod scanner;
 
-pub use rules::{Diagnostic, FileClass};
+pub use rules::Diagnostic;
 pub use runner::{find_workspace_root, run, Mode, Outcome};
 pub use scanner::{scan_source, SourceFile};

@@ -1,4 +1,4 @@
-//! The determinism rulebook.
+//! The determinism rules the compiler cannot see.
 //!
 //! Each submodule is one rule family, documented inline with the
 //! *why*: which workspace guarantee the rule protects and what breaking
@@ -6,20 +6,23 @@
 //! byte-stable format (`path:line: rule: message`) so golden tests can
 //! pin the output and CI diffs stay readable.
 //!
+//! The rest of the contract lives with the tools that already do the
+//! job: `unsafe_code = "forbid"` in `[workspace.lints.rust]`, the
+//! `partial_cmp` and wall-clock bans in the root `clippy.toml`, and
+//! the vendored `rand` shim, which has no entropy-seeded constructor.
+//!
 //! Escape hatch: a `// lint: allow(rule)` comment on the offending line
 //! (or on a standalone comment line directly above it) silences that
 //! rule for that line. Allows are deliberately per-line, never per-file:
 //! every exemption stays visible next to the code it excuses.
 
 pub mod contract;
-pub mod float_ord;
 pub mod par_collect;
 pub mod ratchet;
-pub mod rng;
-pub mod unsafe_code;
-pub mod wall_clock;
 
 /// One rule violation, pointing at a workspace-relative `path:line`.
+// The derived `PartialOrd` orders strings and integers, not floats.
+#[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     /// Workspace-relative path with `/` separators.
@@ -40,48 +43,4 @@ impl std::fmt::Display for Diagnostic {
             self.path, self.line, self.rule, self.message
         )
     }
-}
-
-/// Path-derived facts the per-file rules condition on.
-#[derive(Debug, Clone, Default)]
-pub struct FileClass {
-    /// Workspace-relative path with `/` separators.
-    pub rel_path: String,
-    /// `src/lib.rs` or `src/main.rs` — a crate root that must carry
-    /// `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
-    /// Perf-harness code (`crates/bench/` or a `benches/` dir): exempt
-    /// from the wall-clock ban, since measuring wall time is its job.
-    pub wall_clock_exempt: bool,
-    /// `crates/graph/src/par.rs`, the one module allowed to touch raw
-    /// rayon collection (it *implements* the ordered primitives).
-    pub is_par_module: bool,
-    /// A `report_json.rs` schema file: serialized field names get the
-    /// wall-clock cross-check.
-    pub is_report_schema: bool,
-}
-
-impl FileClass {
-    /// Classifies a workspace-relative path (must use `/` separators).
-    pub fn of(rel_path: &str) -> FileClass {
-        let in_bench_crate = rel_path.starts_with("crates/bench/");
-        let in_benches_dir = rel_path.contains("/benches/") || rel_path.starts_with("benches/");
-        FileClass {
-            rel_path: rel_path.to_string(),
-            is_crate_root: rel_path.ends_with("src/lib.rs") || rel_path.ends_with("src/main.rs"),
-            wall_clock_exempt: in_bench_crate || in_benches_dir,
-            is_par_module: rel_path == "crates/graph/src/par.rs",
-            is_report_schema: rel_path.ends_with("report_json.rs"),
-        }
-    }
-}
-
-/// Runs every per-file rule (everything except the cross-file
-/// [`ratchet`]) on one scanned source file.
-pub fn check_file(file: &crate::scanner::SourceFile, class: &FileClass, out: &mut Vec<Diagnostic>) {
-    rng::check(file, class, out);
-    wall_clock::check(file, class, out);
-    float_ord::check(file, class, out);
-    par_collect::check(file, class, out);
-    unsafe_code::check(file, class, out);
 }

@@ -26,11 +26,15 @@
 //! order, and any new site must either ride the primitives or earn
 //! the same review.
 
-use super::{Diagnostic, FileClass};
+use super::Diagnostic;
 use crate::scanner::SourceFile;
 
 /// Rule name, as spelled in `lint: allow(...)`.
 pub const NAME: &str = "par_collect";
+
+/// The one module allowed to touch raw rayon collection: it
+/// *implements* the ordered primitives.
+const PAR_MODULE: &str = "crates/graph/src/par.rs";
 
 const ADAPTERS: [&str; 5] = [
     ".par_iter()",
@@ -41,8 +45,8 @@ const ADAPTERS: [&str; 5] = [
 ];
 
 /// Scans one file for raw rayon fan-out outside the par module.
-pub fn check(file: &SourceFile, class: &FileClass, out: &mut Vec<Diagnostic>) {
-    if class.is_par_module {
+pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    if file.path == PAR_MODULE {
         return;
     }
     for (idx, line) in file.lines.iter().enumerate() {
@@ -78,12 +82,12 @@ mod tests {
                    let w: Vec<_> = items.into_par_iter().collect();\n";
         let f = scan_source("crates/flow/src/x.rs", src);
         let mut out = Vec::new();
-        check(&f, &FileClass::of("crates/flow/src/x.rs"), &mut out);
+        check(&f, &mut out);
         assert_eq!(out.len(), 2);
 
         let f = scan_source("crates/graph/src/par.rs", src);
         let mut out = Vec::new();
-        check(&f, &FileClass::of("crates/graph/src/par.rs"), &mut out);
+        check(&f, &mut out);
         assert!(out.is_empty());
     }
 
@@ -92,7 +96,7 @@ mod tests {
         let src = "// lint: allow(par_collect)\nlet p: Vec<_> = r.par_iter().map(f).collect();\n";
         let f = scan_source("crates/graph/src/load.rs", src);
         let mut out = Vec::new();
-        check(&f, &FileClass::of("crates/graph/src/load.rs"), &mut out);
+        check(&f, &mut out);
         assert!(out.is_empty());
     }
 }

@@ -6,22 +6,22 @@
 //! standard the rest of the workspace holds its reports to.
 //!
 //! The run is two-pass. Pass one scans every `.rs` file, runs the
-//! per-file token rules, and accumulates the ratchet counts. Pass two
-//! parses the *library* files (`crates/*/src/**` and `src/**`, minus
-//! `src/bin/**` — binaries cannot be callees of library code) into an
-//! approximate call graph ([`crate::callgraph`]) — with edges pruned
-//! to the Cargo dependency closure read from the manifests, so a name
-//! collision cannot resolve across a crate boundary the linker would
-//! reject — and enforces the hot-path contracts declared in
-//! `lint_contracts.json` ([`crate::rules::contract`]). A missing
-//! contract file is itself a violation: deleting it must not silently
-//! disarm the gate.
+//! per-file `par_collect` rule, and accumulates the ratchet counts.
+//! Pass two parses the *library* files (`crates/*/src/**` and
+//! `src/**`, minus `src/bin/**` — binaries cannot be callees of
+//! library code) into an approximate call graph ([`crate::callgraph`])
+//! — with edges pruned to the Cargo dependency closure read from the
+//! manifests, so a name collision cannot resolve across a crate
+//! boundary the linker would reject — and enforces the hot-path
+//! contracts declared in `lint_contracts.json`
+//! ([`crate::rules::contract`]). A missing contract file is itself a
+//! violation: deleting it must not silently disarm the gate.
 
 use crate::budget;
 use crate::callgraph::CallGraph;
 use crate::contracts;
 use crate::parser::{parse_file, ParsedFile};
-use crate::rules::{self, contract, ratchet, Diagnostic, FileClass};
+use crate::rules::{contract, par_collect, ratchet, Diagnostic};
 use crate::scanner::{scan_source, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -195,8 +195,7 @@ pub fn run(root: &Path, budget_path: &Path, mode: Mode) -> io::Result<Outcome> {
     for (rel, path) in collect_sources(root)? {
         let text = fs::read_to_string(&path)?;
         let file = scan_source(&rel, &text);
-        let class = FileClass::of(&rel);
-        rules::check_file(&file, &class, &mut outcome.diagnostics);
+        par_collect::check(&file, &mut outcome.diagnostics);
         if let Some(krate) = ratchet::crate_of(&rel) {
             outcome
                 .counts

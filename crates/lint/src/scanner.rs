@@ -13,34 +13,12 @@
 //! the same lexical grammar rustc does (line + nested block comments,
 //! escaped strings, raw strings with `#` fences, byte strings, char
 //! literals vs. lifetimes).
-//!
-//! String literal *contents* are not discarded entirely: each literal is
-//! recorded with its text and the nearest code characters on either
-//! side, which is what the `wall_clock` rule's serialized-field-name
-//! cross-check consumes (a literal wedged between `(` and `,` is a JSON
-//! field name in the engine's hand-built `report_json.rs` trees).
-
-/// One string literal occurrence, with just enough surrounding context
-/// to classify its syntactic role on the line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrLit {
-    /// The literal's text (escapes left as written, fences stripped).
-    pub content: String,
-    /// Last non-whitespace code character before the opening quote on
-    /// the same line, if any.
-    pub prev: Option<char>,
-    /// First non-whitespace code character after the closing quote on
-    /// the same line, if any.
-    pub next: Option<char>,
-}
 
 /// One scanned source line.
 #[derive(Debug, Clone, Default)]
 pub struct Line {
     /// The line's code with comment bodies and literal contents blanked.
     pub code: String,
-    /// String literals that *start* on this line.
-    pub literals: Vec<StrLit>,
     /// Rules allowed on this line via `// lint: allow(rule)` — either a
     /// trailing comment on the line itself, or a standalone comment line
     /// directly above it (blank and comment-only lines in between are
@@ -80,8 +58,20 @@ fn parse_allows(comment: &str, out: &mut Vec<String>) {
     }
 }
 
-/// Lexes `text` into blanked per-line code plus literals and allow
-/// annotations. `path` is recorded verbatim as the diagnostic label.
+/// Finishes the current line: standalone-comment/blank lines keep
+/// pending allows queued; code lines consume them.
+fn flush_line(lines: &mut Vec<Line>, cur: &mut Line, pending: &mut Vec<String>) {
+    let has_code = cur.code.chars().any(|c| !c.is_whitespace());
+    if has_code {
+        let mut owned = std::mem::take(pending);
+        owned.append(&mut cur.allows);
+        cur.allows = owned;
+    }
+    lines.push(std::mem::take(cur));
+}
+
+/// Lexes `text` into blanked per-line code plus allow annotations.
+/// `path` is recorded verbatim as the diagnostic label.
 pub fn scan_source(path: &str, text: &str) -> SourceFile {
     let chars: Vec<char> = text.chars().collect();
     let mut lines: Vec<Line> = Vec::new();
@@ -89,47 +79,15 @@ pub fn scan_source(path: &str, text: &str) -> SourceFile {
     // Allows from standalone comment lines, waiting for the next line
     // that contains actual code.
     let mut pending_allows: Vec<String> = Vec::new();
-    // Index into `cur.literals` of a literal still waiting for its
-    // `next` code character.
-    let mut await_next: Option<usize> = None;
 
     let mut i = 0usize;
     let n = chars.len();
-
-    // Finishes the current line: standalone-comment/blank lines keep
-    // pending allows queued; code lines consume them.
-    fn flush_line(
-        lines: &mut Vec<Line>,
-        cur: &mut Line,
-        pending: &mut Vec<String>,
-        await_next: &mut Option<usize>,
-    ) {
-        let has_code = cur.code.chars().any(|c| !c.is_whitespace());
-        if has_code {
-            let mut owned = std::mem::take(pending);
-            owned.append(&mut cur.allows);
-            cur.allows = owned;
-        }
-        lines.push(std::mem::take(cur));
-        *await_next = None;
-    }
-
-    // Appends a code character, filling a literal's `next` slot if one
-    // is waiting.
-    fn push_code(cur: &mut Line, await_next: &mut Option<usize>, c: char) {
-        if !c.is_whitespace() {
-            if let Some(k) = await_next.take() {
-                cur.literals[k].next = Some(c);
-            }
-        }
-        cur.code.push(c);
-    }
 
     while i < n {
         let c = chars[i];
         match c {
             '\n' => {
-                flush_line(&mut lines, &mut cur, &mut pending_allows, &mut await_next);
+                flush_line(&mut lines, &mut cur, &mut pending_allows);
                 i += 1;
             }
             '/' if i + 1 < n && chars[i + 1] == '/' => {
@@ -162,29 +120,26 @@ pub fn scan_source(path: &str, text: &str) -> SourceFile {
                         i += 2;
                     } else {
                         if chars[i] == '\n' {
-                            flush_line(&mut lines, &mut cur, &mut pending_allows, &mut await_next);
+                            flush_line(&mut lines, &mut cur, &mut pending_allows);
                         }
                         i += 1;
                     }
                 }
             }
             '"' => {
-                i = consume_string(&chars, i, 0, &mut cur, &mut lines, &mut pending_allows, {
-                    await_next = None;
-                    &mut await_next
-                });
+                i = consume_string(&chars, i, 0, &mut cur, &mut lines, &mut pending_allows);
             }
             'r' | 'b' if starts_string_prefix(&chars, i) => {
                 // r"..." / r#"..."# / b"..." / br#"..."# — find the
                 // quote and fence length, then consume as a string.
                 let mut j = i;
                 while j < n && (chars[j] == 'r' || chars[j] == 'b') {
-                    push_code(&mut cur, &mut await_next, chars[j]);
+                    cur.code.push(chars[j]);
                     j += 1;
                 }
                 let mut hashes = 0usize;
                 while j < n && chars[j] == '#' {
-                    push_code(&mut cur, &mut await_next, chars[j]);
+                    cur.code.push('#');
                     hashes += 1;
                     j += 1;
                 }
@@ -197,35 +152,31 @@ pub fn scan_source(path: &str, text: &str) -> SourceFile {
                     &mut cur,
                     &mut lines,
                     &mut pending_allows,
-                    {
-                        await_next = None;
-                        &mut await_next
-                    },
                 );
             }
             '\'' => {
                 // Char literal vs. lifetime: a literal closes with a
                 // quote after one (possibly escaped) character.
                 if let Some(end) = char_literal_end(&chars, i) {
-                    push_code(&mut cur, &mut await_next, '\'');
+                    cur.code.push('\'');
                     for _ in i + 1..end {
                         cur.code.push(' ');
                     }
                     cur.code.push('\'');
                     i = end + 1;
                 } else {
-                    push_code(&mut cur, &mut await_next, '\'');
+                    cur.code.push('\'');
                     i += 1;
                 }
             }
             _ => {
-                push_code(&mut cur, &mut await_next, c);
+                cur.code.push(c);
                 i += 1;
             }
         }
     }
     if !cur.code.is_empty() || !cur.allows.is_empty() {
-        flush_line(&mut lines, &mut cur, &mut pending_allows, &mut await_next);
+        flush_line(&mut lines, &mut cur, &mut pending_allows);
     }
 
     SourceFile {
@@ -266,7 +217,6 @@ fn starts_string_prefix(chars: &[char], i: usize) -> bool {
 /// Consumes a string literal starting at the opening quote
 /// `chars[open]`, with `hashes` raw-string fence characters (0 for a
 /// normal escaped string). Returns the index just past the literal.
-#[allow(clippy::too_many_arguments)]
 fn consume_string(
     chars: &[char],
     open: usize,
@@ -274,30 +224,14 @@ fn consume_string(
     cur: &mut Line,
     lines: &mut Vec<Line>,
     pending_allows: &mut Vec<String>,
-    await_next: &mut Option<usize>,
 ) -> usize {
     let n = chars.len();
     let raw = hashes > 0 || (open > 0 && matches!(chars[open - 1], 'r' | '#'));
-    let prev = cur
-        .code
-        .chars()
-        .rev()
-        .find(|ch| !ch.is_whitespace() && !matches!(ch, 'r' | 'b' | '#'));
     cur.code.push('"');
-    let mut content = String::new();
     let mut i = open + 1;
-    // Record the literal on the line where it starts.
-    cur.literals.push(StrLit {
-        content: String::new(),
-        prev,
-        next: None,
-    });
-    let (start_line, slot) = (lines.len(), cur.literals.len() - 1);
     while i < n {
         let c = chars[i];
         if c == '\\' && !raw && i + 1 < n && chars[i + 1] != '\n' {
-            content.push(c);
-            content.push(chars[i + 1]);
             cur.code.push(' ');
             cur.code.push(' ');
             i += 2;
@@ -320,29 +254,12 @@ fn consume_string(
         }
         if c == '\n' {
             // Multi-line literal (or a `\`-continued one): close out
-            // this line's code; the literal record stays on the line
-            // where it started.
-            let has_code = cur.code.chars().any(|ch| !ch.is_whitespace());
-            if has_code {
-                let mut owned = std::mem::take(pending_allows);
-                owned.append(&mut cur.allows);
-                cur.allows = owned;
-            }
-            lines.push(std::mem::take(cur));
+            // this line's code.
+            flush_line(lines, cur, pending_allows);
         } else {
-            content.push(c);
             cur.code.push(' ');
         }
         i += 1;
-    }
-    if start_line < lines.len() {
-        // Multi-line: the starting line was already flushed into `lines`.
-        lines[start_line].literals[slot].content = content;
-    } else {
-        cur.literals[slot].content = content;
-        // Literal closed on its starting line: the next code char on
-        // this line fills `next`.
-        *await_next = Some(slot);
     }
     i
 }
@@ -393,11 +310,6 @@ pub fn count_word(code: &str, needle: &str) -> usize {
         from = start + nb.len().max(1);
     }
     count
-}
-
-/// Whether `code` contains `needle` on word boundaries.
-pub fn contains_word(code: &str, needle: &str) -> bool {
-    count_word(code, needle) > 0
 }
 
 /// Counts the `[` characters that open an *index expression*: the
@@ -507,12 +419,12 @@ mod tests {
     fn allow_on_same_line_and_preceding_line() {
         let f = scan_source(
             "t.rs",
-            "let t = now(); // lint: allow(wall_clock)\n\
-             // lint: allow(rng)\nlet r = thread_rng();\nlet s = 3;\n",
+            "let v = x.unwrap(); // lint: allow(ratchet)\n\
+             // lint: allow(par_collect)\nlet p = r.par_iter();\nlet s = 3;\n",
         );
-        assert!(f.lines[0].allows("wall_clock"));
-        assert!(!f.lines[0].allows("rng"));
-        assert!(f.lines[2].allows("rng"));
+        assert!(f.lines[0].allows("ratchet"));
+        assert!(!f.lines[0].allows("par_collect"));
+        assert!(f.lines[2].allows("par_collect"));
         assert!(f.lines[3].allows.is_empty());
     }
 
@@ -520,19 +432,10 @@ mod tests {
     fn allow_list_and_blank_line_transparency() {
         let f = scan_source(
             "t.rs",
-            "// lint: allow(rng, wall_clock)\n\n// another comment\nstuff();\n",
+            "// lint: allow(hot_panic, hot_alloc)\n\n// another comment\nstuff();\n",
         );
-        assert!(f.lines[3].allows("rng"));
-        assert!(f.lines[3].allows("wall_clock"));
-    }
-
-    #[test]
-    fn literal_context_captures_field_name_position() {
-        let f = scan_source("t.rs", "obj(vec![(\"wall\", v.to_value())])\n");
-        let lit = &f.lines[0].literals[0];
-        assert_eq!(lit.content, "wall");
-        assert_eq!(lit.prev, Some('('));
-        assert_eq!(lit.next, Some(','));
+        assert!(f.lines[3].allows("hot_panic"));
+        assert!(f.lines[3].allows("hot_alloc"));
     }
 
     #[test]
@@ -553,6 +456,6 @@ mod tests {
             1
         );
         assert_eq!(count_word("x.unwrap().unwrap()", ".unwrap()"), 2);
-        assert!(contains_word("use std::time::Instant;", "Instant"));
+        assert_eq!(count_word("use std::collections::HashSet;", "HashSet"), 1);
     }
 }

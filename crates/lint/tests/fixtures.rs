@@ -17,8 +17,8 @@ use std::path::PathBuf;
 
 use ssor_lint::callgraph::CallGraph;
 use ssor_lint::parser::parse_file;
-use ssor_lint::rules::{self, contract, ratchet};
-use ssor_lint::{scan_source, Diagnostic, FileClass};
+use ssor_lint::rules::{contract, par_collect, ratchet};
+use ssor_lint::{scan_source, Diagnostic};
 
 fn fixture_dir(rule: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -26,14 +26,13 @@ fn fixture_dir(rule: &str) -> PathBuf {
         .join(rule)
 }
 
-/// Runs the per-file rules on one fixture under a pretend workspace
-/// path (so `FileClass` gives the file the right obligations).
-fn check_fixture(rule: &str, which: &str, pretend_path: &str) -> Vec<Diagnostic> {
-    let text = fs::read_to_string(fixture_dir(rule).join(which)).unwrap();
+/// Runs the per-file `par_collect` rule on one fixture under a
+/// pretend workspace path (the par module itself is exempt).
+fn check_par_fixture(which: &str, pretend_path: &str) -> Vec<Diagnostic> {
+    let text = fs::read_to_string(fixture_dir(par_collect::NAME).join(which)).unwrap();
     let file = scan_source(pretend_path, &text);
-    let class = FileClass::of(pretend_path);
     let mut out = Vec::new();
-    rules::check_file(&file, &class, &mut out);
+    par_collect::check(&file, &mut out);
     out.sort();
     out
 }
@@ -71,56 +70,19 @@ fn assert_silent(rule: &str, diagnostics: &[Diagnostic]) {
     );
 }
 
-/// Per-file rules share one harness shape; ratchet (below) goes
-/// through the budget comparison instead.
-fn per_file_case(rule: &str, pretend_path: &str) {
-    assert_golden(rule, &check_fixture(rule, "positive.rs", pretend_path));
-    assert_silent(rule, &check_fixture(rule, "negative.rs", pretend_path));
-}
-
-#[test]
-fn rng_rule_fires_and_accepts() {
-    per_file_case("rng", "crates/fxt/src/sampling.rs");
-}
-
-#[test]
-fn wall_clock_rule_fires_and_accepts() {
-    // The report_json.rs pretend path turns on the serialized
-    // field-name cross-check as well as the banned-call scan.
-    per_file_case("wall_clock", "crates/fxt/src/report_json.rs");
-}
-
-#[test]
-fn float_ord_rule_fires_and_accepts() {
-    per_file_case("float_ord", "crates/fxt/src/order.rs");
-}
-
 #[test]
 fn par_collect_rule_fires_and_accepts() {
-    per_file_case("par_collect", "crates/fxt/src/fan.rs");
+    let pretend = "crates/fxt/src/fan.rs";
+    assert_golden("par_collect", &check_par_fixture("positive.rs", pretend));
+    assert_silent("par_collect", &check_par_fixture("negative.rs", pretend));
 }
 
 #[test]
 fn par_collect_rule_exempts_the_par_module() {
     // The same raw adapters are legal inside the one module that
     // implements the ordered primitives.
-    let d = check_fixture("par_collect", "positive.rs", "crates/graph/src/par.rs");
+    let d = check_par_fixture("positive.rs", "crates/graph/src/par.rs");
     assert!(d.is_empty(), "par.rs itself is exempt, got {d:?}");
-}
-
-#[test]
-fn forbid_unsafe_rule_fires_and_accepts() {
-    per_file_case("forbid_unsafe", "crates/fxt/src/lib.rs");
-}
-
-#[test]
-fn forbid_unsafe_only_binds_crate_roots() {
-    let text = fs::read_to_string(fixture_dir("forbid_unsafe").join("positive.rs")).unwrap();
-    let file = scan_source("crates/fxt/src/helper.rs", &text);
-    let class = FileClass::of("crates/fxt/src/helper.rs");
-    let mut out = Vec::new();
-    rules::check_file(&file, &class, &mut out);
-    assert!(out.is_empty(), "non-root modules carry no attribute duty");
 }
 
 /// Runs the call-graph contract rules on one fixture: the file is

@@ -3,11 +3,11 @@
 //! used by the traffic-engineering literature (SMORE `[KYY+18]`) and by
 //! experiments E4/E7.
 
-use crate::traits::{push_new, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 use ssor_graph::ksp::k_shortest_paths;
 use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
-use ssor_graph::{Distributions, EdgeId, Graph, Path, PathId, PathStore, VertexId};
+use ssor_graph::{push_new, Distributions, EdgeId, Graph, Path, PathId, PathStore, VertexId};
 
 /// One BFS tree per vertex, fanned out over rayon workers in
 /// source-index order (see [`bfs_trees_csr_batch`]); the shared

@@ -22,11 +22,11 @@
 //! stage.
 
 use crate::frt::{sample_trees_for_metric, FrtTree, Metric, TreeRouting};
-use crate::traits::{push_new, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 use ssor_graph::obs::{StageProfile, Stopwatch};
 use ssor_graph::{
-    par_ordered_map, Distributions, EdgeLoads, Graph, Path, PathId, PathStore, VertexId,
+    par_ordered_map, push_new, Distributions, EdgeLoads, Graph, Path, PathId, PathStore, VertexId,
 };
 use std::cell::RefCell;
 use std::sync::Arc;

@@ -11,7 +11,9 @@
 use rand::{Rng, RngCore};
 use ssor_flow::Demand;
 use ssor_graph::obs::StageProfile;
-use ssor_graph::{Distributions, EdgeId, EdgeLoads, Graph, Path, PathId, PathStore, VertexId};
+use ssor_graph::{
+    push_new, Distributions, EdgeId, EdgeLoads, Graph, Path, PathId, PathStore, VertexId,
+};
 
 /// An oblivious routing over a fixed graph.
 ///
@@ -45,12 +47,12 @@ pub trait ObliviousRouting {
     /// The result (arena included) and the RNG state afterwards are
     /// exactly those of `draws` calls of
     /// [`sample_path`](Self::sample_path), each interned and pushed
-    /// unless present. The default is that loop. A template overrides it
-    /// when it can skip the owned [`Path`] or repeated work per draw: a
-    /// tree mixture draws a tree, not a path, and walks each distinct
-    /// tree once; Valiant streams each draw's walk straight into
-    /// `store`; KSP computes its `k` paths once per pair, and ECMP its
-    /// shortest-path counts.
+    /// through [`ssor_graph::push_new`]. The default is that loop. A
+    /// template overrides it when it can skip the owned [`Path`] or
+    /// repeated work per draw: a tree mixture draws a tree, not a path,
+    /// and walks each distinct tree once; Valiant streams each draw's
+    /// walk straight into `store`; KSP computes its `k` paths once per
+    /// pair, and ECMP its shortest-path counts.
     ///
     /// # Panics
     ///
@@ -150,14 +152,6 @@ pub trait ObliviousRouting {
     /// template time went.
     fn build_profile(&self) -> Option<&StageProfile> {
         None
-    }
-}
-
-/// Pushes `id` onto a pair's draws unless it is already there; the one
-/// dedup behind every [`ObliviousRouting::sample_into`].
-pub(crate) fn push_new(out: &mut Vec<PathId>, id: PathId) {
-    if !out.contains(&id) {
-        out.push(id);
     }
 }
 

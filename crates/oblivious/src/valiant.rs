@@ -18,12 +18,13 @@
 //! `[KKT91]`, which experiment E4 regenerates. It is the same walk with
 //! `w = s`.
 
-use crate::traits::{push_new, ObliviousRouting};
+use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 use std::cell::RefCell;
 
 use ssor_graph::{
-    generators, Distributions, EdgeId, Graph, Path, PathId, PathStore, ShortcutWalk, VertexId,
+    generators, push_new, Distributions, EdgeId, Graph, Path, PathId, PathStore, ShortcutWalk,
+    VertexId,
 };
 
 thread_local! {
