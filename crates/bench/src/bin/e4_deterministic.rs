@@ -67,12 +67,7 @@ fn main() {
             let rep = router.competitive_report(&d, &opts);
             // The Section 1.1 deterministic selection (conditional
             // expectations over the Valiant support).
-            let dps = ssor_core::derandomize::derandomized_sample(
-                &valiant,
-                &d.support(),
-                alpha,
-                &Default::default(),
-            );
+            let dps = ssor_core::derandomize::derandomized_sample(&valiant, &d.support(), alpha);
             let drouter = SemiObliviousRouter::new(valiant.graph().clone(), dps);
             let dsol = drouter.route_fractional(&d, &opts);
             table.row(&[

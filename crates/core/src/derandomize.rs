@@ -15,24 +15,14 @@
 use ssor_graph::{PathSystem, VertexId};
 use ssor_oblivious::ObliviousRouting;
 
-/// Options for [`derandomized_sample`].
-#[derive(Debug, Clone)]
-pub struct DerandomizeOptions {
-    /// Exponential potential sharpness. Larger values penalize emerging
-    /// hot spots harder; `ln(m)`-ish values mimic the Chernoff-based
-    /// pessimistic estimator.
-    pub beta: f64,
-}
-
-impl Default for DerandomizeOptions {
-    fn default() -> Self {
-        DerandomizeOptions { beta: 2.0 }
-    }
-}
+/// Exponential potential sharpness of [`derandomized_sample`]. Larger
+/// values penalize emerging hot spots harder; `ln(m)`-ish values mimic
+/// the Chernoff-based pessimistic estimator.
+const BETA: f64 = 2.0;
 
 /// Deterministically selects (up to) `alpha` support paths per pair,
 /// round-robin over pairs, each time taking the support path minimizing
-/// the potential increase `sum_{e in p} exp(beta * load_e)` where `load`
+/// the potential increase `sum_{e in p} exp(BETA * load_e)` where `load`
 /// accumulates `1/alpha` per chosen path (the uniform reference demand
 /// split over the slots).
 ///
@@ -46,7 +36,6 @@ pub fn derandomized_sample<O: ObliviousRouting + ?Sized>(
     routing: &O,
     pairs: &[(VertexId, VertexId)],
     alpha: usize,
-    opts: &DerandomizeOptions,
 ) -> PathSystem {
     assert!(alpha >= 1);
     let g = routing.graph();
@@ -77,7 +66,7 @@ pub fn derandomized_sample<O: ObliviousRouting + ?Sized>(
                 let cost: f64 = p
                     .edges()
                     .iter()
-                    .map(|&e| (opts.beta * load[e as usize]).exp())
+                    .map(|&e| (BETA * load[e as usize]).exp())
                     .sum();
                 if best.is_none_or(|(_, b)| cost < b) {
                     best = Some((i, cost));
@@ -106,8 +95,8 @@ mod tests {
     fn selection_is_deterministic() {
         let r = ValiantRouting::new(3);
         let pairs = all_pairs(8);
-        let a = derandomized_sample(&r, &pairs, 3, &Default::default());
-        let b = derandomized_sample(&r, &pairs, 3, &Default::default());
+        let a = derandomized_sample(&r, &pairs, 3);
+        let b = derandomized_sample(&r, &pairs, 3);
         assert_eq!(a, b);
         assert!(a.sparsity() <= 3);
         assert!(a.is_valid(r.graph()));
@@ -119,7 +108,7 @@ mod tests {
         let valiant = ValiantRouting::new(dim);
         let d = Demand::hypercube_bit_reversal(dim);
         let alpha = 6;
-        let ps = derandomized_sample(&valiant, &d.support(), alpha, &Default::default());
+        let ps = derandomized_sample(&valiant, &d.support(), alpha);
         let router = SemiObliviousRouter::new(valiant.graph().clone(), ps);
         let cong = router
             .route_fractional(&d, &SolveOptions::with_eps(0.05))
@@ -139,7 +128,7 @@ mod tests {
         // On a pair with a rich support, rounds should pick distinct paths
         // (the potential punishes reusing loaded edges).
         let r = ValiantRouting::new(4);
-        let ps = derandomized_sample(&r, &[(0, 15)], 4, &Default::default());
+        let ps = derandomized_sample(&r, &[(0, 15)], 4);
         assert!(
             ps.paths(0, 15).unwrap().len() >= 3,
             "selection collapsed onto few paths"
@@ -150,7 +139,7 @@ mod tests {
     fn single_support_pairs_are_fine() {
         // Bit-fixing has a singleton support; selection must not loop.
         let r = BitFixingRouting::new(3);
-        let ps = derandomized_sample(&r, &all_pairs(8), 4, &Default::default());
+        let ps = derandomized_sample(&r, &all_pairs(8), 4);
         assert_eq!(ps.sparsity(), 1, "singleton supports collapse by dedup");
     }
 }

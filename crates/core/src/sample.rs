@@ -15,11 +15,10 @@
 //! once per pair), with the RNG consumed exactly as `count`
 //! [`ObliviousRouting::sample_path`] calls would.
 
+use crate::special::CutCache;
 use rand::Rng;
-use ssor_graph::maxflow::min_cut_value;
 use ssor_graph::{Graph, PathSystem, VertexId};
 use ssor_oblivious::ObliviousRouting;
-use std::collections::HashMap;
 
 /// An `α`-sample of the oblivious routing on the given pairs
 /// (Definition 5.2): for each pair, `α` paths sampled with replacement
@@ -61,7 +60,7 @@ pub fn alpha_sample<O: ObliviousRouting + ?Sized, R: Rng>(
 
 /// An `(α + cut_G)`-sample (Definition 5.2): `α + cut_G(s, t)` draws per
 /// pair, where `cut_G(s, t)` is the unit-capacity minimum cut computed by
-/// Dinic. Cut values are memoized per unordered pair.
+/// Dinic. Cut values are memoized per unordered pair by [`CutCache`].
 ///
 /// # Panics
 ///
@@ -75,14 +74,11 @@ pub fn alpha_cut_sample<O: ObliviousRouting + ?Sized, R: Rng>(
     rng: &mut R,
 ) -> PathSystem {
     assert!(alpha >= 1, "alpha must be positive");
-    let mut cut_cache: HashMap<(VertexId, VertexId), u64> = HashMap::new();
+    let mut cuts = CutCache::new(graph);
     let mut ps = PathSystem::new();
     for &(s, t) in pairs {
         assert_ne!(s, t, "pairs must have distinct endpoints");
-        let key = (s.min(t), s.max(t));
-        let cut = *cut_cache
-            .entry(key)
-            .or_insert_with(|| min_cut_value(graph, s, t));
+        let cut = cuts.cut(s, t);
         assert!(cut >= 1, "graph disconnected between {s} and {t}");
         ps.insert_draws(s, t, |store, ids| {
             routing.sample_into(s, t, alpha + cut as usize, rng, store, ids);
@@ -111,6 +107,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssor_graph::generators;
+    use ssor_graph::maxflow::min_cut_value;
     use ssor_oblivious::{KspRouting, ValiantRouting};
 
     #[test]

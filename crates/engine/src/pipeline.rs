@@ -270,24 +270,6 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the topology (stage 1) on an existing description — the
-    /// churn hook: a serving rebuild loop holds one base pipeline and
-    /// rotates topologies (or seeds) across generations without
-    /// re-stating the rest of the configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::{Pipeline, TopologySpec};
-    /// let base = Pipeline::on(TopologySpec::Ring { n: 8 }).alpha(3);
-    /// let p = base.clone().with_topology(TopologySpec::Ring { n: 10 });
-    /// assert_eq!(p.prepare(&Default::default()).graph().n(), 10);
-    /// ```
-    pub fn with_topology(mut self, topology: TopologySpec) -> Pipeline {
-        self.topology = topology;
-        self
-    }
-
     /// Sets the sparsity budget `α` (stage 3).
     ///
     /// # Examples
@@ -648,6 +630,12 @@ impl Pipeline {
     /// [`template`](crate::FailureSweepReport::template) stats record
     /// that single build (or cache share).
     ///
+    /// The trials are sharded across the [`crate::sweep`] scheduler
+    /// (each trial is one cell) at the ambient rayon worker count.
+    /// Because every trial's RNG stream is derived from
+    /// `(seed, trial, attempt)` alone and records are assembled in trial
+    /// order, the report is bit-identical at every worker count.
+    ///
     /// # Panics
     ///
     /// Panics if the demand batch is empty or `k_failures >= m`.
@@ -670,24 +658,6 @@ impl Pipeline {
         cache: &PathSystemCache,
         k_failures: usize,
         trials: usize,
-    ) -> FailureSweepReport {
-        self.failure_sweep_sharded(cache, k_failures, trials, None)
-    }
-
-    /// [`Pipeline::failure_sweep`] with an explicit worker count: the
-    /// trials are sharded across the [`crate::sweep`] scheduler (each
-    /// trial is one cell), `threads = None` follows the ambient rayon
-    /// setting and `Some(n)` pins it for this sweep. Because every
-    /// trial's RNG stream is derived from `(seed, trial, attempt)` alone
-    /// and records are assembled in trial order, the report is
-    /// bit-identical at every worker count — and to the serial
-    /// implementation this rewires.
-    pub fn failure_sweep_sharded(
-        &self,
-        cache: &PathSystemCache,
-        k_failures: usize,
-        trials: usize,
-        threads: Option<usize>,
     ) -> FailureSweepReport {
         let clock = Stopwatch::start();
         let prepared = self.prepare(cache);
@@ -721,11 +691,7 @@ impl Pipeline {
         // their own `derive_seed`-based derivation (see
         // `draw_failures`), unchanged from the serial implementation.
         let cells = sweep::cells(0..trials);
-        let opts = SweepOptions {
-            master_seed: self.seed,
-            threads,
-            ..SweepOptions::default()
-        };
+        let opts = SweepOptions::default().seed(self.seed);
         let outcome = sweep::run_sweep(&cells, &opts, |cell, _cell_seed| {
             let trial = cell.payload;
             let mut sub = g.sub_topology();

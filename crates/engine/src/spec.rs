@@ -10,13 +10,12 @@ use crate::gravity::GravityModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssor_flow::Demand;
-use ssor_graph::{generators, Graph, Preconditioner, VertexId};
+use ssor_graph::{generators, Graph, VertexId};
 use ssor_lowerbound::adversary::find_adversarial_demand;
 use ssor_lowerbound::graphs::{c_graph, CGraphMeta};
 use ssor_oblivious::{
-    BitFixingRouting, EcmpRouting, ElectricalOptions, ElectricalRouting, KspRouting,
-    ObliviousRouting, RaeckeOptions, RaeckeRouting, RandomWalkRouting, ShortestPathRouting,
-    ValiantRouting, VlbRouting,
+    BitFixingRouting, EcmpRouting, ElectricalRouting, KspRouting, ObliviousRouting, RaeckeOptions,
+    RaeckeRouting, RandomWalkRouting, ShortestPathRouting, ValiantRouting, VlbRouting,
 };
 use std::sync::Arc;
 
@@ -314,14 +313,9 @@ pub enum TemplateSpec {
     /// Equal-cost multi-path over shortest-path DAGs.
     Ecmp,
     /// Electrical-flow (effective-resistance) routing: all per-source
-    /// potentials precomputed at build time via preconditioned CG
+    /// potentials precomputed at build time via Jacobi-preconditioned CG
     /// (`O(n)` Laplacian solves, rayon-batched, bit-stable).
-    Electrical {
-        /// CG convergence threshold (relative residual).
-        tolerance: Param,
-        /// Preconditioner the solves run under.
-        preconditioner: Preconditioner,
-    },
+    Electrical,
     /// Oblivious routing via truncated uniform random walks
     /// (Schapira–Shahaf), the cheap sampling baseline.
     RandomWalk {
@@ -349,25 +343,6 @@ impl TemplateSpec {
         TemplateSpec::Raecke {
             iterations: d.iterations,
             epsilon: d.epsilon.into(),
-        }
-    }
-
-    /// Electrical routing with its default solver options.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::TemplateSpec;
-    /// assert!(matches!(
-    ///     TemplateSpec::electrical(),
-    ///     TemplateSpec::Electrical { .. }
-    /// ));
-    /// ```
-    pub fn electrical() -> TemplateSpec {
-        let d = ElectricalOptions::default();
-        TemplateSpec::Electrical {
-            tolerance: d.tolerance.into(),
-            preconditioner: d.preconditioner,
         }
     }
 
@@ -419,19 +394,10 @@ impl TemplateSpec {
             TemplateSpec::Ksp { k } => Arc::new(KspRouting::new(g, k)),
             TemplateSpec::ShortestPath => Arc::new(ShortestPathRouting::new(g)),
             TemplateSpec::Ecmp => Arc::new(EcmpRouting::new(g)),
-            TemplateSpec::Electrical {
-                tolerance,
-                preconditioner,
-            } => {
-                let opts = ElectricalOptions {
-                    tolerance: tolerance.value(),
-                    preconditioner,
-                };
-                // Eager all-source precompute: the engine treats
-                // templates as all-pairs objects, and the batched build
-                // records a stage profile like the tree templates.
-                Arc::new(ElectricalRouting::with_options(g, opts).precomputed())
-            }
+            // Eager all-source precompute: the engine treats templates as
+            // all-pairs objects, and the batched build records a stage
+            // profile like the tree templates.
+            TemplateSpec::Electrical => Arc::new(ElectricalRouting::new(g).precomputed()),
             TemplateSpec::RandomWalk { walks, max_len } => {
                 // `RandomWalkRouting` derives its per-pair streams from
                 // `seed` through `derive_seed` under a scheme tag.
@@ -1077,7 +1043,7 @@ mod tests {
             TemplateSpec::Ksp { k: 3 },
             TemplateSpec::ShortestPath,
             TemplateSpec::Ecmp,
-            TemplateSpec::electrical(),
+            TemplateSpec::Electrical,
             TemplateSpec::RandomWalk {
                 walks: 8,
                 max_len: 64,
@@ -1159,27 +1125,13 @@ mod tests {
         // and every knob must reach the hash (a knob outside the hash
         // silently aliases cache entries).
         assert_eq!(
-            spec_hash(&TemplateSpec::electrical()),
-            spec_hash(&TemplateSpec::electrical())
+            spec_hash(&TemplateSpec::Electrical),
+            spec_hash(&TemplateSpec::Electrical)
         );
-        assert_eq!(TemplateSpec::electrical(), TemplateSpec::electrical());
-        let jacobi = TemplateSpec::Electrical {
-            tolerance: 1e-10.into(),
-            preconditioner: Preconditioner::Jacobi,
-        };
-        let none = TemplateSpec::Electrical {
-            tolerance: 1e-10.into(),
-            preconditioner: Preconditioner::None,
-        };
-        let loose = TemplateSpec::Electrical {
-            tolerance: 1e-6.into(),
-            preconditioner: Preconditioner::Jacobi,
-        };
-        assert_ne!(jacobi, none);
-        assert_ne!(spec_hash(&jacobi), spec_hash(&none));
-        assert_ne!(jacobi, loose);
-        assert_ne!(spec_hash(&jacobi), spec_hash(&loose));
-
+        assert_ne!(
+            spec_hash(&TemplateSpec::Electrical),
+            spec_hash(&TemplateSpec::Ecmp)
+        );
         let rw = TemplateSpec::RandomWalk {
             walks: 16,
             max_len: 64,
@@ -1221,7 +1173,7 @@ mod tests {
     fn electrical_spec_build_precomputes_and_reports_stats() {
         let topo = TopologySpec::Grid { rows: 3, cols: 3 };
         let g = topo.build_graph();
-        let t = TemplateSpec::electrical().build(&topo, &g, 0);
+        let t = TemplateSpec::Electrical.build(&topo, &g, 0);
         let profile = t.build_profile().expect("electrical build records stages");
         assert_eq!(profile.stages(), [("metric", profile.total())]);
     }

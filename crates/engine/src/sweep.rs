@@ -140,8 +140,12 @@ pub fn grid(
     out
 }
 
+/// Bound of the worker→writer channel: how many finished cells may be in
+/// flight before workers block on the journal writer.
+const CHANNEL_CAPACITY: usize = 64;
+
 /// Scheduler configuration for [`run_sweep`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Master seed: cell `i` evaluates under
     /// `ssor_graph::derive_seed(master_seed, i)`.
@@ -150,27 +154,12 @@ pub struct SweepOptions {
     /// sweep still streams through the channel, results are only kept in
     /// memory).
     pub journal: Option<PathBuf>,
-    /// Bound of the worker→writer channel: how many finished cells may
-    /// be in flight before workers block on the journal writer.
-    pub channel_capacity: usize,
     /// Worker count. `None` follows the ambient rayon setting
     /// (`RAYON_NUM_THREADS` / available parallelism); `Some(n)` pins it
     /// for this sweep regardless of the environment.
     pub threads: Option<usize>,
     /// Emit a progress line to stderr as each cell completes.
     pub progress: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            master_seed: 0,
-            journal: None,
-            channel_capacity: 64,
-            threads: None,
-            progress: false,
-        }
-    }
 }
 
 impl SweepOptions {
@@ -369,7 +358,7 @@ where
         }
     } else {
         let counter = AtomicUsize::new(0);
-        let (tx, rx) = sync_channel::<(u64, String, R)>(opts.channel_capacity.max(1));
+        let (tx, rx) = sync_channel::<(u64, String, R)>(CHANNEL_CAPACITY);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {

@@ -1,5 +1,5 @@
 //! Sparse graph-Laplacian linear algebra: a CSR-backed operator apply
-//! and a preconditioned conjugate-gradient solver.
+//! and a Jacobi-preconditioned conjugate-gradient solver.
 //!
 //! The electrical-flow template ([`ssor-oblivious`]'s
 //! `ElectricalRouting`) reduces to solving `L ψ = b` many times over the
@@ -10,12 +10,14 @@
 //!   weight arrays, so every CG iteration sweeps two dense arrays
 //!   instead of re-walking `Graph::edges` — the same CSR discipline the
 //!   shortest-path layer adopted in PR 2;
-//! * [`CsrLaplacian::solve`] runs conjugate gradients with an optional
-//!   Jacobi (inverse-degree) [`Preconditioner`], keeping iterates
-//!   orthogonal to the all-ones kernel; every reduction (dot products,
-//!   kernel projections) is a serial left-to-right fold, so the returned
-//!   potentials are a pure function of `(operator, rhs, options)` —
-//!   bit-stable across runs and thread counts;
+//! * [`CsrLaplacian::solve`] runs conjugate gradients under Jacobi
+//!   (inverse weighted degree) preconditioning, which on irregular-degree
+//!   topologies (Waxman WANs, Clos fabrics with parallel uplinks) cuts
+//!   iteration counts severalfold, keeping iterates orthogonal to the
+//!   all-ones kernel; every reduction (dot products, kernel projections)
+//!   is a serial left-to-right fold, so the returned potentials are a
+//!   pure function of `(operator, rhs, tol, max_iters)` — bit-stable
+//!   across runs and thread counts;
 //! * [`CsrLaplacian::solve_batch`] fans independent right-hand sides out
 //!   over rayon workers via [`crate::par_ordered_map`], collected in
 //!   input order — the multi-RHS shape the per-source electrical
@@ -32,22 +34,6 @@
 
 use crate::graph::{Graph, VertexId};
 use crate::par::par_ordered_map;
-
-/// Which preconditioner [`CsrLaplacian::solve`] applies.
-///
-/// Hashable and bit-stable, so engine specs can carry it as a cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum Preconditioner {
-    /// No preconditioning: plain conjugate gradients.
-    None,
-    /// Jacobi (diagonal) scaling by inverse weighted degree — one
-    /// multiply per entry per iteration, and on the irregular-degree
-    /// topologies (Waxman WANs, Clos fabrics with parallel uplinks) it
-    /// cuts iteration counts severalfold. The default.
-    #[default]
-    Jacobi,
-}
 
 /// One converged (or iteration-capped) Laplacian solve.
 #[derive(Debug, Clone)]
@@ -71,14 +57,14 @@ pub struct LaplacianSolve {
 /// # Examples
 ///
 /// ```
-/// use ssor_graph::{CsrLaplacian, Graph, Preconditioner};
+/// use ssor_graph::{CsrLaplacian, Graph};
 ///
 /// // Path 0-1-2 with unit conductances: solving L ψ = e_0 − e_2 gives
 /// // potential drop 2 (series resistances add).
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
 /// let lap = CsrLaplacian::new(&g, &[1.0, 1.0]);
 /// let b = vec![1.0, 0.0, -1.0];
-/// let s = lap.solve(&b, Preconditioner::Jacobi, 1e-10, 100);
+/// let s = lap.solve(&b, 1e-10, 100);
 /// assert!((s.potentials[0] - s.potentials[2] - 2.0).abs() < 1e-8);
 /// ```
 #[derive(Debug, Clone)]
@@ -164,8 +150,8 @@ impl CsrLaplacian {
         }
     }
 
-    /// Solves `L ψ = b` by (preconditioned) conjugate gradients on the
-    /// pseudo-inverse, returning mean-centered potentials.
+    /// Solves `L ψ = b` by Jacobi-preconditioned conjugate gradients on
+    /// the pseudo-inverse, returning mean-centered potentials.
     ///
     /// Converged when `‖r‖₂ ≤ tol · ‖b‖₂`; capped at `max_iters`
     /// iterations. Every reduction is a serial left-to-right fold, so
@@ -177,13 +163,7 @@ impl CsrLaplacian {
     /// kernel *relative to its own scale* (`|Σb| > 1e-6 · ‖b‖₁` — an
     /// absolute threshold here would reject legitimately scaled demand
     /// vectors while passing tiny vectors with 100% drift).
-    pub fn solve(
-        &self,
-        b: &[f64],
-        precond: Preconditioner,
-        tol: f64,
-        max_iters: usize,
-    ) -> LaplacianSolve {
+    pub fn solve(&self, b: &[f64], tol: f64, max_iters: usize) -> LaplacianSolve {
         let n = self.n();
         assert_eq!(b.len(), n);
         let bsum: f64 = b.iter().sum();
@@ -199,15 +179,12 @@ impl CsrLaplacian {
             x.iter_mut().for_each(|v| *v -= mean);
         };
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
-        let apply_precond = |r: &[f64], z: &mut [f64]| match precond {
-            Preconditioner::None => z.copy_from_slice(r),
-            Preconditioner::Jacobi => {
-                for ((zi, ri), d) in z.iter_mut().zip(r).zip(&self.diag) {
-                    // Isolated vertices have zero degree; their
-                    // component of any kernel-orthogonal rhs is 0 too,
-                    // so passing it through unscaled is exact.
-                    *zi = if *d > 0.0 { ri / d } else { *ri };
-                }
+        let apply_precond = |r: &[f64], z: &mut [f64]| {
+            for ((zi, ri), d) in z.iter_mut().zip(r).zip(&self.diag) {
+                // Isolated vertices have zero degree; their component of
+                // any kernel-orthogonal rhs is 0 too, so passing it
+                // through unscaled is exact.
+                *zi = if *d > 0.0 { ri / d } else { *ri };
             }
         };
 
@@ -264,16 +241,8 @@ impl CsrLaplacian {
     /// workers via [`par_ordered_map`] and returned in input order —
     /// bit-identical to a serial sweep at any thread count. The
     /// multi-RHS shape of the per-source electrical template build.
-    pub fn solve_batch(
-        &self,
-        rhs: &[Vec<f64>],
-        precond: Preconditioner,
-        tol: f64,
-        max_iters: usize,
-    ) -> Vec<LaplacianSolve> {
-        par_ordered_map(rhs, BATCH_PAR_MIN_RHS, |b| {
-            self.solve(b, precond, tol, max_iters)
-        })
+    pub fn solve_batch(&self, rhs: &[Vec<f64>], tol: f64, max_iters: usize) -> Vec<LaplacianSolve> {
+        par_ordered_map(rhs, BATCH_PAR_MIN_RHS, |b| self.solve(b, tol, max_iters))
     }
 }
 
@@ -322,36 +291,10 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let lap = CsrLaplacian::new(&g, &[1.0, 2.0, 4.0]);
         let b = vec![1.0, 0.0, 0.0, -1.0];
-        for precond in [Preconditioner::None, Preconditioner::Jacobi] {
-            let s = lap.solve(&b, precond, 1e-12, 200);
-            // R = 1 + 1/2 + 1/4.
-            let r = s.potentials[0] - s.potentials[3];
-            assert!((r - 1.75).abs() < 1e-9, "{precond:?}: got {r}");
-        }
-    }
-
-    #[test]
-    fn jacobi_converges_in_fewer_iterations_on_irregular_graphs() {
-        let (g, _, _) = generators::waxman_connected(120, 0.4, 0.25, 3, 16);
-        let w: Vec<f64> = (0..g.m()).map(|e| 1.0 + (e % 9) as f64).collect();
-        let lap = CsrLaplacian::new(&g, &w);
-        let mut b = vec![0.0; g.n()];
-        b[0] = 1.0;
-        b[g.n() - 1] = -1.0;
-        let plain = lap.solve(&b, Preconditioner::None, 1e-10, 10_000);
-        let jacobi = lap.solve(&b, Preconditioner::Jacobi, 1e-10, 10_000);
-        assert!(plain.relative_residual <= 1e-10);
-        assert!(jacobi.relative_residual <= 1e-10);
-        assert!(
-            jacobi.iterations < plain.iterations,
-            "jacobi {} vs plain {}",
-            jacobi.iterations,
-            plain.iterations
-        );
-        // Both converge to the same potentials (up to the tolerance).
-        for v in 0..g.n() {
-            assert!((plain.potentials[v] - jacobi.potentials[v]).abs() < 1e-6);
-        }
+        let s = lap.solve(&b, 1e-12, 200);
+        // R = 1 + 1/2 + 1/4.
+        let r = s.potentials[0] - s.potentials[3];
+        assert!((r - 1.75).abs() < 1e-9, "got {r}");
     }
 
     #[test]
@@ -362,13 +305,13 @@ mod tests {
         let mut big = vec![0.0; 6];
         big[0] = 1e300;
         big[3] = -1e300;
-        let s = lap.solve(&big, Preconditioner::Jacobi, 1e-10, 200);
+        let s = lap.solve(&big, 1e-10, 200);
         assert!(s.potentials.iter().all(|p| p.is_finite()));
         // Tiny rhs: denormal scale, still fine relative to itself.
         let mut tiny = vec![0.0; 6];
         tiny[0] = 1e-310;
         tiny[3] = -1e-310;
-        let s = lap.solve(&tiny, Preconditioner::Jacobi, 1e-10, 200);
+        let s = lap.solve(&tiny, 1e-10, 200);
         assert_eq!(s.potentials.len(), 6);
     }
 
@@ -379,7 +322,7 @@ mod tests {
         // `|Σb| < 1e-6` check passed this silently.
         let g = generators::ring(4);
         let lap = CsrLaplacian::new(&g, &vec![1.0; g.m()]);
-        lap.solve(&[1e-9, 1e-9, 0.0, 0.0], Preconditioner::None, 1e-10, 10);
+        lap.solve(&[1e-9, 1e-9, 0.0, 0.0], 1e-10, 10);
     }
 
     #[test]
@@ -395,9 +338,9 @@ mod tests {
                 b
             })
             .collect();
-        let batch = lap.solve_batch(&rhs, Preconditioner::Jacobi, 1e-10, 500);
+        let batch = lap.solve_batch(&rhs, 1e-10, 500);
         for (b, got) in rhs.iter().zip(&batch) {
-            let serial = lap.solve(b, Preconditioner::Jacobi, 1e-10, 500);
+            let serial = lap.solve(b, 1e-10, 500);
             assert_eq!(serial.iterations, got.iterations);
             for v in 0..n {
                 assert_eq!(serial.potentials[v].to_bits(), got.potentials[v].to_bits());

@@ -74,7 +74,7 @@ mod subtopology;
 pub use csr::{Adjacency, Csr, EdgeView, FullTopology};
 pub use dist::{normalize_run, Distributions};
 pub use graph::{Arc, EdgeId, Graph, VertexId};
-pub use laplacian::{CsrLaplacian, LaplacianSolve, Preconditioner};
+pub use laplacian::{CsrLaplacian, LaplacianSolve};
 pub use load::EdgeLoads;
 pub use par::{derive_seed, par_ordered_map};
 pub use path::{all_distinct, Path, ShortcutWalk};

@@ -236,24 +236,6 @@ impl RouteTable {
         }
         true
     }
-
-    /// Draws `alpha` paths for `(s, t)` into a fresh `Vec` (convenience
-    /// over [`RouteTable::sample_alpha_into`]). `None` when the pair is
-    /// not in the table; the RNG is not consumed in that case.
-    pub fn sample_alpha<R: Rng + ?Sized>(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        alpha: usize,
-        rng: &mut R,
-    ) -> Option<Vec<PathId>> {
-        let mut out = Vec::with_capacity(alpha);
-        if self.sample_alpha_into(s, t, alpha, rng, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
 }
 
 /// The pinned CDF draw over one pair's aligned slices: first index
@@ -394,16 +376,16 @@ mod tests {
         assert!(table.path_ids(0, 1).is_none());
         assert!(table.cdf(2, 0).is_none());
         assert!(table.sample_with(3, 1, 0.5).is_none());
-        assert!(table
-            .sample_alpha(1, 0, 3, &mut StdRng::seed_from_u64(0))
-            .is_none());
+        let mut out = Vec::new();
+        assert!(!table.sample_alpha_into(1, 0, 3, &mut StdRng::seed_from_u64(0), &mut out));
     }
 
     #[test]
     fn sample_alpha_consumes_one_deviate_per_draw() {
         let (table, _, _) = two_path_table();
         let mut rng = StdRng::seed_from_u64(9);
-        let draws = table.sample_alpha(0, 2, 4, &mut rng).unwrap();
+        let mut draws = Vec::new();
+        assert!(table.sample_alpha_into(0, 2, 4, &mut rng, &mut draws));
         // Replay the identical stream by hand.
         let mut replay = StdRng::seed_from_u64(9);
         let by_hand: Vec<PathId> = (0..4)
@@ -422,9 +404,8 @@ mod tests {
         assert!(out.is_empty());
         assert!(table.sample_alpha_into(0, 2, 4, &mut rng, &mut out));
         assert_eq!(out.len(), 4);
-        let expected = table
-            .sample_alpha(0, 2, 4, &mut StdRng::seed_from_u64(11))
-            .unwrap();
+        let mut expected = Vec::new();
+        table.sample_alpha_into(0, 2, 4, &mut StdRng::seed_from_u64(11), &mut expected);
         assert_eq!(out, expected, "the failed lookup left the stream intact");
     }
 

@@ -87,11 +87,6 @@ impl KspRouting {
             k,
         }
     }
-
-    /// Number of candidate paths per pair.
-    pub fn k(&self) -> usize {
-        self.k
-    }
 }
 
 impl ObliviousRouting for KspRouting {

@@ -18,11 +18,10 @@
 //! potentials by superposition: `L (ψ_s − ψ_t) = e_s − e_t`, so the
 //! `s → t` current falls out of the difference `ψ_s − ψ_t` with no
 //! further solve. An all-pairs template costs `n` solves, each running
-//! on [`ssor_graph::CsrLaplacian`]'s preconditioned CG (Jacobi by
-//! default) instead of the old unpreconditioned `Graph::edges`-walking
-//! loop, and independent sources fan out over rayon via
+//! on [`ssor_graph::CsrLaplacian`]'s Jacobi-preconditioned CG, and
+//! independent sources fan out over rayon via
 //! `CsrLaplacian::solve_batch` — input-order collected, so builds are
-//! bit-identical at any thread count (the PR 5 discipline).
+//! bit-identical at any thread count.
 //!
 //! The original per-pair solver survives in the tests as the
 //! slow-but-simple reference the per-source path is checked against.
@@ -30,7 +29,7 @@
 use crate::traits::ObliviousRouting;
 use ssor_flow::decompose::{decompose, EdgeFlow};
 use ssor_graph::obs::{StageProfile, Stopwatch};
-use ssor_graph::{CsrLaplacian, Distributions, Graph, Preconditioner, VertexId};
+use ssor_graph::{CsrLaplacian, Distributions, Graph, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -39,7 +38,7 @@ use std::sync::{Arc, Mutex};
 /// The Laplacian of a disconnected graph has a larger kernel than the
 /// all-ones vector, so "the" electrical flow between components does not
 /// exist — the solver would silently return an arbitrary vector instead
-/// of a routing. [`ElectricalRouting::try_with_options`] surfaces that
+/// of a routing. [`ElectricalRouting::try_new`] surfaces that
 /// as a proper error rather than asserting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElectricalError {
@@ -60,27 +59,9 @@ impl std::fmt::Display for ElectricalError {
 
 impl std::error::Error for ElectricalError {}
 
-/// Solver knobs for [`ElectricalRouting`] — carried by
-/// `TemplateSpec::Electrical` in the engine, so both fields must stay a
-/// pure function of the spec.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ElectricalOptions {
-    /// CG convergence threshold: stop when `‖r‖₂ ≤ tolerance · ‖b‖₂`.
-    pub tolerance: f64,
-    /// Which preconditioner the solves run under.
-    pub preconditioner: Preconditioner,
-}
-
-impl Default for ElectricalOptions {
-    /// `tolerance = 1e-10`, Jacobi preconditioning — the settings every
-    /// pre-existing electrical test was calibrated against.
-    fn default() -> Self {
-        ElectricalOptions {
-            tolerance: 1e-10,
-            preconditioner: Preconditioner::Jacobi,
-        }
-    }
-}
+/// CG convergence threshold of every potential solve: stop when
+/// `‖r‖₂ ≤ TOLERANCE · ‖b‖₂`.
+const TOLERANCE: f64 = 1e-10;
 
 /// Oblivious routing along unit electrical flows (unit conductance on
 /// every edge).
@@ -108,7 +89,6 @@ impl Default for ElectricalOptions {
 pub struct ElectricalRouting {
     graph: Graph,
     lap: CsrLaplacian,
-    opts: ElectricalOptions,
     /// Per-source potentials, filled lazily or by
     /// [`Self::precomputed`]. Vertex-indexed (no hash container), so
     /// cache hits are an array load.
@@ -121,13 +101,8 @@ pub struct ElectricalRouting {
 }
 
 impl ElectricalRouting {
-    /// Unit conductances with custom solver options, or
+    /// Unit conductances on every edge, or
     /// [`ElectricalError::Disconnected`] when no electrical flow exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is not finite and positive (a caller bug,
-    /// unlike disconnection, which can be a property of the data).
     ///
     /// # Examples
     ///
@@ -137,15 +112,11 @@ impl ElectricalRouting {
     ///
     /// let split = Graph::from_edges(4, &[(0, 1), (2, 3)]);
     /// assert_eq!(
-    ///     ElectricalRouting::try_with_options(&split, Default::default()).unwrap_err(),
+    ///     ElectricalRouting::try_new(&split).unwrap_err(),
     ///     ElectricalError::Disconnected,
     /// );
     /// ```
-    pub fn try_with_options(g: &Graph, opts: ElectricalOptions) -> Result<Self, ElectricalError> {
-        assert!(
-            opts.tolerance > 0.0 && opts.tolerance.is_finite(),
-            "tolerance must be finite and positive"
-        );
+    pub fn try_new(g: &Graph) -> Result<Self, ElectricalError> {
         if !g.is_connected() {
             return Err(ElectricalError::Disconnected);
         }
@@ -153,31 +124,20 @@ impl ElectricalRouting {
         Ok(ElectricalRouting {
             graph: g.clone(),
             lap,
-            opts,
             potentials: Mutex::new(vec![None; g.n()]),
             solves: AtomicUsize::new(0),
             profile: None,
         })
     }
 
-    /// Unit conductances on every edge, default solver options.
+    /// Unit conductances on every edge.
     ///
     /// # Panics
     ///
     /// Panics if the graph is disconnected (use
-    /// [`ElectricalRouting::try_with_options`] to handle that as an
-    /// error).
+    /// [`ElectricalRouting::try_new`] to handle that as an error).
     pub fn new(g: &Graph) -> Self {
-        Self::with_options(g, ElectricalOptions::default())
-    }
-
-    /// Unit conductances with custom solver options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is disconnected or the options are invalid.
-    pub fn with_options(g: &Graph, opts: ElectricalOptions) -> Self {
-        Self::try_with_options(g, opts).expect("electrical routing needs a connected graph")
+        Self::try_new(g).expect("electrical routing needs a connected graph")
     }
 
     /// Laplacian solves performed so far (lazy and precomputed alike) —
@@ -204,12 +164,7 @@ impl ElectricalRouting {
         let n = self.graph.n();
         let clock = Stopwatch::start();
         let rhs: Vec<Vec<f64>> = sources.iter().map(|&s| source_rhs(n, s)).collect();
-        let solved = self.lap.solve_batch(
-            &rhs,
-            self.opts.preconditioner,
-            self.opts.tolerance,
-            4 * n + 200,
-        );
+        let solved = self.lap.solve_batch(&rhs, TOLERANCE, 4 * n + 200);
         let wall = clock.elapsed();
         self.solves.fetch_add(sources.len(), Ordering::Relaxed);
         {
@@ -235,12 +190,7 @@ impl ElectricalRouting {
         let n = self.graph.n();
         let b = source_rhs(n, s);
         self.solves.fetch_add(1, Ordering::Relaxed);
-        let sol = self.lap.solve(
-            &b,
-            self.opts.preconditioner,
-            self.opts.tolerance,
-            4 * n + 200,
-        );
+        let sol = self.lap.solve(&b, TOLERANCE, 4 * n + 200);
         let psi = Arc::new(sol.potentials);
         let mut cache = self.potentials.lock().expect("potentials cache lock");
         let slot = &mut cache[s as usize];
@@ -432,7 +382,7 @@ mod tests {
     fn disconnected_graphs_are_a_proper_error() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         assert_eq!(
-            ElectricalRouting::try_with_options(&g, ElectricalOptions::default()).unwrap_err(),
+            ElectricalRouting::try_new(&g).unwrap_err(),
             ElectricalError::Disconnected
         );
         // The panicking constructor still panics, with a telling message.
@@ -491,6 +441,28 @@ mod tests {
                 assert_eq!(wa.to_bits(), wb.to_bits());
             }
         }
+        // Pinned weights: no golden report runs this template, so a
+        // drift in `TOLERANCE` or the Jacobi solve would otherwise pass
+        // silently. The 30 Waxman weights are pinned as an FNV-1a fold.
+        let wax = pre.path_distribution(0, 29);
+        assert_eq!(wax.len(), 30);
+        let fold = wax.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, (_, w)| {
+            (h ^ w.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(fold, 0x7b58_6291_3fdc_d1a8);
+        let grid = ElectricalRouting::new(&generators::grid(4, 4)).path_distribution(0, 15);
+        let bits: Vec<u64> = grid.iter().map(|(_, w)| w.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3fcb_6db6_db6d_b6dd,
+                0x3fcb_6db6_db6d_b6dd,
+                0x3fc2_4924_9249_2494,
+                0x3fc2_4924_9249_2493,
+                0x3fc2_4924_9249_2490,
+                0x3fc2_4924_9249_248e,
+            ]
+        );
     }
 
     #[test]
@@ -522,21 +494,5 @@ mod tests {
             let b = effective_resistance(&g, &w, s, t);
             assert!((a - b).abs() < 1e-8, "grid R({s},{t}): {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn options_are_respected() {
-        let g = generators::grid(3, 3);
-        let loose = ElectricalRouting::with_options(
-            &g,
-            ElectricalOptions {
-                tolerance: 1e-4,
-                preconditioner: Preconditioner::None,
-            },
-        );
-        assert_eq!(loose.opts.preconditioner, Preconditioner::None);
-        // Both settings still produce a valid routing.
-        validate_oblivious_routing(&loose, &[(0, 8), (2, 6)])
-            .expect("loose-tolerance electrical routing must validate");
     }
 }

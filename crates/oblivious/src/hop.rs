@@ -86,11 +86,6 @@ impl HopConstrainedRouting {
         }
     }
 
-    /// The hop-stretch `β` (paths stay within `β * h` when possible).
-    pub fn hop_stretch(&self) -> f64 {
-        self.hop_stretch
-    }
-
     /// Hop cap `β * h` (rounded up).
     fn cap(&self) -> usize {
         (self.hop_stretch * self.h as f64).ceil() as usize

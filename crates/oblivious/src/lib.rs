@@ -52,7 +52,7 @@ mod traits;
 mod valiant;
 
 pub use baselines::{EcmpRouting, KspRouting, ShortestPathRouting, VlbRouting};
-pub use electrical::{ElectricalError, ElectricalOptions, ElectricalRouting};
+pub use electrical::{ElectricalError, ElectricalRouting};
 pub use frt::{sample_tree_routings_seeded, tree_seed, FrtTree, Metric, TreeRouting};
 pub use hop::{HopConstrainedRouting, HopOptions};
 pub use raecke::{RaeckeOptions, RaeckeRouting};

@@ -77,16 +77,6 @@ impl RandomWalkRouting {
         }
     }
 
-    /// Walks per pair.
-    pub fn walks(&self) -> usize {
-        self.walks
-    }
-
-    /// Walk length cap.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
     /// One uniform random walk `s -> t`, shortcut to a simple path, or
     /// `None` if it fails to hit `t` within `max_len` steps.
     fn walk(&self, s: VertexId, t: VertexId, rng: &mut StdRng) -> Option<Path> {

@@ -84,11 +84,6 @@ impl ValiantRouting {
         }
     }
 
-    /// The hypercube dimension.
-    pub fn dim(&self) -> u32 {
-        self.dim
-    }
-
     /// The (simple) two-leg path through intermediate `w`.
     pub fn path_via(&self, s: VertexId, t: VertexId, w: VertexId) -> Path {
         self.with_walk(s, t, w, ShortcutWalk::to_path)

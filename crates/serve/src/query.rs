@@ -171,11 +171,6 @@ impl QueryPlane {
         self.alpha
     }
 
-    /// Worker threads per batch.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The generation the next batch would open on.
     pub fn generation(&self) -> u64 {
         self.cell.load().generation()

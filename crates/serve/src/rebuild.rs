@@ -15,7 +15,7 @@
 //! offline by rebuilding its generation and replaying the request.
 
 use crate::epoch::EpochCell;
-use ssor_engine::{PathSystemCache, Pipeline, TopologySpec};
+use ssor_engine::{PathSystemCache, Pipeline};
 use ssor_graph::{derive_seed, RouteTable};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,12 +30,6 @@ pub enum ChurnModel {
     TemplateSeedDrift {
         /// Master seed the per-generation seeds derive from.
         master_seed: u64,
-    },
-    /// Topology churn: generation `g` runs on `topologies[g % len]` —
-    /// link roll-outs, maintenance rotations.
-    TopologyCycle {
-        /// The rotation, applied round-robin by generation.
-        topologies: Vec<TopologySpec>,
     },
 }
 
@@ -54,8 +48,7 @@ pub enum ChurnModel {
 /// # Panics
 ///
 /// The closure panics if `base` uses an objective without a
-/// semi-oblivious router (no path system to freeze), or if a
-/// `TopologyCycle` rotation is empty.
+/// semi-oblivious router (no path system to freeze).
 ///
 /// # Examples
 ///
@@ -78,23 +71,11 @@ pub fn churned_source(
     base: Pipeline,
     churn: ChurnModel,
 ) -> impl FnMut(u64) -> RouteTable + Send + 'static {
-    if let ChurnModel::TopologyCycle { topologies } = &churn {
-        assert!(
-            !topologies.is_empty(),
-            "topology rotation must be non-empty"
-        );
-    }
+    let ChurnModel::TemplateSeedDrift { master_seed } = churn;
     move |generation| {
         cache.advance_generation();
-        let pipeline = match &churn {
-            ChurnModel::TemplateSeedDrift { master_seed } => {
-                base.clone().seed(derive_seed(*master_seed, generation))
-            }
-            ChurnModel::TopologyCycle { topologies } => base
-                .clone()
-                .with_topology(topologies[generation as usize % topologies.len()].clone()),
-        };
-        pipeline
+        base.clone()
+            .seed(derive_seed(master_seed, generation))
             .prepare(&cache)
             .route_table(generation)
             .expect("churned pipeline must sample a path system")
@@ -172,7 +153,7 @@ mod tests {
     use super::*;
     use crate::query::{answer_batch_on, Request};
     use crate::QueryPlane;
-    use ssor_engine::TemplateSpec;
+    use ssor_engine::{TemplateSpec, TopologySpec};
 
     fn base() -> Pipeline {
         Pipeline::on(TopologySpec::Ring { n: 8 })
@@ -197,24 +178,6 @@ mod tests {
         assert_eq!(cell.load().generation(), 3);
         assert_eq!(cell.epoch(), 3);
         assert!(cache.generation() >= 4, "each build advanced the cache");
-    }
-
-    #[test]
-    fn topology_cycle_rotates_and_stays_replayable() {
-        let cache = Arc::new(PathSystemCache::bounded(4));
-        let churn = ChurnModel::TopologyCycle {
-            topologies: vec![TopologySpec::Ring { n: 6 }, TopologySpec::Ring { n: 9 }],
-        };
-        let mut source = churned_source(Arc::clone(&cache), base(), churn.clone());
-        let g1 = source(1);
-        let g2 = source(2);
-        assert_eq!(g1.n(), 9, "generation 1 runs on topologies[1]");
-        assert_eq!(g2.n(), 6);
-        // Replay from an independent source instance: bit-identical.
-        let mut replay = churned_source(Arc::new(PathSystemCache::new()), base(), churn);
-        let r1 = replay(1);
-        assert_eq!(g1.path_ids(0, 5), r1.path_ids(0, 5));
-        assert_eq!(g1.cdf(0, 5), r1.cdf(0, 5));
     }
 
     #[test]

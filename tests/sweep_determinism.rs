@@ -80,20 +80,6 @@ fn failure_sweep_is_invariant_under_the_ambient_thread_count() {
 }
 
 #[test]
-fn failure_sweep_is_invariant_under_pinned_worker_counts() {
-    let _guard = env_lock();
-    let p = failure_pipeline();
-    let mut reports = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let cache = PathSystemCache::new();
-        let report = p.failure_sweep_sharded(&cache, 2, 4, Some(threads));
-        reports.push(serde_json::to_string(&report).unwrap());
-    }
-    assert_eq!(reports[0], reports[1], "1 vs 2 workers");
-    assert_eq!(reports[0], reports[2], "1 vs 8 workers");
-}
-
-#[test]
 fn alpha_grid_sweep_is_invariant_across_thread_counts() {
     let _guard = env_lock();
     let scenarios = [ScenarioSpec::HypercubeAdversarial { dim: 3 }];

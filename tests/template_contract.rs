@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssor::core::sample::all_pairs;
 use ssor::engine::{TemplateSpec, TopologySpec};
-use ssor::graph::{Distributions, Graph, Preconditioner, RouteTable, VertexId};
+use ssor::graph::{Distributions, Graph, RouteTable, VertexId};
 use ssor::oblivious::{validate_oblivious_routing, ObliviousRouting};
 
 /// One small instance of every variant.
@@ -29,10 +29,7 @@ fn every_spec() -> Vec<TemplateSpec> {
         TemplateSpec::Ksp { k: 3 },
         TemplateSpec::ShortestPath,
         TemplateSpec::Ecmp,
-        TemplateSpec::Electrical {
-            tolerance: 1e-10.into(),
-            preconditioner: Preconditioner::Jacobi,
-        },
+        TemplateSpec::Electrical,
         TemplateSpec::RandomWalk {
             walks: 6,
             max_len: 24,
