@@ -69,5 +69,5 @@ pub use pipeline::{EvalRecord, Objective, Pipeline, PreparedPipeline, RunReport}
 pub use spec::{
     DemandSpec, Param, ResolveCtx, ScenarioSpec, StreamModel, TemplateSpec, TopologySpec,
 };
-pub use stream::{DynamicReport, FailureSweepReport, FailureTrial, StreamReport, StreamStep};
+pub use stream::{FailureSweepReport, FailureTrial, StreamReport, StreamStep};
 pub use sweep::{run_sweep, CellRecord, SweepCell, SweepOptions, SweepOutcome};

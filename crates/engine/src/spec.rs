@@ -589,7 +589,7 @@ impl DemandSpec {
 /// started from the same numeric seed.
 const STREAM_MODEL_TAG: u64 = 0x57E4_3A11_D00D_FEED;
 
-/// How a [`ScenarioSpec::DemandStream`] evolves its demand over time.
+/// How a [`crate::Pipeline::stream`] evolves its demand over time.
 ///
 /// A model is a pure function of `(n, steps)` plus its stored seed, so
 /// the whole sequence is reproducible and hashable — a stream is a spec,
@@ -782,35 +782,6 @@ pub enum ScenarioSpec {
         /// Sparsity budget.
         alpha: usize,
     },
-    /// A random-link-failure sweep over a (static) base scenario: per
-    /// trial, `k_failures` edges are knocked out through a
-    /// `ssor_graph::SubTopology` mask (derived-seed retries keep the
-    /// damaged topology connected when possible), candidate paths
-    /// crossing dead edges are dropped, and the base demands re-route on
-    /// the survivors with a warm-started solve. Run with
-    /// [`ScenarioSpec::run_dynamic`] or
-    /// [`crate::Pipeline::failure_sweep`].
-    FailureSweep {
-        /// The scenario whose topology, template, and demands are swept.
-        base: Box<ScenarioSpec>,
-        /// Edges knocked out per trial.
-        k_failures: usize,
-        /// Number of independent trials.
-        trials: usize,
-    },
-    /// A time-evolving demand stream over a (static) base scenario's
-    /// topology and sampled path system: `steps` demands from `model`
-    /// are routed in sequence with warm-started incremental solves,
-    /// reported against a per-step cold-solve oracle. Run with
-    /// [`ScenarioSpec::run_dynamic`] or [`crate::Pipeline::stream`].
-    DemandStream {
-        /// The scenario whose topology and template serve the stream.
-        base: Box<ScenarioSpec>,
-        /// Number of stream steps.
-        steps: usize,
-        /// The demand evolution model.
-        model: StreamModel,
-    },
 }
 
 impl ScenarioSpec {
@@ -840,9 +811,6 @@ impl ScenarioSpec {
                 n: *n,
                 alpha: *alpha,
             },
-            ScenarioSpec::FailureSweep { base, .. } | ScenarioSpec::DemandStream { base, .. } => {
-                base.topology()
-            }
         }
     }
 
@@ -865,9 +833,6 @@ impl ScenarioSpec {
             // The lower bound is stated against any sparse system; KSP
             // gives the adversary a deterministic, inspectable support.
             ScenarioSpec::LowerBound { alpha, .. } => TemplateSpec::Ksp { k: (alpha + 1) * 2 },
-            ScenarioSpec::FailureSweep { base, .. } | ScenarioSpec::DemandStream { base, .. } => {
-                base.template()
-            }
         }
     }
 
@@ -917,11 +882,6 @@ impl ScenarioSpec {
             ScenarioSpec::LowerBound { .. } => {
                 vec![("adversarial".into(), DemandSpec::AdversarialLowerBound)]
             }
-            // The sweep re-routes the base demands per trial; the stream
-            // generates its own sequence and ignores the batch.
-            ScenarioSpec::FailureSweep { base, .. } | ScenarioSpec::DemandStream { base, .. } => {
-                base.demands()
-            }
         }
     }
 
@@ -946,49 +906,6 @@ impl ScenarioSpec {
         match self {
             ScenarioSpec::LowerBound { alpha, .. } => p.alpha(*alpha),
             _ => p,
-        }
-    }
-
-    /// Runs a dynamic scenario ([`ScenarioSpec::FailureSweep`] or
-    /// [`ScenarioSpec::DemandStream`]) end to end through `cache`;
-    /// returns `None` for static scenarios (use
-    /// [`ScenarioSpec::pipeline`] + `run` for those).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssor_engine::{ScenarioSpec, StreamModel};
-    ///
-    /// let stream = ScenarioSpec::DemandStream {
-    ///     base: Box::new(ScenarioSpec::HypercubeAdversarial { dim: 3 }),
-    ///     steps: 3,
-    ///     model: StreamModel::BurstyOnOff {
-    ///         pairs: 4,
-    ///         rate: 1.0.into(),
-    ///         p_on: 0.6.into(),
-    ///         p_off: 0.3.into(),
-    ///         seed: 1,
-    ///     },
-    /// };
-    /// let report = stream.run_dynamic(&Default::default()).unwrap();
-    /// match report {
-    ///     ssor_engine::DynamicReport::Stream(s) => assert_eq!(s.steps.len(), 3),
-    ///     _ => unreachable!(),
-    /// }
-    /// ```
-    pub fn run_dynamic(&self, cache: &crate::PathSystemCache) -> Option<crate::DynamicReport> {
-        match self {
-            ScenarioSpec::FailureSweep {
-                base,
-                k_failures,
-                trials,
-            } => Some(crate::DynamicReport::Failures(
-                base.pipeline().failure_sweep(cache, *k_failures, *trials),
-            )),
-            ScenarioSpec::DemandStream { base, steps, model } => Some(
-                crate::DynamicReport::Stream(base.pipeline().stream(cache, *steps, model)),
-            ),
-            _ => None,
         }
     }
 }

@@ -167,13 +167,3 @@ impl FailureSweepReport {
         self.trials.iter().map(|t| t.stranded).sum()
     }
 }
-
-/// The report of a dynamic scenario run (see
-/// [`crate::ScenarioSpec::run_dynamic`]).
-#[derive(Debug, Clone)]
-pub enum DynamicReport {
-    /// A [`crate::ScenarioSpec::DemandStream`] run.
-    Stream(StreamReport),
-    /// A [`crate::ScenarioSpec::FailureSweep`] run.
-    Failures(FailureSweepReport),
-}

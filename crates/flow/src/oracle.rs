@@ -60,8 +60,8 @@
 //! at initialization, and reports their demand mass as *stranded* (see
 //! `MinCongSolution::stranded`).
 
-use ssor_graph::shortest_path::{dijkstra_targets_csr, DijkstraWorkspace};
-use ssor_graph::{par_ordered_map, Csr, EdgeId, Graph, PathId, PathStore, PathSystem, VertexId};
+use ssor_graph::shortest_path::{dijkstra_targets, DijkstraWorkspace};
+use ssor_graph::{par_ordered_map, EdgeId, Graph, PathId, PathStore, PathSystem, VertexId};
 
 /// Oracle answering "cheapest usable path per pair" under edge weights.
 pub trait PathOracle {
@@ -181,41 +181,40 @@ impl PathOracle for CandidateOracle<'_> {
 /// optional edge-usability mask as configuration.
 ///
 /// Queries are grouped by source so each distinct source costs one
-/// Dijkstra sweep over a CSR adjacency built once for the whole solve,
-/// stopped as soon as that source's targets are settled. Sources are cut
-/// into contiguous blocks that fan out over rayon workers, one reusable
-/// workspace per block, and merge back in deterministic source order (see
-/// the module docs). With a mask ([`AllPathsOracle::masked`]) dead edges
-/// get infinite length in the same sweep — edge ids and traversal order
-/// stay identical to the unmasked oracle, no graph is rebuilt, and no ids
+/// Dijkstra sweep over the borrowed graph's adjacency, stopped as soon
+/// as that source's targets are settled. Sources are cut into contiguous
+/// blocks that fan out over rayon workers, one reusable workspace per
+/// block, and merge back in deterministic source order (see the module
+/// docs). With a mask ([`AllPathsOracle::masked`]) dead edges get
+/// infinite length in the same sweep — edge ids and traversal order stay
+/// identical to the unmasked oracle, no graph is rebuilt, and no ids
 /// shift.
 #[derive(Debug)]
-pub struct AllPathsOracle {
-    csr: Csr,
+pub struct AllPathsOracle<'a> {
+    graph: &'a Graph,
     usable: Option<Vec<bool>>,
 }
 
-impl AllPathsOracle {
+impl<'a> AllPathsOracle<'a> {
     /// Creates an oracle over the whole (intact) graph.
-    pub fn new(graph: &Graph) -> Self {
+    pub fn new(graph: &'a Graph) -> Self {
         AllPathsOracle {
-            csr: graph.csr(),
+            graph,
             usable: None,
         }
     }
 
     /// Creates an oracle restricted to the edges marked usable — the
-    /// combined mask a `ssor_graph::SubTopology` exports. The graph
-    /// itself is untouched, so loads and routings keep base-graph edge
-    /// ids.
+    /// mask a `ssor_graph::SubTopology` exports. The graph itself is
+    /// untouched, so loads and routings keep base-graph edge ids.
     ///
     /// # Panics
     ///
     /// Panics if `usable.len() != graph.m()`.
-    pub fn masked(graph: &Graph, usable: &[bool]) -> Self {
+    pub fn masked(graph: &'a Graph, usable: &[bool]) -> Self {
         assert_eq!(usable.len(), graph.m(), "one mask bit per edge required");
         AllPathsOracle {
-            csr: graph.csr(),
+            graph,
             usable: Some(usable.to_vec()),
         }
     }
@@ -236,7 +235,7 @@ struct BlockPaths {
     found: Vec<Option<(usize, f64)>>,
 }
 
-impl PathOracle for AllPathsOracle {
+impl PathOracle for AllPathsOracle<'_> {
     fn best_paths(
         &mut self,
         pairs: &[(VertexId, VertexId)],
@@ -267,7 +266,7 @@ impl PathOracle for AllPathsOracle {
                 };
                 targets.clear();
                 targets.extend(group.iter().map(|&(_, _, t)| t));
-                dijkstra_targets_csr(&self.csr, s, &targets, w, mask, &mut ws);
+                dijkstra_targets(self.graph, s, &targets, w, mask, &mut ws);
                 for &t in &targets {
                     out.found.push(ws.path_parts(t, &mut vs, &mut es).then(|| {
                         out.vertices.extend_from_slice(&vs);

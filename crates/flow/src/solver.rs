@@ -836,8 +836,8 @@ pub fn min_congestion_unrestricted(g: &Graph, d: &Demand, opts: &SolveOptions) -
 
 /// Offline fractional optimum on a failure-masked topology: like
 /// [`min_congestion_unrestricted`], but only edges marked usable may
-/// carry flow. `usable` is the combined mask a
-/// `ssor_graph::SubTopology` exports; the graph itself is untouched, so
+/// carry flow. `usable` is the mask a `ssor_graph::SubTopology`
+/// exports; the graph itself is untouched, so
 /// the resulting loads and routing use the base graph's edge ids. Pairs
 /// disconnected by the mask are dropped and reported as stranded.
 ///

@@ -12,7 +12,7 @@ use ssor_flow::solver::{
 };
 use ssor_flow::{Demand, Routing};
 use ssor_graph::ksp::k_shortest_paths;
-use ssor_graph::shortest_path::{dijkstra_tree_csr, dijkstra_tree_csr_view};
+use ssor_graph::shortest_path::{dijkstra_tree, dijkstra_tree_view};
 use ssor_graph::{generators, Graph, Path, PathId, PathStore, PathSystem, VertexId};
 use std::collections::BTreeMap;
 
@@ -211,7 +211,6 @@ fn serial_best_paths(
     w: &[f64],
     store: &mut PathStore,
 ) -> Vec<Option<(PathId, f64)>> {
-    let csr = g.csr();
     let mut by_source: BTreeMap<VertexId, Vec<usize>> = BTreeMap::new();
     for (i, &(s, _)) in pairs.iter().enumerate() {
         by_source.entry(s).or_default().push(i);
@@ -219,8 +218,8 @@ fn serial_best_paths(
     let mut out: Vec<Option<(PathId, f64)>> = vec![None; pairs.len()];
     for (s, idxs) in by_source {
         let tree = match usable {
-            None => dijkstra_tree_csr(&csr, s, &|e| w[e as usize]),
-            Some(mask) => dijkstra_tree_csr_view(&csr, s, &|e| w[e as usize], &mask.to_vec()),
+            None => dijkstra_tree(g, s, &|e| w[e as usize]),
+            Some(mask) => dijkstra_tree_view(g, s, &|e| w[e as usize], &mask.to_vec()),
         };
         for i in idxs {
             let t = pairs[i].1;

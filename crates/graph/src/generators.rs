@@ -556,7 +556,9 @@ mod tests {
         // Any one spine can die: hosts still reach each other through the
         // other spines.
         let mut sub = g.sub_topology();
-        sub.fail_vertex(0);
+        for a in g.neighbors(0) {
+            sub.fail_edge(a.edge);
+        }
         assert!(
             sub.reaches((3 + 4) as VertexId, (3 + 4 + 7) as VertexId),
             "hosts survive a spine failure"

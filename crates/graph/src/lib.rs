@@ -23,16 +23,16 @@
 //!   [`Distributions`], with precomputed sampling CDFs;
 //! * [`EdgeLoads`] — dense per-edge load accumulation (the congestion
 //!   representation), with deterministic [`EdgeLoads::par_merge`];
-//! * [`Csr`] — flattened adjacency for repeated traversals, accepted by
-//!   the [`shortest_path`] tree builders via the [`Adjacency`] trait;
-//! * [`SubTopology`] — failure-masked view over a CSR: `O(1)` edge/vertex
-//!   knockouts with stable edge ids and no graph rebuild;
+//! * [`SubTopology`] — failure-masked view over a borrowed graph: `O(1)`
+//!   edge knockouts with stable edge ids and no graph rebuild, exported
+//!   as the [`EdgeView`] mask the masked traversals take;
 //! * [`CsrLaplacian`] — the weighted graph Laplacian flattened for
 //!   repeated applies, with a preconditioned, bit-stable CG solver and
 //!   multi-RHS batching (the electrical-flow template's linear algebra);
 //! * [`generators`] — hypercubes, grids, tori, expanders, Waxman WANs, the
 //!   two-cliques bridge example, and friends;
-//! * [`shortest_path`] — BFS and Dijkstra trees;
+//! * [`shortest_path`] — BFS and Dijkstra trees, walking [`Graph`]'s own
+//!   adjacency;
 //! * [`maxflow`] — Dinic max-flow for `cut_G(s, t)` (Definition 2.1);
 //! * [`matching`] — Hopcroft–Karp, used by the Lemma 8.1 adversary;
 //! * [`ksp`] — Yen's k-shortest simple paths (SMORE baseline) and
@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod csr;
 mod dist;
 pub mod generators;
 mod graph;
@@ -71,7 +70,6 @@ pub mod shortest_path;
 mod store;
 mod subtopology;
 
-pub use csr::{Adjacency, Csr, EdgeView, FullTopology};
 pub use dist::{normalize_run, Distributions};
 pub use graph::{Arc, EdgeId, Graph, VertexId};
 pub use laplacian::{CsrLaplacian, LaplacianSolve};
@@ -81,4 +79,4 @@ pub use path::{all_distinct, Path, ShortcutWalk};
 pub use path_system::{push_new, PathSystem};
 pub use route_table::RouteTable;
 pub use store::{PathId, PathStore};
-pub use subtopology::SubTopology;
+pub use subtopology::{EdgeView, FullTopology, SubTopology};

@@ -1,20 +1,16 @@
 //! Shortest paths: BFS (hop metric), Dijkstra (arbitrary edge lengths), and
 //! single-source trees reusable across many queries.
 //!
-//! The tree builders share one implementation generic over [`Adjacency`]
-//! and are exported both over [`Graph`] directly ([`bfs_tree`],
-//! [`dijkstra_tree`]) and over a flattened [`Csr`] view ([`bfs_tree_csr`],
-//! [`dijkstra_tree_csr`]) — callers that sweep many sources over one graph
-//! (all-pairs metrics, per-source BFS baselines, the offline-OPT
-//! column-generation oracle) build the CSR once and amortize it. Both
-//! variants traverse in the identical deterministic order.
+//! Every traversal walks [`Graph`]'s own adjacency ([`Graph::neighbors`])
+//! in insertion order, so tie-breaking is deterministic and identical
+//! across entry points.
 //!
 //! There is one Dijkstra core. It is generic over an [`EdgeView`]
-//! restricting which edges may be traversed ([`dijkstra_tree_csr`] is the
-//! [`FullTopology`] instantiation, [`dijkstra_tree_csr_view`] accepts any
+//! restricting which edges may be traversed ([`dijkstra_tree`] is the
+//! [`FullTopology`] instantiation, [`dijkstra_tree_view`] accepts any
 //! view, e.g. the mask a `SubTopology` exports), so damaged-topology
 //! solves cannot drift from intact ones. It also takes an optional stop
-//! set and a caller-owned [`DijkstraWorkspace`]: [`dijkstra_targets_csr`]
+//! set and a caller-owned [`DijkstraWorkspace`]: [`dijkstra_targets`]
 //! returns as soon as its targets are settled and allocates nothing once
 //! the workspace has grown, while a full tree is the no-stop-set case of
 //! the same core. Pops follow the total `(dist, vertex)` order, so a
@@ -22,15 +18,15 @@
 //! The offline-OPT oracle runs one target-bounded sweep per source.
 //!
 //! Multi-source tree sweeps (all-pairs metrics, per-source baselines)
-//! should use the *batch* helpers — [`bfs_trees_csr_batch`] and
-//! [`dijkstra_trees_csr_batch`] — which fan the per-source trees out over
+//! should use the *batch* helpers — [`bfs_trees_batch`] and
+//! [`dijkstra_trees_batch`] — which fan the per-source trees out over
 //! rayon workers and return them in source-index order, so results are
 //! bit-identical to a serial sweep at any thread count. Small batches
 //! stay serial (the cutoff moves wall-clock only, never bits).
 
-use crate::csr::{Adjacency, Csr, EdgeView, FullTopology};
 use crate::graph::{EdgeId, Graph, VertexId};
 use crate::path::Path;
+use crate::subtopology::{EdgeView, FullTopology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
@@ -75,13 +71,9 @@ impl SpTree {
     }
 }
 
-/// Generic BFS core, instantiated for [`Graph`] and [`Csr`] below.
-///
-/// Kept private and wrapped in concrete functions on purpose: the
-/// monomorphic wrappers are compiled (and fully optimized) inside this
-/// crate, which measures ~20% faster on the Dijkstra-heavy oracles than
-/// letting downstream crates instantiate the generic from exported MIR.
-fn bfs_tree_in<A: Adjacency + ?Sized>(g: &A, s: VertexId) -> SpTree {
+/// Breadth-first shortest-path tree from `s` (each edge has length 1).
+/// Ties are broken toward lower edge ids, deterministically.
+pub fn bfs_tree(g: &Graph, s: VertexId) -> SpTree {
     let n = g.n();
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![None; n];
@@ -89,7 +81,7 @@ fn bfs_tree_in<A: Adjacency + ?Sized>(g: &A, s: VertexId) -> SpTree {
     dist[s as usize] = 0.0;
     q.push_back(s);
     while let Some(v) = q.pop_front() {
-        for a in g.arcs(v) {
+        for a in g.neighbors(v) {
             if dist[a.to as usize].is_infinite() {
                 dist[a.to as usize] = dist[v as usize] + 1.0;
                 parent[a.to as usize] = Some((v, a.edge));
@@ -102,18 +94,6 @@ fn bfs_tree_in<A: Adjacency + ?Sized>(g: &A, s: VertexId) -> SpTree {
         dist,
         parent,
     }
-}
-
-/// Breadth-first shortest-path tree from `s` (each edge has length 1).
-/// Ties are broken toward lower edge ids, deterministically.
-pub fn bfs_tree(g: &Graph, s: VertexId) -> SpTree {
-    bfs_tree_in(g, s)
-}
-
-/// [`bfs_tree`] over a pre-built [`Csr`] view (identical traversal order);
-/// build the CSR once when sweeping many sources.
-pub fn bfs_tree_csr(g: &Csr, s: VertexId) -> SpTree {
-    bfs_tree_in(g, s)
 }
 
 /// Shortest hop-path between `s` and `t`, or `None` if disconnected.
@@ -167,7 +147,7 @@ fn heap_entry(Reverse(key): Reverse<u128>) -> (f64, VertexId) {
 /// and the stop-set marks of the last sweep.
 ///
 /// A caller running many single-source sweeps over one graph keeps one
-/// workspace and hands it to every [`dijkstra_targets_csr`] call, so no
+/// workspace and hands it to every [`dijkstra_targets`] call, so no
 /// sweep allocates once the buffers have grown to the graph's size. After
 /// a sweep the workspace answers [`DijkstraWorkspace::dist`] and
 /// [`DijkstraWorkspace::path_parts`] for every target of that sweep.
@@ -221,9 +201,13 @@ impl DijkstraWorkspace {
 }
 
 /// The single Dijkstra implementation of the workspace, generic over the
-/// adjacency representation, the length function *and* an [`EdgeView`]
-/// restricting which edges may be traversed (see [`bfs_tree_in`] for why
-/// it stays private behind monomorphic wrappers).
+/// length function and an [`EdgeView`] restricting which edges may be
+/// traversed.
+///
+/// Kept private and wrapped in concrete functions on purpose: the
+/// monomorphic wrappers are compiled (and fully optimized) inside this
+/// crate, which measures ~20% faster on the Dijkstra-heavy oracles than
+/// letting downstream crates instantiate the generic from exported MIR.
 ///
 /// Unusable edges are treated as infinitely long: a relaxation through
 /// one can never improve a distance, so they are effectively absent while
@@ -236,15 +220,14 @@ impl DijkstraWorkspace {
 /// `(dist, vertex)` order, and under nonnegative lengths a settled
 /// vertex's distance and parent chain are final, so a truncated sweep
 /// reports bit-identical paths and costs for its targets.
-fn dijkstra_in<A, L, V>(
-    g: &A,
+fn dijkstra_in<L, V>(
+    g: &Graph,
     s: VertexId,
     len: &L,
     view: &V,
     stop: Option<&[VertexId]>,
     ws: &mut DijkstraWorkspace,
 ) where
-    A: Adjacency + ?Sized,
     L: Fn(EdgeId) -> f64 + ?Sized,
     V: EdgeView + ?Sized,
 {
@@ -282,7 +265,7 @@ fn dijkstra_in<A, L, V>(
                 return;
             }
         }
-        for a in g.arcs(v) {
+        for a in g.neighbors(v) {
             let w = if view.usable(a.edge) {
                 len(a.edge)
             } else {
@@ -305,8 +288,8 @@ fn dijkstra_in<A, L, V>(
 }
 
 /// The no-stop-set case of [`dijkstra_in`]: the full tree from `s`.
-fn dijkstra_tree_in<A: Adjacency + ?Sized, V: EdgeView + ?Sized>(
-    g: &A,
+fn dijkstra_tree_in<V: EdgeView + ?Sized>(
+    g: &Graph,
     s: VertexId,
     len: &dyn Fn(EdgeId) -> f64,
     view: &V,
@@ -329,22 +312,15 @@ pub fn dijkstra_tree(g: &Graph, s: VertexId, len: &dyn Fn(EdgeId) -> f64) -> SpT
     dijkstra_tree_in(g, s, len, &FullTopology)
 }
 
-/// [`dijkstra_tree`] over a pre-built [`Csr`] view (identical traversal
-/// order); build the CSR once when running many single-source solves —
-/// the offline-OPT oracle runs one per source per Frank–Wolfe iteration.
-pub fn dijkstra_tree_csr(g: &Csr, s: VertexId, len: &dyn Fn(EdgeId) -> f64) -> SpTree {
-    dijkstra_tree_in(g, s, len, &FullTopology)
-}
-
-/// [`dijkstra_tree_csr`] restricted to the edges an [`EdgeView`] marks
+/// [`dijkstra_tree`] restricted to the edges an [`EdgeView`] marks
 /// usable — the traversal failure scenarios run against a
 /// [`crate::SubTopology`] mask (`&sub.usable_edges()[..]`) without
 /// rebuilding a graph. With [`FullTopology`] this is exactly
-/// [`dijkstra_tree_csr`]; both wrap the one generic Dijkstra core, so
-/// every view traverses in the identical deterministic order over
-/// identical edge ids.
-pub fn dijkstra_tree_csr_view(
-    g: &Csr,
+/// [`dijkstra_tree`]; both wrap the one generic Dijkstra core, so every
+/// view traverses in the identical deterministic order over identical
+/// edge ids.
+pub fn dijkstra_tree_view(
+    g: &Graph,
     s: VertexId,
     len: &dyn Fn(EdgeId) -> f64,
     view: &dyn EdgeView,
@@ -357,11 +333,11 @@ pub fn dijkstra_tree_csr_view(
 /// the answers from [`DijkstraWorkspace::dist`] and
 /// [`DijkstraWorkspace::path_parts`]. `mask`, when given, marks the
 /// usable edges (one bit per edge id). Paths and costs are bit-identical
-/// to the full tree's ([`dijkstra_tree_csr`] / [`dijkstra_tree_csr_view`])
-/// — the same core, truncated — and the offline-OPT oracle runs one such
-/// sweep per source per Frank–Wolfe iteration.
-pub fn dijkstra_targets_csr(
-    g: &Csr,
+/// to the full tree's ([`dijkstra_tree`] / [`dijkstra_tree_view`]) — the
+/// same core, truncated — and the offline-OPT oracle runs one such sweep
+/// per source per Frank–Wolfe iteration.
+pub fn dijkstra_targets(
+    g: &Graph,
     s: VertexId,
     targets: &[VertexId],
     w: &[f64],
@@ -387,19 +363,19 @@ fn batch_trees(sources: &[VertexId], tree: impl Fn(VertexId) -> SpTree + Sync) -
     crate::par_ordered_map(sources, BATCH_PAR_MIN_SOURCES, |&s| tree(s))
 }
 
-/// One [`bfs_tree_csr`] per source, fanned out over rayon workers and
+/// One [`bfs_tree`] per source, fanned out over rayon workers and
 /// returned in source-index order — bit-identical to a serial sweep at
 /// any thread count. The per-source tree builders (`ShortestPathRouting`,
 /// ECMP, hop-constrained landmarks) sweep through this.
-pub fn bfs_trees_csr_batch(g: &Csr, sources: &[VertexId]) -> Vec<SpTree> {
-    batch_trees(sources, |s| bfs_tree_in(g, s))
+pub fn bfs_trees_batch(g: &Graph, sources: &[VertexId]) -> Vec<SpTree> {
+    batch_trees(sources, |s| bfs_tree(g, s))
 }
 
-/// One [`dijkstra_tree_csr`] per source, fanned out over rayon workers
-/// and returned in source-index order — bit-identical to a serial sweep
-/// at any thread count. The all-pairs template metric is built on this.
-pub fn dijkstra_trees_csr_batch(
-    g: &Csr,
+/// One [`dijkstra_tree`] per source, fanned out over rayon workers and
+/// returned in source-index order — bit-identical to a serial sweep at
+/// any thread count. The all-pairs template metric is built on this.
+pub fn dijkstra_trees_batch(
+    g: &Graph,
     sources: &[VertexId],
     len: &(dyn Fn(EdgeId) -> f64 + Sync),
 ) -> Vec<SpTree> {
@@ -507,33 +483,14 @@ mod tests {
     }
 
     #[test]
-    fn csr_trees_match_graph_trees_exactly() {
-        let g = generators::grid(4, 5);
-        let csr = g.csr();
-        let lens: Vec<f64> = (0..g.m()).map(|e| 1.0 + (e % 3) as f64).collect();
-        for s in g.vertices() {
-            let (a, b) = (bfs_tree(&g, s), bfs_tree_csr(&csr, s));
-            assert_eq!(a.dist, b.dist);
-            assert_eq!(a.parent, b.parent);
-            let (a, b) = (
-                dijkstra_tree(&g, s, &|e| lens[e as usize]),
-                dijkstra_tree_csr(&csr, s, &|e| lens[e as usize]),
-            );
-            assert_eq!(a.dist, b.dist);
-            assert_eq!(a.parent, b.parent);
-        }
-    }
-
-    #[test]
     fn full_view_matches_unmasked_exactly() {
         let g = generators::grid(4, 5);
-        let csr = g.csr();
         let lens: Vec<f64> = (0..g.m()).map(|e| 1.0 + (e % 5) as f64 * 0.5).collect();
         let all = vec![true; g.m()];
         for s in g.vertices() {
-            let a = dijkstra_tree_csr(&csr, s, &|e| lens[e as usize]);
-            let b = dijkstra_tree_csr_view(&csr, s, &|e| lens[e as usize], &FullTopology);
-            let c = dijkstra_tree_csr_view(&csr, s, &|e| lens[e as usize], &all);
+            let a = dijkstra_tree(&g, s, &|e| lens[e as usize]);
+            let b = dijkstra_tree_view(&g, s, &|e| lens[e as usize], &FullTopology);
+            let c = dijkstra_tree_view(&g, s, &|e| lens[e as usize], &all);
             assert_eq!(a.dist, b.dist);
             assert_eq!(a.parent, b.parent);
             assert_eq!(a.dist, c.dist);
@@ -546,7 +503,6 @@ mod tests {
         // Masking edges must yield the same distances as physically
         // removing them (on the surviving edge set).
         let g = generators::grid(4, 4);
-        let csr = g.csr();
         let mut usable = vec![true; g.m()];
         for e in [1usize, 5, 10] {
             usable[e] = false;
@@ -558,7 +514,7 @@ mod tests {
             .collect();
         let rebuilt = Graph::from_edges(g.n(), &kept);
         for s in g.vertices() {
-            let masked = dijkstra_tree_csr_view(&csr, s, &|_| 1.0, &usable);
+            let masked = dijkstra_tree_view(&g, s, &|_| 1.0, &usable);
             let reference = dijkstra_tree(&rebuilt, s, &|_| 1.0);
             assert_eq!(masked.dist, reference.dist, "source {s}");
         }
@@ -568,9 +524,8 @@ mod tests {
     fn masked_view_cuts_off_unreachable_vertices() {
         // Ring of 4 with two opposite edges dead: 0 and 2 are separated.
         let g = generators::ring(4);
-        let csr = g.csr();
         let usable = vec![false, true, false, true];
-        let t = dijkstra_tree_csr_view(&csr, 0, &|_| 1.0, &usable);
+        let t = dijkstra_tree_view(&g, 0, &|_| 1.0, &usable);
         assert!(t.dist[2].is_infinite());
         assert!(t.path_to(&g, 2).is_none());
         assert_eq!(t.dist[3], 1.0);
@@ -579,16 +534,15 @@ mod tests {
     #[test]
     fn batch_trees_match_per_source_calls() {
         let g = generators::grid(4, 5);
-        let csr = g.csr();
         let lens: Vec<f64> = (0..g.m()).map(|e| 1.0 + (e % 4) as f64 * 0.25).collect();
         let sources: Vec<VertexId> = g.vertices().collect();
-        let bfs_batch = bfs_trees_csr_batch(&csr, &sources);
-        let dij_batch = dijkstra_trees_csr_batch(&csr, &sources, &|e| lens[e as usize]);
+        let bfs_batch = bfs_trees_batch(&g, &sources);
+        let dij_batch = dijkstra_trees_batch(&g, &sources, &|e| lens[e as usize]);
         for (i, &s) in sources.iter().enumerate() {
-            let b = bfs_tree_csr(&csr, s);
+            let b = bfs_tree(&g, s);
             assert_eq!(bfs_batch[i].dist, b.dist);
             assert_eq!(bfs_batch[i].parent, b.parent);
-            let d = dijkstra_tree_csr(&csr, s, &|e| lens[e as usize]);
+            let d = dijkstra_tree(&g, s, &|e| lens[e as usize]);
             assert_eq!(dij_batch[i].dist, d.dist);
             assert_eq!(dij_batch[i].parent, d.parent);
         }
@@ -600,7 +554,6 @@ mod tests {
     #[test]
     fn target_sweeps_match_full_trees() {
         let g = generators::grid(4, 5);
-        let csr = g.csr();
         let lens: Vec<f64> = (0..g.m()).map(|e| (e % 3) as f64).collect();
         let len = |e: EdgeId| lens[e as usize];
         let usable: Vec<bool> = (0..g.m()).map(|e| !matches!(e, 2 | 9 | 14)).collect();
@@ -609,12 +562,12 @@ mod tests {
         for mask in [None, Some(usable.as_slice())] {
             for s in g.vertices() {
                 let full = match mask {
-                    None => dijkstra_tree_csr(&csr, s, &len),
-                    Some(_) => dijkstra_tree_csr_view(&csr, s, &len, &usable),
+                    None => dijkstra_tree(&g, s, &len),
+                    Some(_) => dijkstra_tree_view(&g, s, &len, &usable),
                 };
                 let far = (s + 7) % g.n() as VertexId;
                 for targets in [vec![s], vec![far], vec![far, s, 19, far, 0]] {
-                    dijkstra_targets_csr(&csr, s, &targets, &lens, mask, &mut ws);
+                    dijkstra_targets(&g, s, &targets, &lens, mask, &mut ws);
                     for &t in &targets {
                         assert_eq!(ws.dist(t).to_bits(), full.dist_to(t).to_bits());
                         let want = full.path_to(&g, t);

@@ -1,24 +1,75 @@
-//! Edge/vertex-masked graph views for failure scenarios.
+//! Edge-masked graph views for failure scenarios.
 //!
 //! Dynamic scenarios (link-failure sweeps, maintenance drills) need to
-//! knock elements out of a topology *cheaply* — thousands of times per
+//! knock links out of a topology *cheaply* — thousands of times per
 //! experiment — without rebuilding the graph or invalidating edge ids.
-//! [`SubTopology`] is that view: it flattens the base graph's adjacency
-//! into a [`Csr`] once, then tracks aliveness as two bit masks. Failing a
-//! link is an `O(1)` mask flip, restoring the whole topology is a fill,
-//! and every edge keeps the id it has in the base graph — so candidate
-//! path systems, [`crate::EdgeLoads`] accumulators, and solver output
-//! remain directly comparable across scenarios.
+//! [`SubTopology`] is that view: it borrows the base graph and tracks
+//! aliveness as one bit per edge. Failing a link is an `O(1)` mask flip,
+//! restoring the whole topology is a fill, and every edge keeps the id it
+//! has in the base graph — so candidate path systems,
+//! [`crate::EdgeLoads`] accumulators, and solver output remain directly
+//! comparable across scenarios.
 //!
-//! An edge is *usable* iff the edge itself and both endpoints are alive;
-//! [`SubTopology::usable_edges`] exports that combined mask for the
-//! masked solver oracles in `ssor-flow`.
+//! [`SubTopology::usable_edges`] exports the mask for the masked solver
+//! oracles in `ssor-flow`, which read it through [`EdgeView`].
 
-use crate::csr::Csr;
 use crate::graph::{Arc, EdgeId, Graph, VertexId};
 
-/// A failure-masked view over a base graph: the base adjacency (flattened
-/// to CSR once) plus per-edge and per-vertex aliveness masks.
+/// Which edges of a topology a traversal may use.
+///
+/// The graph says which arcs *exist*, the view says which of them are
+/// currently *usable*. Shortest-path sweeps are written once, generic
+/// over the view, so the intact topology ([`FullTopology`]) and a
+/// failure-damaged one (a `&[bool]` mask from a [`SubTopology`]) share a
+/// single implementation — edge ids, traversal order, and tie-breaking
+/// are identical in every view.
+///
+/// # Examples
+///
+/// ```
+/// use ssor_graph::{EdgeView, FullTopology};
+///
+/// assert!(FullTopology.usable(7));
+/// let mask = [true, false];
+/// assert!(mask[..].usable(0));
+/// assert!(!mask[..].usable(1));
+/// ```
+pub trait EdgeView {
+    /// Whether edge `e` may be traversed.
+    fn usable(&self, e: EdgeId) -> bool;
+}
+
+/// The trivial [`EdgeView`]: every edge is usable (the intact topology).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FullTopology;
+
+impl EdgeView for FullTopology {
+    #[inline]
+    fn usable(&self, _e: EdgeId) -> bool {
+        true
+    }
+}
+
+/// A usability bit per edge id — the mask form
+/// [`SubTopology::usable_edges`] exports.
+impl EdgeView for [bool] {
+    #[inline]
+    fn usable(&self, e: EdgeId) -> bool {
+        self[e as usize]
+    }
+}
+
+/// Owned mask variant of the `[bool]` view; unlike the slice it is
+/// `Sized`, so `&Vec<bool>` coerces to `&dyn EdgeView` directly.
+impl EdgeView for Vec<bool> {
+    #[inline]
+    fn usable(&self, e: EdgeId) -> bool {
+        self[e as usize]
+    }
+}
+
+/// A failure-masked view over a borrowed base graph: its adjacency plus
+/// a per-edge aliveness mask.
 ///
 /// Edge ids are the base graph's ids throughout — nothing is renumbered,
 /// so loads, path systems, and solutions computed against the base graph
@@ -40,32 +91,28 @@ use crate::graph::{Arc, EdgeId, Graph, VertexId};
 /// assert!(sub.is_connected());
 /// ```
 #[derive(Debug, Clone)]
-pub struct SubTopology {
-    csr: Csr,
+pub struct SubTopology<'a> {
+    graph: &'a Graph,
     alive_edges: Vec<bool>,
-    alive_vertices: Vec<bool>,
 }
 
-impl SubTopology {
-    /// A fully-alive view of `g` (flattens the adjacency once, `O(n + m)`).
-    pub fn new(g: &Graph) -> SubTopology {
-        let csr = g.csr();
-        let (n, m) = (csr.n(), csr.m());
+impl<'a> SubTopology<'a> {
+    /// A fully-alive view of `g`.
+    pub fn new(g: &'a Graph) -> SubTopology<'a> {
         SubTopology {
-            csr,
-            alive_edges: vec![true; m],
-            alive_vertices: vec![true; n],
+            graph: g,
+            alive_edges: vec![true; g.m()],
         }
     }
 
     /// Number of vertices in the base graph.
     pub fn n(&self) -> usize {
-        self.csr.n()
+        self.graph.n()
     }
 
     /// Number of edges in the base graph (alive or not).
     pub fn m(&self) -> usize {
-        self.csr.m()
+        self.graph.m()
     }
 
     /// Fails edge `e`; returns whether it was alive before.
@@ -77,58 +124,30 @@ impl SubTopology {
         std::mem::replace(&mut self.alive_edges[e as usize], false)
     }
 
-    /// Fails vertex `v`. Its incident edges keep their own mask bit but
-    /// become unusable (an edge is usable only with both endpoints alive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn fail_vertex(&mut self, v: VertexId) {
-        self.alive_vertices[v as usize] = false;
-    }
-
-    /// Restores every edge and vertex.
+    /// Restores every edge.
     pub fn restore_all(&mut self) {
         self.alive_edges.fill(true);
-        self.alive_vertices.fill(true);
     }
 
-    /// The combined usability mask, indexed by edge id: `true` iff the
-    /// edge and both its endpoints are alive. This is the mask the masked
-    /// solver oracles consume.
+    /// The usability mask, indexed by edge id: `true` iff the edge is
+    /// alive. This is the mask the masked solver oracles consume.
     pub fn usable_edges(&self) -> Vec<bool> {
-        let mut usable = self.alive_edges.clone();
-        for v in 0..self.n() as VertexId {
-            if !self.alive_vertices[v as usize] {
-                for a in self.csr.arcs(v) {
-                    usable[a.edge as usize] = false;
-                }
-            }
-        }
-        usable
+        self.alive_edges.clone()
     }
 
-    /// The usable incident arcs of `v` (empty if `v` itself is dead).
+    /// The alive incident arcs of `v`.
     fn alive_arcs(&self, v: VertexId) -> impl Iterator<Item = Arc> + '_ {
-        let live = self.alive_vertices[v as usize];
-        self.csr.arcs(v).iter().copied().filter(move |a| {
-            live && self.alive_edges[a.edge as usize] && self.alive_vertices[a.to as usize]
-        })
+        self.graph
+            .neighbors(v)
+            .iter()
+            .copied()
+            .filter(move |a| self.alive_edges[a.edge as usize])
     }
 
-    /// Whether every *alive* vertex can reach every other alive vertex
-    /// through usable edges (vacuously true with at most one alive
-    /// vertex).
+    /// Whether every vertex can reach every other vertex through usable
+    /// edges (vacuously true with at most one vertex).
     pub fn is_connected(&self) -> bool {
-        let n = self.n();
-        let alive_total = self.alive_vertices.iter().filter(|&&a| a).count();
-        if alive_total <= 1 {
-            return true;
-        }
-        let start = (0..n as VertexId)
-            .find(|&v| self.alive_vertices[v as usize])
-            .expect("at least one alive vertex");
-        self.reached_from(start).iter().filter(|&&r| r).count() == alive_total
+        self.n() <= 1 || self.reached_from(0).iter().all(|&r| r)
     }
 
     /// Whether `t` is reachable from `s` through usable edges.
@@ -137,21 +156,12 @@ impl SubTopology {
     ///
     /// Panics if `s` or `t` is out of range.
     pub fn reaches(&self, s: VertexId, t: VertexId) -> bool {
-        if !self.alive_vertices[s as usize] || !self.alive_vertices[t as usize] {
-            return false;
-        }
-        if s == t {
-            return true;
-        }
         self.reached_from(s)[t as usize]
     }
 
     /// DFS over usable edges from `s`, returning the visited mask.
     fn reached_from(&self, s: VertexId) -> Vec<bool> {
         let mut seen = vec![false; self.n()];
-        if !self.alive_vertices[s as usize] {
-            return seen;
-        }
         let mut stack = vec![s];
         seen[s as usize] = true;
         while let Some(v) = stack.pop() {
@@ -168,7 +178,7 @@ impl SubTopology {
 
 impl Graph {
     /// Builds a fully-alive [`SubTopology`] view of this graph.
-    pub fn sub_topology(&self) -> SubTopology {
+    pub fn sub_topology(&self) -> SubTopology<'_> {
         SubTopology::new(self)
     }
 }
@@ -208,21 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_failure_kills_incident_edges() {
-        let g = generators::star(4);
-        let mut sub = g.sub_topology();
-        sub.fail_vertex(0); // the center
-        assert!(!sub.is_connected(), "leaves disconnect without the hub");
-        let usable = sub.usable_edges();
-        assert!(usable.iter().all(|&u| !u), "every edge touches the center");
-        assert_eq!(sub.alive_arcs(1).count(), 0);
-        // Edge mask bits themselves were never flipped.
-        assert!(sub.alive_edges[0]);
-        sub.restore_all();
-        assert!(sub.is_connected());
-    }
-
-    #[test]
     fn reaches_respects_masks() {
         let g = generators::grid(2, 3);
         let mut sub = g.sub_topology();
@@ -234,16 +229,6 @@ mod tests {
         }
         assert!(!sub.reaches(0, 5));
         assert!(sub.reaches(0, 0), "self-reachability survives");
-    }
-
-    #[test]
-    fn single_alive_vertex_counts_as_connected() {
-        let g = generators::ring(4);
-        let mut sub = g.sub_topology();
-        for v in 1..4 {
-            sub.fail_vertex(v);
-        }
-        assert!(sub.is_connected());
     }
 
     #[test]

@@ -3,12 +3,12 @@
 use proptest::prelude::*;
 use ssor_graph::maxflow::min_cut_value;
 use ssor_graph::shortest_path::{
-    bfs_path, bfs_tree, bfs_trees_csr_batch, dijkstra_path, dijkstra_targets_csr, dijkstra_tree,
-    dijkstra_tree_csr, dijkstra_tree_csr_view, dijkstra_trees_csr_batch, hop_distance,
-    DijkstraWorkspace, SpTree,
+    bfs_path, bfs_tree, bfs_trees_batch, dijkstra_path, dijkstra_targets, dijkstra_tree,
+    dijkstra_tree_view, dijkstra_trees_batch, hop_distance, DijkstraWorkspace, SpTree,
 };
 use ssor_graph::{
-    generators, CsrLaplacian, EdgeId, EdgeLoads, Graph, Path, PathStore, ShortcutWalk, VertexId,
+    generators, CsrLaplacian, EdgeId, EdgeLoads, FullTopology, Graph, Path, PathStore,
+    ShortcutWalk, VertexId,
 };
 
 /// Strategy: a connected random graph with `n` in 2..=12 via an
@@ -152,29 +152,44 @@ fn tree_path_parts(tree: &SpTree, t: VertexId) -> (Vec<VertexId>, Vec<EdgeId>) {
     (vs, es)
 }
 
-/// Checks every Dijkstra entry point against [`textbook_dijkstra`] from
-/// every source of `g`: full trees over the graph and its CSR, the
-/// masked tree, and target-bounded sweeps (masked and not) sharing one
-/// workspace — distances by bits, parents and paths exactly.
+/// Checks every Dijkstra and BFS entry point against
+/// [`textbook_dijkstra`] from every source of `g`: the full tree, its
+/// batch and unmasked-view forms, the masked tree, and target-bounded
+/// sweeps (masked and not) sharing one workspace — distances by bits,
+/// parents and paths exactly. BFS trees (single and batch) are checked
+/// against the unit-length reference by distance: a FIFO queue may pick
+/// a different parent among equally short ones.
 fn check_dijkstra_against_textbook(
     g: &Graph,
     w: &[f64],
     mask: &[bool],
 ) -> Result<(), TestCaseError> {
-    let csr = g.csr();
     let all = vec![true; g.m()];
+    let unit = vec![1.0; g.m()];
     let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let len = |e: EdgeId| w[e as usize];
+    let sources: Vec<VertexId> = g.vertices().collect();
+    let dijkstra_batch = dijkstra_trees_batch(g, &sources, &len);
+    let bfs_batch = bfs_trees_batch(g, &sources);
     let mut ws = DijkstraWorkspace::new();
     let (mut vs, mut es) = (vec![], vec![]);
     for s in g.vertices() {
         let open = textbook_dijkstra(g, s, w, &all);
         let masked = textbook_dijkstra(g, s, w, mask);
-        let len = |e: EdgeId| w[e as usize];
-        for tree in [dijkstra_tree(g, s, &len), dijkstra_tree_csr(&csr, s, &len)] {
+        let hops = textbook_dijkstra(g, s, &unit, &all);
+        let trees = [
+            dijkstra_tree(g, s, &len),
+            dijkstra_tree_view(g, s, &len, &FullTopology),
+            dijkstra_batch[s as usize].clone(),
+        ];
+        for tree in trees {
             prop_assert_eq!(bits(&tree.dist), bits(&open.dist), "dist from {}", s);
             prop_assert_eq!(&tree.parent, &open.parent, "parents from {}", s);
         }
-        let tree = dijkstra_tree_csr_view(&csr, s, &len, &mask.to_vec());
+        for tree in [bfs_tree(g, s), bfs_batch[s as usize].clone()] {
+            prop_assert_eq!(bits(&tree.dist), bits(&hops.dist), "hops from {}", s);
+        }
+        let tree = dijkstra_tree_view(g, s, &len, &mask.to_vec());
         prop_assert_eq!(
             bits(&tree.dist),
             bits(&masked.dist),
@@ -186,7 +201,7 @@ fn check_dijkstra_against_textbook(
         // at the last one settled.
         let targets: Vec<VertexId> = (0..g.n() as VertexId).rev().filter(|&t| t != s).collect();
         for (reference, view) in [(&open, None), (&masked, Some(mask))] {
-            dijkstra_targets_csr(&csr, s, &targets, w, view, &mut ws);
+            dijkstra_targets(g, s, &targets, w, view, &mut ws);
             for &t in &targets {
                 prop_assert_eq!(ws.dist(t).to_bits(), reference.dist[t as usize].to_bits());
                 let reached = ws.path_parts(t, &mut vs, &mut es);
@@ -295,15 +310,14 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(wseed);
         let lens: Vec<f64> = (0..g.m()).map(|_| 0.25 + rng.gen::<f64>() * 4.0).collect();
-        let csr = g.csr();
         let sources: Vec<VertexId> = g.vertices().collect();
-        let batch = dijkstra_trees_csr_batch(&csr, &sources, &|e| lens[e as usize]);
-        let bfs_batch = bfs_trees_csr_batch(&csr, &sources);
+        let batch = dijkstra_trees_batch(&g, &sources, &|e| lens[e as usize]);
+        let bfs_batch = bfs_trees_batch(&g, &sources);
         for (i, &s) in sources.iter().enumerate() {
-            let serial = dijkstra_tree_csr(&csr, s, &|e| lens[e as usize]);
+            let serial = dijkstra_tree(&g, s, &|e| lens[e as usize]);
             prop_assert_eq!(&batch[i].dist, &serial.dist);
             prop_assert_eq!(&batch[i].parent, &serial.parent);
-            let serial_bfs = ssor_graph::shortest_path::bfs_tree_csr(&csr, s);
+            let serial_bfs = bfs_tree(&g, s);
             prop_assert_eq!(&bfs_batch[i].dist, &serial_bfs.dist);
             prop_assert_eq!(&bfs_batch[i].parent, &serial_bfs.parent);
         }

@@ -6,16 +6,15 @@
 use crate::traits::ObliviousRouting;
 use rand::{Rng, RngCore};
 use ssor_graph::ksp::k_shortest_paths;
-use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
+use ssor_graph::shortest_path::{bfs_trees_batch, SpTree};
 use ssor_graph::{push_new, Distributions, EdgeId, Graph, Path, PathId, PathStore, VertexId};
 
 /// One BFS tree per vertex, fanned out over rayon workers in
-/// source-index order (see [`bfs_trees_csr_batch`]); the shared
+/// source-index order (see [`bfs_trees_batch`]); the shared
 /// precompute of the per-source baselines.
 fn all_source_bfs_trees(g: &Graph) -> Vec<SpTree> {
-    let csr = g.csr();
     let sources: Vec<VertexId> = g.vertices().collect();
-    bfs_trees_csr_batch(&csr, &sources)
+    bfs_trees_batch(g, &sources)
 }
 
 /// Deterministic single shortest path per pair (BFS, lowest-edge-id

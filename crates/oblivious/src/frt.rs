@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ssor_graph::generators::mix_seed;
-use ssor_graph::shortest_path::{dijkstra_trees_csr_batch, SpTree};
+use ssor_graph::shortest_path::{dijkstra_trees_batch, SpTree};
 use ssor_graph::{par_ordered_map, EdgeId, Graph, Path, ShortcutWalk, VertexId};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -34,15 +34,13 @@ pub struct Metric {
 }
 
 impl Metric {
-    /// Builds the metric with one Dijkstra per vertex, over a CSR
-    /// adjacency flattened once and shared by all `n` runs. The
-    /// per-source trees fan out over rayon workers (via
-    /// [`dijkstra_trees_csr_batch`]) and come back in source-index
-    /// order, so the metric is bit-identical at any thread count.
+    /// Builds the metric with one Dijkstra per vertex. The per-source
+    /// trees fan out over rayon workers (via [`dijkstra_trees_batch`])
+    /// and come back in source-index order, so the metric is
+    /// bit-identical at any thread count.
     pub fn build(g: &Graph, len: &(dyn Fn(EdgeId) -> f64 + Sync)) -> Self {
-        let csr = g.csr();
         let sources: Vec<VertexId> = g.vertices().collect();
-        let trees = dijkstra_trees_csr_batch(&csr, &sources, len);
+        let trees = dijkstra_trees_batch(g, &sources, len);
         Metric { trees }
     }
 

@@ -22,7 +22,7 @@
 use crate::traits::ObliviousRouting;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
-use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
+use ssor_graph::shortest_path::{bfs_trees_batch, SpTree};
 use ssor_graph::{Distributions, Graph, Path, VertexId};
 
 /// Options for [`HopConstrainedRouting::build`].
@@ -69,13 +69,12 @@ impl HopConstrainedRouting {
         assert!(g.is_connected());
         let mut all: Vec<VertexId> = g.vertices().collect();
         all.shuffle(rng);
-        let csr = g.csr();
         let landmarks: Vec<VertexId> = all.into_iter().take(opts.landmarks).collect();
         // Both tree families fan out over rayon workers in source-index
         // order, so the build is bit-identical at any thread count.
-        let landmark_trees = bfs_trees_csr_batch(&csr, &landmarks);
+        let landmark_trees = bfs_trees_batch(g, &landmarks);
         let sources: Vec<VertexId> = g.vertices().collect();
-        let source_trees = bfs_trees_csr_batch(&csr, &sources);
+        let source_trees = bfs_trees_batch(g, &sources);
         HopConstrainedRouting {
             graph: g.clone(),
             h,

@@ -19,7 +19,7 @@
 use crate::traits::ObliviousRouting;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssor_graph::shortest_path::{bfs_trees_csr_batch, SpTree};
+use ssor_graph::shortest_path::{bfs_trees_batch, SpTree};
 use ssor_graph::{derive_seed, Distributions, EdgeId, Graph, Path, VertexId};
 
 /// Stream tag decorrelating random-walk seeds from every other consumer
@@ -66,11 +66,10 @@ impl RandomWalkRouting {
         assert!(walks >= 1, "need at least one walk per pair");
         assert!(max_len >= 1, "walks must be allowed at least one step");
         assert!(g.is_connected());
-        let csr = g.csr();
         let sources: Vec<VertexId> = g.vertices().collect();
         RandomWalkRouting {
             graph: g.clone(),
-            trees: bfs_trees_csr_batch(&csr, &sources),
+            trees: bfs_trees_batch(g, &sources),
             walks,
             max_len,
             seed,

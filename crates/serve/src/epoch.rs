@@ -3,19 +3,15 @@
 //! The serving plane shares one [`EpochCell`] between a single publisher
 //! (the rebuilder) and any number of readers (query shards). The cell
 //! holds an `Arc<T>` plus a monotone epoch counter; publishing stores the
-//! next snapshot and bumps the epoch. Readers hold an [`EpochReader`]
-//! whose steady-state read is **one atomic load** — the cached `Arc` is
-//! returned untouched while the epoch is unchanged, so queries never
-//! contend with each other and an in-flight swap never stalls them. Only
-//! on an epoch change does a reader take the slot mutex once, to clone
-//! the new `Arc`.
+//! next snapshot and bumps the epoch. A reader takes the slot mutex once
+//! per query batch, just long enough to clone the current `Arc`
+//! ([`EpochCell::load`]); the batch then runs on that snapshot, so an
+//! in-flight swap never stalls or perturbs it.
 //!
-//! The crates here forbid `unsafe`, so this is the strongest publication
-//! primitive available without one: wait-free steady-state reads, and a
-//! single brief mutex acquisition per reader per swap (amortized to
-//! nothing under any realistic swap cadence).
+//! The crates here forbid `unsafe`, so a brief mutex around an `Arc`
+//! clone is the publication primitive: one acquisition per batch,
+//! amortized over every request in it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A swappable slot publishing `Arc<T>` snapshots under a monotone epoch.
@@ -26,21 +22,17 @@ use std::sync::{Arc, Mutex};
 /// use ssor_serve::EpochCell;
 /// use std::sync::Arc;
 ///
-/// let cell = Arc::new(EpochCell::new(Arc::new("gen0")));
-/// let mut reader = EpochCell::reader(&cell);
-/// assert_eq!(*reader.current().clone(), "gen0");
+/// let cell = EpochCell::new(Arc::new("gen0"));
+/// assert_eq!(*cell.load(), "gen0");
 /// cell.publish(Arc::new("gen1"));
-/// assert_eq!(*reader.current().clone(), "gen1");
-/// assert_eq!(reader.epoch(), 1);
+/// assert_eq!(*cell.load(), "gen1");
+/// assert_eq!(cell.epoch(), 1);
 /// ```
 #[derive(Debug)]
 pub struct EpochCell<T> {
     /// The published snapshot and the epoch it was published at, updated
     /// together under the lock so readers always pair them exactly.
     slot: Mutex<(Arc<T>, u64)>,
-    /// Fast-path signal mirroring the slot's epoch: readers spin on this
-    /// with one `Acquire` load and only lock when it moves.
-    epoch: AtomicU64,
 }
 
 impl<T> EpochCell<T> {
@@ -48,7 +40,6 @@ impl<T> EpochCell<T> {
     pub fn new(initial: Arc<T>) -> Self {
         EpochCell {
             slot: Mutex::new((initial, 0)),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -66,107 +57,50 @@ impl<T> EpochCell<T> {
     }
 
     /// Publishes `next` as the current snapshot, returning the new epoch.
-    /// Readers observe the bump via [`EpochReader::current`]; in-flight
-    /// reads keep their previous `Arc` (snapshots are immutable, old
-    /// generations stay valid until the last reader drops them).
+    /// The next [`EpochCell::load`] sees it; in-flight reads keep their
+    /// previous `Arc` (snapshots are immutable, old generations stay
+    /// valid until the last reader drops them).
     pub fn publish(&self, next: Arc<T>) -> u64 {
         let mut slot = self.lock_slot();
         let e = slot.1 + 1;
         *slot = (next, e);
-        // Release-store while still holding the lock: a reader that sees
-        // the new epoch is guaranteed to find (at least) this snapshot in
-        // the slot.
-        self.epoch.store(e, Ordering::Release);
         e
     }
 
     /// The current epoch (0 until the first [`EpochCell::publish`]).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.lock_slot().1
     }
 
-    /// Clones the current snapshot (takes the slot lock; query paths
-    /// should go through an [`EpochReader`] instead).
+    /// Clones the current snapshot.
     pub fn load(&self) -> Arc<T> {
         self.lock_slot().0.clone()
-    }
-
-    /// A reader bound to this cell, pre-warmed with the current snapshot.
-    pub fn reader(cell: &Arc<Self>) -> EpochReader<T> {
-        let (cached, seen) = {
-            let slot = cell.lock_slot();
-            (slot.0.clone(), slot.1)
-        };
-        EpochReader {
-            cell: Arc::clone(cell),
-            cached,
-            seen,
-        }
-    }
-}
-
-/// A per-thread read handle over an [`EpochCell`]: caches the last seen
-/// snapshot and refreshes it only when the epoch moves.
-#[derive(Debug)]
-pub struct EpochReader<T> {
-    cell: Arc<EpochCell<T>>,
-    cached: Arc<T>,
-    seen: u64,
-}
-
-impl<T> EpochReader<T> {
-    /// The current snapshot. Steady state (no swap since the last call)
-    /// is one atomic load and no locking; after a swap, one mutex
-    /// acquisition refreshes the cache.
-    pub fn current(&mut self) -> &Arc<T> {
-        if self.cell.epoch.load(Ordering::Acquire) != self.seen {
-            let slot = self.cell.lock_slot();
-            self.cached = slot.0.clone();
-            self.seen = slot.1;
-        }
-        &self.cached
-    }
-
-    /// The epoch of the snapshot [`EpochReader::current`] last returned.
-    pub fn epoch(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl<T> Clone for EpochReader<T> {
-    fn clone(&self) -> Self {
-        EpochReader {
-            cell: Arc::clone(&self.cell),
-            cached: Arc::clone(&self.cached),
-            seen: self.seen,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn publish_bumps_epoch_and_readers_follow() {
-        let cell = Arc::new(EpochCell::new(Arc::new(10u64)));
-        let mut r = EpochCell::reader(&cell);
-        assert_eq!(**r.current(), 10);
+        let cell = EpochCell::new(Arc::new(10u64));
+        assert_eq!(*cell.load(), 10);
+        assert_eq!(cell.epoch(), 0);
         assert_eq!(cell.publish(Arc::new(11)), 1);
         assert_eq!(cell.publish(Arc::new(12)), 2);
-        assert_eq!(**r.current(), 12, "reader skips straight to newest");
-        assert_eq!(r.epoch(), 2);
+        assert_eq!(*cell.load(), 12, "a load skips straight to newest");
+        assert_eq!(cell.epoch(), 2);
     }
 
     #[test]
     fn old_snapshots_stay_valid_for_holding_readers() {
-        let cell = Arc::new(EpochCell::new(Arc::new(vec![1, 2, 3])));
-        let mut r = EpochCell::reader(&cell);
-        let held = Arc::clone(r.current());
+        let cell = EpochCell::new(Arc::new(vec![1, 2, 3]));
+        let held = cell.load();
         cell.publish(Arc::new(vec![9]));
         assert_eq!(*held, vec![1, 2, 3], "swap never invalidates held Arcs");
-        assert_eq!(**r.current(), vec![9]);
+        assert_eq!(*cell.load(), vec![9]);
     }
 
     #[test]
@@ -178,14 +112,14 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
                 scope.spawn(move || {
-                    let mut r = EpochCell::reader(&cell);
                     let mut last = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let v = **r.current();
+                        let v = *cell.load();
                         // Snapshot payload equals its publish epoch here,
-                        // so the payload stream must be monotone too.
+                        // so the payload stream must be monotone too, and
+                        // the epoch can only have moved on since the load.
                         assert!(v >= last, "regressed from {last} to {v}");
-                        assert_eq!(v, r.epoch(), "payload pairs with epoch");
+                        assert!(cell.epoch() >= v, "epoch behind its payload");
                         last = v;
                     }
                 });

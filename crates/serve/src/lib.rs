@@ -12,9 +12,9 @@
 //! crate turns the engine's batch pipeline into something that answers
 //! queries:
 //!
-//! * [`EpochCell`] / [`EpochReader`] — atomic snapshot publication with
-//!   wait-free steady-state reads (one `Acquire` load per query batch; a
-//!   reader locks once per *swap*, not per read);
+//! * [`EpochCell`] — atomic snapshot publication: one brief slot lock
+//!   per query batch to clone the current snapshot, which the batch then
+//!   answers on however many swaps land meanwhile;
 //! * [`QueryPlane`] / [`answer_on`] / [`answer_batch_on`] — the sharded
 //!   front-end: `α` paths per request, fanned round-robin over OS
 //!   threads and merged in request order;
@@ -60,7 +60,7 @@ mod epoch;
 mod query;
 mod rebuild;
 
-pub use epoch::{EpochCell, EpochReader};
+pub use epoch::EpochCell;
 pub use query::{
     answer_batch_on, answer_on, query_seed, BatchOutcome, QueryPlane, Reply, Request,
     QUERY_STREAM_TAG,

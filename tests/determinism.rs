@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use ssor::core::PathSystem;
-use ssor::engine::{DynamicReport, PathSystemCache, Pipeline, ScenarioSpec, StreamModel};
+use ssor::engine::{PathSystemCache, Pipeline, ScenarioSpec, StreamModel};
 use ssor::flow::solver::{min_congestion_masked, min_congestion_unrestricted, DemandDelta, Solver};
 use ssor::flow::{AllPathsOracle, Demand, SolveOptions};
 use ssor::graph::generators;
@@ -110,38 +110,24 @@ fn engine_results_are_thread_count_invariant() {
     assert_invariant(&gravity, "gravity-wan");
 }
 
-/// A dynamic scenario reduced to comparable bits: per-record congestion
-/// bit patterns plus the structural fields that must not drift.
-fn run_dynamic_at(threads: usize, scenario: &ScenarioSpec) -> Vec<(u64, usize, Vec<u32>)> {
+/// A dynamic run reduced to comparable bits: per-record congestion bit
+/// patterns plus the structural fields that must not drift.
+type DynamicBits = Vec<(u64, usize, Vec<u32>)>;
+
+/// A dynamic run on a given cache.
+type DynamicRun<'a> = &'a dyn Fn(&PathSystemCache) -> DynamicBits;
+
+/// Runs `run` on a fresh cache with the rayon pool pinned to `threads`.
+fn dynamic_bits_at(threads: usize, run: DynamicRun) -> DynamicBits {
     std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
     assert_eq!(
         rayon::current_num_threads(),
         threads,
         "worker-count override not honored; thread sweep would be vacuous"
     );
-    let cache = PathSystemCache::new();
-    let report = scenario
-        .run_dynamic(&cache)
-        .expect("dynamic scenario expected");
+    let bits = run(&PathSystemCache::new());
     std::env::remove_var("RAYON_NUM_THREADS");
-    match report {
-        DynamicReport::Stream(r) => r
-            .steps
-            .iter()
-            .map(|s| (s.congestion.to_bits(), s.iterations, Vec::new()))
-            .collect(),
-        DynamicReport::Failures(r) => r
-            .trials
-            .iter()
-            .map(|t| {
-                (
-                    t.congestion.unwrap_or(0.0).to_bits(),
-                    t.iterations,
-                    t.failed_edges.clone(),
-                )
-            })
-            .collect(),
-    }
+    bits
 }
 
 /// The solver's parallel batch oracle fans blocks of per-source Dijkstra
@@ -371,10 +357,9 @@ proptest! {
         }
         let lens: Vec<f64> = (0..g.m()).map(|_| 0.5 + rng.gen::<f64>() * 3.0).collect();
         let metric = Metric::build(&g, &|e| lens[e as usize]);
-        let csr = g.csr();
         for s in g.vertices() {
-            let reference = ssor::graph::shortest_path::dijkstra_tree_csr(
-                &csr, s, &|e| lens[e as usize],
+            let reference = ssor::graph::shortest_path::dijkstra_tree(
+                &g, s, &|e| lens[e as usize],
             );
             for t in g.vertices() {
                 prop_assert_eq!(
@@ -394,29 +379,49 @@ proptest! {
 #[test]
 fn dynamic_scenarios_are_thread_count_invariant() {
     let _guard = env_lock();
-    let sweep = ScenarioSpec::FailureSweep {
-        base: Box::new(ScenarioSpec::HypercubeAdversarial { dim: 4 }),
-        k_failures: 3,
-        trials: 3,
+    let sweep = ScenarioSpec::HypercubeAdversarial { dim: 4 }.pipeline();
+    let stream = ScenarioSpec::GravityWan {
+        n: 20,
+        total: 25.0.into(),
+        seed: 7,
+    }
+    .pipeline();
+    let model = StreamModel::DiurnalGravity {
+        total: 25.0.into(),
+        period: 6,
+        seed: 4,
     };
-    let stream = ScenarioSpec::DemandStream {
-        base: Box::new(ScenarioSpec::GravityWan {
-            n: 20,
-            total: 25.0.into(),
-            seed: 7,
-        }),
-        steps: 6,
-        model: StreamModel::DiurnalGravity {
-            total: 25.0.into(),
-            period: 6,
-            seed: 4,
-        },
+    let run_sweep = |cache: &PathSystemCache| -> DynamicBits {
+        let report = sweep.failure_sweep(cache, 3, 3);
+        report
+            .trials
+            .iter()
+            .map(|t| {
+                (
+                    t.congestion.unwrap_or(0.0).to_bits(),
+                    t.iterations,
+                    t.failed_edges.clone(),
+                )
+            })
+            .collect()
     };
-    for (scenario, label) in [(sweep, "failure-sweep"), (stream, "demand-stream")] {
-        let base = run_dynamic_at(1, &scenario);
+    let run_stream = |cache: &PathSystemCache| -> DynamicBits {
+        let report = stream.stream(cache, 6, &model);
+        report
+            .steps
+            .iter()
+            .map(|s| (s.congestion.to_bits(), s.iterations, Vec::new()))
+            .collect()
+    };
+    let runs: [(DynamicRun, &str); 2] = [
+        (&run_sweep, "failure-sweep"),
+        (&run_stream, "demand-stream"),
+    ];
+    for (run, label) in runs {
+        let base = dynamic_bits_at(1, run);
         assert!(!base.is_empty(), "{label}: empty report");
         for threads in [2usize, 8] {
-            let got = run_dynamic_at(threads, &scenario);
+            let got = dynamic_bits_at(threads, run);
             assert_eq!(base, got, "{label}: records differ at {threads} threads");
         }
     }

@@ -3,8 +3,7 @@
 //! connectivity-retrying Waxman topology behind `GravityWan`.
 
 use ssor::engine::{
-    DemandSpec, DynamicReport, PathSystemCache, Pipeline, ScenarioSpec, StreamModel, TemplateSpec,
-    TopologySpec,
+    DemandSpec, PathSystemCache, Pipeline, ScenarioSpec, StreamModel, TemplateSpec, TopologySpec,
 };
 use ssor::flow::SolveOptions;
 use ssor::graph::generators;
@@ -165,45 +164,6 @@ fn failure_sweep_is_deterministic_across_runs() {
             y.congestion.map(f64::to_bits)
         );
     }
-}
-
-/// Dynamic scenarios run through the `ScenarioSpec` front door too.
-#[test]
-fn scenario_spec_dispatches_dynamic_runs() {
-    let cache = PathSystemCache::new();
-    let sweep = ScenarioSpec::FailureSweep {
-        base: Box::new(ScenarioSpec::HypercubeAdversarial { dim: 3 }),
-        k_failures: 2,
-        trials: 2,
-    };
-    match sweep.run_dynamic(&cache) {
-        Some(DynamicReport::Failures(r)) => {
-            // 2 trials x 2 demands (dim 3 has no transpose).
-            assert_eq!(r.trials.len(), 4);
-        }
-        other => panic!("expected a failure report, got {other:?}"),
-    }
-    let stream = ScenarioSpec::DemandStream {
-        base: Box::new(ScenarioSpec::HypercubeAdversarial { dim: 3 }),
-        steps: 4,
-        model: StreamModel::BurstyOnOff {
-            pairs: 5,
-            rate: 1.0.into(),
-            p_on: 0.5.into(),
-            p_off: 0.4.into(),
-            seed: 3,
-        },
-    };
-    match stream.run_dynamic(&cache) {
-        Some(DynamicReport::Stream(r)) => assert_eq!(r.steps.len(), 4),
-        other => panic!("expected a stream report, got {other:?}"),
-    }
-    assert!(
-        ScenarioSpec::HypercubeAdversarial { dim: 3 }
-            .run_dynamic(&cache)
-            .is_none(),
-        "static scenarios decline"
-    );
 }
 
 /// Regression for the disconnected-Waxman hazard behind `GravityWan`:
