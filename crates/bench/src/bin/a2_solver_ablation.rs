@@ -49,6 +49,7 @@ fn main() {
         "converged",
         "oracle calls",
         "oracle share",
+        "line-search share",
         "stages",
     ]);
     let mut rows = Vec::new();
@@ -64,8 +65,9 @@ fn main() {
         );
         // The stats make the solver's cost structure visible: how many
         // oracle batches ran, what share of the wall-clock they took
-        // (the parallelizable part), and how the staged smoothing
-        // progressed.
+        // (the parallelizable part), the line search's share (serial),
+        // and how the staged smoothing progressed. The line-search share
+        // is printed only, so the JSON rows keep their keys.
         let stats = &sol.stats;
         table.row(&[
             f3(eps),
@@ -75,6 +77,7 @@ fn main() {
             sol.converged.to_string(),
             stats.oracle_calls.to_string(),
             format!("{:.0}%", stats.profile.share("oracle") * 100.0),
+            format!("{:.0}%", stats.profile.share("line_search") * 100.0),
             stats.stages.len().to_string(),
         ]);
         rows.push(Row {

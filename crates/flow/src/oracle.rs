@@ -192,7 +192,7 @@ impl PathOracle for CandidateOracle<'_> {
 #[derive(Debug)]
 pub struct AllPathsOracle<'a> {
     graph: &'a Graph,
-    usable: Option<Vec<bool>>,
+    usable: Option<&'a [bool]>,
 }
 
 impl<'a> AllPathsOracle<'a> {
@@ -211,11 +211,11 @@ impl<'a> AllPathsOracle<'a> {
     /// # Panics
     ///
     /// Panics if `usable.len() != graph.m()`.
-    pub fn masked(graph: &'a Graph, usable: &[bool]) -> Self {
+    pub fn masked(graph: &'a Graph, usable: &'a [bool]) -> Self {
         assert_eq!(usable.len(), graph.m(), "one mask bit per edge required");
         AllPathsOracle {
             graph,
-            usable: Some(usable.to_vec()),
+            usable: Some(usable),
         }
     }
 }
@@ -254,7 +254,7 @@ impl PathOracle for AllPathsOracle<'_> {
         let groups: Vec<&[(VertexId, usize, VertexId)]> =
             keyed.chunk_by(|a, b| a.0 == b.0).collect();
         let blocks: Vec<_> = groups.chunks(SOURCES_PER_BLOCK).collect();
-        let mask = self.usable.as_deref();
+        let mask = self.usable;
         // A single block stays serial.
         let answers = par_ordered_map(&blocks, 2, |block| {
             let mut ws = DijkstraWorkspace::new();

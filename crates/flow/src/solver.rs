@@ -52,8 +52,8 @@
 //! seen — and whether the target gap was actually certified
 //! ([`MinCongSolution::converged`]) — so callers can verify the
 //! optimality gap of every number we report. [`SolverStats`] additionally
-//! reports where the time went (oracle calls vs loop) and how the staged
-//! smoothing progressed.
+//! reports where the time went (oracle calls, line searches, the rest of
+//! the loop) and how the staged smoothing progressed.
 //!
 //! Pairs the oracle cannot route at all (a failure sweep can legitimately
 //! disconnect a demanded pair) are dropped at initialization and their
@@ -110,10 +110,23 @@ use ssor_graph::{
 const WEIGHT_PRUNE: f64 = 1e-15;
 
 /// Line-search steps at or below this count as "no progress at the
-/// current smoothing". `gamma` is a convex-combination coefficient in
+/// current smoothing". The line search returns exactly 0 when the
+/// potential does not descend along the best response (`φ′(0) >= 0`,
+/// e.g. a best response that equals the current routing), so this
+/// branch is what cascades a stationary point's smoothing down to the
+/// accuracy floor. `gamma` is a convex-combination coefficient in
 /// `[0, 1]` — dimensionless — so the cutoff is scale-free by
 /// construction.
 const GAMMA_MIN: f64 = 1e-12;
+
+/// The line search stops once a Newton step or its bracket is this
+/// short (in `gamma`, so scale-free like [`GAMMA_MIN`]).
+const LINE_SEARCH_TOL: f64 = 1e-10;
+
+/// Derivative passes one line search may spend. Bisection alone
+/// shrinks `[0, 1]` to [`LINE_SEARCH_TOL`] in 34, so the cap only
+/// bounds a pathological mix of Newton steps and bisections.
+const LINE_SEARCH_PASSES: usize = 64;
 
 /// Options for the Frank–Wolfe solver.
 #[derive(Debug, Clone)]
@@ -155,13 +168,14 @@ pub struct StageIters {
 }
 
 /// Where a solve spent its work: iteration counts per smoothing stage and
-/// the oracle's share of the wall-clock.
+/// the oracle's and the line search's shares of the wall-clock.
 ///
 /// The oracle is the solver's embarrassingly parallel layer (the
 /// per-source Dijkstra fan-out in `AllPathsOracle`), so
-/// `profile.share("oracle")` bounds how much a multi-core run can gain —
-/// these numbers make solver speedups measurable instead of anecdotal
-/// (see the `a2_solver_ablation` bench bin).
+/// `profile.share("oracle")` bounds how much a multi-core run can gain;
+/// the line search is serial over the edges. These numbers make solver
+/// speedups measurable instead of anecdotal (see the
+/// `a2_solver_ablation` bench bin).
 #[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// Total Frank–Wolfe iterations.
@@ -170,7 +184,8 @@ pub struct SolverStats {
     /// initialization).
     pub oracle_calls: usize,
     /// Wall-clock of the whole solve, with the time spent inside oracle
-    /// calls as its `"oracle"` stage.
+    /// calls as its `"oracle"` stage and the step-size searches as its
+    /// `"line_search"` stage.
     pub profile: StageProfile,
     /// Iterations per smoothing stage, in the order the stages ran;
     /// `eps` only ever halves, so entries sharpen strictly.
@@ -315,15 +330,93 @@ fn routing_of(store: PathStore, states: &[PairState]) -> Routing {
     Routing::from(Distributions::from_runs(store, runs))
 }
 
+/// `(φ′, φ″)` from the softmax moments `s0 = Σ p_e`, `s1 = Σ p_e d_e`
+/// and `s2 = Σ p_e d_e²` of the direction `d` (any common scale of `p`).
+fn slope_and_curvature(s0: f64, s1: f64, s2: f64, beta: f64) -> (f64, f64) {
+    let slope = s1 / s0;
+    (slope, beta * (s2 / s0 - slope * slope))
+}
+
+/// `(φ′(γ), φ″(γ))` of the softmax potential
+/// `φ(γ) = smoothmax_β((1 − γ)a + γb)`, from one `exp` pass over the
+/// mixed loads (shifted by their max, so no term overflows).
+fn potential_derivatives(a: &[f64], b: &[f64], gamma: f64, beta: f64) -> (f64, f64) {
+    let mixed = a
+        .iter()
+        .zip(b)
+        .map(|(a, b)| ((1.0 - gamma) * a + gamma * b, b - a));
+    let mx = mixed.clone().fold(f64::NEG_INFINITY, |m, (l, _)| m.max(l));
+    let (s0, s1, s2) = mixed.fold((0.0, 0.0, 0.0), |(s0, s1, s2), (l, d)| {
+        let p = ((l - mx) * beta).exp();
+        (s0 + p, s1 + p * d, s2 + p * d * d)
+    });
+    slope_and_curvature(s0, s1, s2, beta)
+}
+
+/// The Frank–Wolfe step: the minimizer over `γ ∈ [0, 1]` of the convex
+/// potential `φ(γ) = smoothmax_β((1 − γ)a + γb)` from the current loads
+/// `a` towards the best-response loads `b`.
+///
+/// With `d = b − a` and `p` the softmax of the mixed loads,
+/// `φ′ = Σ p_e d_e` and `φ″ = β(Σ p_e d_e² − φ′²)`. At `γ = 0` the
+/// softmax is the oracle's weights `w / wsum`, so that end costs no
+/// `exp`. Returns exactly 0 when `φ′(0) >= 0` (no descent) and exactly 1
+/// when `φ′(1) <= 0`; otherwise the root of `φ′` lies inside `[0, 1]`
+/// and safeguarded Newton steps close in on it, each step shrinking the
+/// bracket `[lo, hi]` around the root and falling back to bisection when
+/// a step leaves the bracket or `φ″ <= 0`.
+fn line_search(a: &[f64], b: &[f64], w: &[f64], wsum: f64, beta: f64) -> f64 {
+    let (s1, s2) = a
+        .iter()
+        .zip(b)
+        .zip(w)
+        .fold((0.0, 0.0), |(s1, s2), ((a, b), w)| {
+            let d = b - a;
+            (s1 + w * d, s2 + w * d * d)
+        });
+    let (mut slope, mut curvature) = slope_and_curvature(wsum, s1, s2, beta);
+    if slope >= 0.0 {
+        return 0.0;
+    }
+    if potential_derivatives(a, b, 1.0, beta).0 <= 0.0 {
+        return 1.0;
+    }
+    let (mut lo, mut hi, mut gamma) = (0.0f64, 1.0f64, 0.0f64);
+    for _ in 0..LINE_SEARCH_PASSES {
+        let newton = gamma - slope / curvature;
+        let next = if curvature > 0.0 && lo < newton && newton < hi {
+            newton
+        } else {
+            0.5 * (lo + hi)
+        };
+        let step = (next - gamma).abs();
+        gamma = next;
+        if step <= LINE_SEARCH_TOL || hi - lo <= LINE_SEARCH_TOL {
+            break;
+        }
+        (slope, curvature) = potential_derivatives(a, b, gamma, beta);
+        if slope < 0.0 {
+            lo = gamma;
+        } else if slope > 0.0 {
+            hi = gamma;
+        } else {
+            break;
+        }
+    }
+    gamma
+}
+
 /// The workspace's one staged-smoothing Frank–Wolfe loop.
 ///
 /// `states` holds the starting per-pair convex combinations (weights
 /// summing to 1 per pair, demands normalized to unit total size) and
 /// `loads` the matching edge-load accumulation. `stage_eps0` is the
-/// initial smoothing stage; every entry point starts coarse (0.5) — from
-/// a warm near-optimal start the no-progress line-search path cascades
-/// the smoothing to the accuracy floor in a few cheap iterations, so no
-/// special schedule is needed.
+/// initial smoothing stage; every entry point starts coarse (0.5).
+/// Wherever the best response offers no descent at the current
+/// smoothing ([`line_search`] returns 0), the no-progress branch halves
+/// the smoothing at once instead of waiting out the 15-iteration stall
+/// rule, so a stationary start cascades to the accuracy floor in one
+/// iteration per stage and no special schedule is needed.
 ///
 /// Every routed pair is reachable (the caller dropped stranded pairs at
 /// initialization), and reachability under the finite positive weights
@@ -424,31 +517,12 @@ fn frank_wolfe(
             loads_y.add_path(store, id, *dem);
         }
 
-        // Exact line search on the softmax potential (convex in gamma):
-        // `max + ln(sum exp(beta*(mixed - max)))/beta` of the mixed loads
-        // `(1 - gamma)*a + gamma*b`, recomputed per pass instead of stored.
+        // The exact step along the best response, on the same softmax
+        // potential whose gradient `w` is.
         let (la, lb) = (loads.as_slice(), loads_y.as_slice());
-        let phi = |gamma: f64| -> f64 {
-            let mixed = la
-                .iter()
-                .zip(lb)
-                .map(|(a, b)| (1.0 - gamma) * a + gamma * b);
-            let mx = mixed.clone().fold(f64::NEG_INFINITY, f64::max);
-            let s: f64 = mixed.map(|l| ((l - mx) * beta).exp()).sum();
-            mx + s.ln() / beta
-        };
-        let mut lo = 0.0f64;
-        let mut hi = 1.0f64;
-        for _ in 0..30 {
-            let m1 = lo + (hi - lo) / 3.0;
-            let m2 = hi - (hi - lo) / 3.0;
-            if phi(m1) <= phi(m2) {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        let gamma = 0.5 * (lo + hi);
+        let gamma = acc
+            .profile
+            .time("line_search", || line_search(la, lb, &w, wsum, beta));
         if gamma <= GAMMA_MIN {
             // No progress along this direction at the current smoothing:
             // sharpen if we can, otherwise we are done (without a
@@ -579,12 +653,14 @@ fn solve(
     }
 
     // Both cold and warm solves start at the coarse smoothing stage.
-    // From a near-optimal warm point the line search immediately finds
-    // no coarse-stage progress, which cascades the smoothing down to
-    // the accuracy floor in O(log(1/eps)) cheap iterations and lets
-    // the sharp dual certificate stop the loop — starting sharp
-    // instead makes Frank–Wolfe crawl even from a warm point (the
-    // gradient pins to the single most-congested edge).
+    // A near-optimal warm point usually certifies in its first
+    // iteration; where its best response offers no descent at the
+    // coarse smoothing (the line search returns 0), the smoothing
+    // cascades down to the accuracy floor in O(log(1/eps)) cheap
+    // iterations, one per stage, and lets the sharp dual certificate
+    // stop the loop — starting sharp instead makes Frank–Wolfe crawl
+    // even from a warm point (the gradient pins to the single
+    // most-congested edge).
     let (lower_bound, iterations, converged) = frank_wolfe(
         m,
         &mut states,
@@ -1100,12 +1176,125 @@ mod tests {
             sol.iterations
         );
         let profile = &stats.profile;
-        assert!(matches!(profile.stages(), [("oracle", wall)] if *wall <= profile.total()));
+        assert!(matches!(
+            profile.stages(),
+            [("oracle", oracle), ("line_search", search)] if *oracle + *search <= profile.total()
+        ));
         assert!((0.0..=1.0).contains(&profile.share("oracle")));
+        assert!((0.0..=1.0).contains(&profile.share("line_search")));
         // Stages sharpen monotonically within the run.
         for pair in stats.stages.windows(2) {
             assert!(pair[1].eps < pair[0].eps, "stages must sharpen");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The line search.
+    // ------------------------------------------------------------------
+
+    /// The softmax potential `smoothmax_β((1 − γ)a + γb)`, evaluated
+    /// directly.
+    fn potential(a: &[f64], b: &[f64], gamma: f64, beta: f64) -> f64 {
+        let mixed = a.iter().zip(b).map(|(a, b)| (1.0 - gamma) * a + gamma * b);
+        let mx = mixed.clone().fold(f64::NEG_INFINITY, f64::max);
+        let s: f64 = mixed.map(|l| ((l - mx) * beta).exp()).sum();
+        mx + s.ln() / beta
+    }
+
+    /// [`line_search`] with the oracle's weights of `a` computed here.
+    fn search(a: &[f64], b: &[f64], beta: f64) -> f64 {
+        let mx = a.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let w: Vec<f64> = a.iter().map(|l| ((l - mx) * beta).exp()).collect();
+        line_search(a, b, &w, w.iter().sum(), beta)
+    }
+
+    #[test]
+    fn line_search_returns_zero_without_descent() {
+        let a = [0.3, 0.9, 0.5, 0.7];
+        for beta in [0.5, 10.0, 1e4] {
+            assert_eq!(search(&a, &a, beta), 0.0, "b = a, beta {beta}");
+            // b dominates a, strictly on the arg-max edge.
+            let b = [0.3, 1.2, 0.6, 0.7];
+            assert_eq!(search(&a, &b, beta), 0.0, "b >= a, beta {beta}");
+        }
+    }
+
+    #[test]
+    fn line_search_returns_one_when_the_potential_keeps_falling() {
+        let a = [0.3, 0.9, 0.5, 0.7];
+        let halved = a.map(|l| 0.5 * l);
+        // Shifting load off the max edge onto a lighter one that stays
+        // below it.
+        let shifted = [0.3, 0.6, 0.6, 0.7];
+        for beta in [0.5, 10.0, 1e4] {
+            assert_eq!(search(&a, &halved, beta), 1.0, "beta {beta}");
+            assert_eq!(search(&a, &shifted, beta), 1.0, "beta {beta}");
+        }
+    }
+
+    #[test]
+    fn line_search_matches_a_dense_scan_of_the_potential() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut interior = 0;
+        for case in 0..200 {
+            let m = rng.gen_range(2..40usize);
+            let a: Vec<f64> = (0..m).map(|_| rng.gen_range(0.0..1.0)).collect();
+            // A best response moves load: some edges gain, some lose.
+            let b: Vec<f64> = a
+                .iter()
+                .map(|&l| match rng.gen_range(0..3) {
+                    0 => l,
+                    1 => rng.gen_range(0.0..l.max(1e-3)),
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            // From a soft average up to a near-hard max (the solver's
+            // sharpest stages reach beta * load of a few thousand).
+            let beta = 10f64.powf(rng.gen_range(-1.0..4.0));
+            let gamma = search(&a, &b, beta);
+            assert!((0.0..=1.0).contains(&gamma), "case {case}: gamma {gamma}");
+            interior += usize::from(0.0 < gamma && gamma < 1.0);
+            let got = potential(&a, &b, gamma, beta);
+            let scan = (0..=10_000)
+                .map(|k| potential(&a, &b, f64::from(k) / 10_000.0, beta))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                got <= scan + 1e-12 * scan.abs().max(1.0),
+                "case {case} (m {m}, beta {beta}): phi({gamma}) = {got} > scan min {scan}"
+            );
+        }
+        assert!(interior >= 80, "only {interior} interior minima");
+    }
+
+    #[test]
+    fn a_stationary_warm_start_sharpens_one_stage_per_iteration() {
+        // A star routes every pair on its unique two-leaf path, so the
+        // best response always equals the current routing: the line
+        // search finds no descent (gamma = 0) and the no-progress branch
+        // halves the smoothing at once, instead of the stall rule's 15
+        // iterations per stage. Pair (1, 2) is a little heavier than the
+        // other 49, so the coarse certificate misses the target gap.
+        let g = generators::star(100);
+        let mut d = Demand::new();
+        for i in 0..50 {
+            d.set(2 * i + 1, 2 * i + 2, if i == 0 { 1.1 } else { 1.0 });
+        }
+        let mut oracle = AllPathsOracle::new(&g);
+        let mut warm = Solver::new(&g);
+        let first = warm.resolve(&g, DemandDelta::Replace(d), &mut oracle, &warm_opts());
+        assert!(first.converged);
+        let again = warm.resolve(&g, DemandDelta::Scale(1.0), &mut oracle, &warm_opts());
+        assert!(again.converged);
+        assert!((again.congestion - 1.1).abs() < 1e-12);
+        let stages = &again.stats.stages;
+        assert!(stages.len() >= 2, "the coarse stage certifies: {stages:?}");
+        assert!(
+            stages.iter().all(|s| s.iterations == 1),
+            "each stage ends after its first line search: {stages:?}"
+        );
+        assert_eq!(again.iterations, stages.len());
     }
 
     // ------------------------------------------------------------------
@@ -1400,63 +1589,63 @@ mod tests {
     /// the invalidated-path count before the last. A change to how the
     /// warm state is stored must keep every bit.
     const CANDIDATE_CHAIN: [u64; 26] = [
-        0x40085cd9ee97f27c,
+        0x40085cd9ea9e7f1c,
         0x4007feb402670daf,
         3,
         0,
-        0xb178c373b24e3ef2,
-        0x400f70906898a806,
-        0x400ed3a05efd40eb,
+        0x87a7df43ae434852,
+        0x400f709071ff1072,
+        0x400ed3a0dffc8108,
         2,
         0,
-        0xd26f2f753b7abcfa,
-        0x40058de8d95b0a0f,
-        0x40048dbbb20ff720,
+        0x69e5e9cb3844185a,
+        0x40058de906022c1d,
+        0x40048dbb99a29756,
         25,
         0,
-        0x0cfa8743f8f70977,
-        0x400d1575a1f61eee,
-        0x400c077a3e6890e2,
+        0xbcee58d9286dd278,
+        0x400d1575b8970410,
+        0x400c077ae0b815f5,
         3,
         0,
-        0x78181537f0060701,
+        0xe22589c9260e4fda,
         4,
-        0x401002ef76f3ad45,
-        0x400f8d4bd93377b7,
+        0x401002f056d1b637,
+        0x400f8d650795aedc,
         4,
         0,
-        0x70db0ae9a7b16c82,
+        0x9f44cc05b880849c,
     ];
 
     /// [`warm_chain`] on all paths (masked after the failure), laid out
     /// like [`CANDIDATE_CHAIN`].
     const ALL_PATHS_CHAIN: [u64; 26] = [
-        0x3ff402384073f988,
-        0x3ff35b28bfef2134,
+        0x3ff402342d629c76,
+        0x3ff35b3a2408535e,
         92,
         0,
-        0x67bc8d242b8d53ef,
-        0x3ffa02e2ba305dfe,
-        0x3ff8f3998d0b1bd8,
+        0xeb156168b3d5a8d0,
+        0x3ffa02dd6e3364ff,
+        0x3ff8f3b8bb1c91b8,
         1,
         0,
-        0x67bc8d242b8d53ef,
-        0x3ffceeb10d9ce529,
-        0x3ffb95f04f15730b,
-        78,
+        0xeb156168b3d5a8d0,
+        0x3ffcf4f7a3e25f2e,
+        0x3ffbab8913ca3b4c,
+        76,
         0,
-        0xb6c8cf342879a833,
-        0x40006d99a1ad3bf8,
-        0x3fff514c7dd9bd2c,
-        30,
+        0x26a903d30078bde0,
+        0x40006832300ab3db,
+        0x3fff5c4b5f410570,
+        31,
         0,
-        0x2b6f854627b4bac0,
-        46,
-        0x400558965cbd05f8,
-        0x4004562ec5c0643b,
-        23,
+        0xd14fbf44d297aed8,
+        45,
+        0x40055857bf7831c4,
+        0x40045b00f076250f,
+        26,
         0,
-        0xe4cf396161d4f58b,
+        0x24cd6d51f9d356f3,
     ];
 
     #[test]

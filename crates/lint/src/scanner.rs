@@ -317,7 +317,8 @@ pub fn count_word(code: &str, needle: &str) -> usize {
 /// `]` — i.e. a subscript on a place expression, which panics when out
 /// of bounds. Attributes (`#[`), macros (`vec![`), array literals,
 /// slice types (`&[u8]`), and patterns never match: their `[` follows
-/// punctuation. Shared by the `ratchet` `indexing` counter and the
+/// punctuation, and a slice type behind a lifetime (`&'a [u8]`) is
+/// skipped too. Shared by the `ratchet` `indexing` counter and the
 /// `hot_panic` contract rule.
 pub fn index_brackets(code: &str) -> usize {
     let bytes = code.as_bytes();
@@ -349,6 +350,10 @@ pub fn index_brackets(code: &str) -> usize {
             word,
             "let" | "in" | "mut" | "ref" | "if" | "else" | "match" | "return" | "break" | "for"
         ) {
+            continue;
+        }
+        // A lifetime is not a place expression: `&'a [bool]` is a type.
+        if start.checked_sub(1).and_then(|k| bytes.get(k)) == Some(&b'\'') {
             continue;
         }
         count += 1;
@@ -447,6 +452,8 @@ mod tests {
         assert_eq!(index_brackets("fn f(x: &[u8], y: [u32; 4]) {}"), 0);
         assert_eq!(index_brackets("let [a, b] = pair;"), 0);
         assert_eq!(index_brackets("Vec<[f64; 4]>"), 0);
+        assert_eq!(index_brackets("usable: Option<&'a [bool]>,"), 0);
+        assert_eq!(index_brackets("x[a]"), 1);
     }
 
     #[test]
